@@ -30,7 +30,8 @@ import numpy as np
 from . import __version__
 from .config import (ExperimentConfig, _parse_complex, build_config)
 from .errors import SuperlensError, UsageError
-from .experiments import EXPERIMENTS, effective_profile, run_experiment
+from .experiments import (EXPERIMENTS, check_window, effective_profile,
+                          run_experiment)
 from .forward import reflected_flux, solve_forward
 from .inverse import (choose_cutoff, recon_coefficients, reconstruct,
                       residual_curve)
@@ -130,7 +131,7 @@ def cmd_forward(args) -> int:
 
 def cmd_invert(args) -> int:
     cfg = _config_from(args)
-    out = _outdir(cfg)
+    check_window(cfg)
     phys = cfg.to_physical()
 
     try:
@@ -141,6 +142,7 @@ def cmd_invert(args) -> int:
         raise UsageError(
             f"data grid {m.u_delta.shape} does not match config "
             f"I={cfg.I}; pass --set I=... to match the file")
+    out = _outdir(cfg)
 
     U = dft2(m.u_delta)
     rc = recon_coefficients(U, phys)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import UsageError
+from .errors import CutoffOutOfRange, UsageError
 from .forward import solve_forward
 from .inverse import (choose_cutoff, error_decomposition, recon_coefficients,
                       reconstruct, residual_curve)
@@ -37,7 +37,7 @@ from .measurement import (Measurement, NoiseSpec, add_noise, rescale_to_snr,
                           save_measurement_csv)
 from .pnm import save_field_ppm
 from .profiles import band_limited_profile
-from .spectral import dft2, grid_l2_norm
+from .spectral import dft2, grid_l2_norm, window_halfwidth
 
 #: SNR operating points for the per-row sweep (log-spaced around the
 #: tables' values, spanning the published sweep range)
@@ -102,6 +102,16 @@ def effective_profile(cfg: ExperimentConfig):
     return band_limited_profile(raw, disc.N_f, quad_I=disc.P)
 
 
+def check_window(cfg: ExperimentConfig) -> None:
+    """Reject a cut-off sweep 0..N_window the I x I data grid cannot hold,
+    before anything is solved or written."""
+    W = window_halfwidth(cfg.I)
+    if not 0 <= cfg.N_window <= W:
+        raise CutoffOutOfRange(
+            f"N_window={cfg.N_window} outside 0..{W}, the coefficient window "
+            f"of an I={cfg.I} grid")
+
+
 def _measure(top_grid: np.ndarray, sigma: float, seed: int,
              target_snr: float | None) -> Measurement:
     m = add_noise(top_grid, NoiseSpec(sigma=sigma, seed=seed))
@@ -122,6 +132,7 @@ def run_row(cfg: ExperimentConfig, out_dir: Path,
             solve_cache: dict | None = None) -> dict:
     """Full pipeline for one operating point; returns the summary dict
     (also written to out_dir/summary.json)."""
+    check_window(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     phys = cfg.to_physical()
     disc = cfg.to_discretization()
@@ -218,20 +229,24 @@ def run_experiment(exp_id: str, base: ExperimentConfig,
     preset = EXPERIMENTS[exp_id]
     root = Path(out_root) if out_root is not None else Path(base.out)
     exp_dir = root / f"exp{exp_id}"
-    cache: dict = {}
-    rows_out = []
+    row_cfgs = []
     for i, row in enumerate(preset["rows"]):
         params = {k: v for k, v in row.items() if k != "label"}
         merged = {**preset["base"], **params}
         cfg = replace(base, **merged, seed=base.seed + 10 * i,
                       defaulted=tuple(k for k in base.defaulted
                                       if k not in merged))
+        check_window(cfg)
+        row_cfgs.append((row, merged, cfg))
+    cache: dict = {}
+    rows_out = []
+    for i, (row, merged, cfg) in enumerate(row_cfgs):
         row_dir = exp_dir / f"row{i + 1}_{row['label']}"
         summary = run_row(cfg, row_dir, solve_cache=cache)
         summary["label"] = row["label"]
         summary["preset_overrides"] = {
             k: (str(v) if isinstance(v, complex) else v)
-            for k, v in {**preset["base"], **params}.items()}
+            for k, v in merged.items()}
         rows_out.append(summary)
     index = {"experiment": exp_id, "title": preset["title"],
              "rows": [{"label": r["label"], "chosen_N": r["chosen_N"],

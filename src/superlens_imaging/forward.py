@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .core import Mode, PhysicalConfig, gamma_eta_grid, mode_scalars, tau_of
 from .errors import (DegenerateSlab, NoConvergence, NyquistViolation,
@@ -271,37 +272,32 @@ class _Operator:
         self.lat = cfg.omega**2 - self.asq  # (omega^2 - |alpha|^2) per mode
 
         hz = cfg.a / M
-        Dz = deriv_matrix(M, hz, 1, disc.fd_order)
-        Dzz = deriv_matrix(M, hz, 2, disc.fd_order)
-        self.Dz_dense, self.Dzz_dense = Dz, Dzz
-        self.Dz = sp.csr_matrix(Dz)
-        self.Dzz = sp.csr_matrix(Dzz)
+        self.Dz = sp.csr_matrix(deriv_matrix(M, hz, 1, disc.fd_order))
+        self.Dzz = sp.csr_matrix(deriv_matrix(M, hz, 2, disc.fd_order))
 
         self.Z, self.zeta, self.gam_w, self.eta_w = _impedance_grid(cfg, disc.N_f)
-        # wrapped embedding indices of the centered window in the P-grid
-        self.idx = np.arange(-disc.N_f, disc.N_f + 1) % P
 
-    # spectral (K,K) or (L,K,K) <-> physical (L,P,P)
-    def _embed(self, C: np.ndarray) -> np.ndarray:
-        single = C.ndim == 2
-        if single:
-            C = C[None]
-        out = np.zeros((C.shape[0], self.P, self.P), dtype=complex)
-        out[np.ix_(range(C.shape[0]), self.idx, self.idx)] = C
-        return out[0] if single else out
-
-    def _extract(self, F: np.ndarray) -> np.ndarray:
-        single = F.ndim == 2
-        if single:
-            F = F[None]
-        out = F[np.ix_(range(F.shape[0]), self.idx, self.idx)]
-        return out[0] if single else out
-
+    # spectral (..., K, K) <-> physical (..., P, P).  Only K of the P rows
+    # and columns of the padded spectrum are non-zero (modes 0..N_f at the
+    # front, -N_f..-1 wrapped to the back), so each direction transforms
+    # one axis on the K live rows and the other on all P.
     def _to_phys(self, C: np.ndarray) -> np.ndarray:
-        return np.fft.ifft2(self._embed(C), axes=(-2, -1)) * (self.P * self.P)
+        N, P = self.N_f, self.P
+        rows = np.zeros(C.shape[:-1] + (P,), dtype=complex)
+        rows[..., :N + 1] = C[..., N:]
+        rows[..., P - N:] = C[..., :N]
+        rows = sfft.ifft(rows, axis=-1, norm="forward", overwrite_x=True)
+        full = np.zeros(C.shape[:-2] + (P, P), dtype=complex)
+        full[..., :N + 1, :] = rows[..., N:, :]
+        full[..., P - N:, :] = rows[..., :N, :]
+        return sfft.ifft(full, axis=-2, norm="forward", overwrite_x=True)
 
     def _to_spec(self, U: np.ndarray) -> np.ndarray:
-        return self._extract(np.fft.fft2(U, axes=(-2, -1)) / (self.P * self.P))
+        N = self.N_f
+        F = sfft.fft(U, axis=-2, norm="forward")
+        cols = np.concatenate([F[..., -N:, :], F[..., :N + 1, :]], axis=-2)
+        F = sfft.fft(cols, axis=-1, norm="forward", overwrite_x=True)
+        return np.concatenate([F[..., -N:], F[..., :N + 1]], axis=-1)
 
     def _dz_apply(self, D: sp.csr_matrix, S: np.ndarray) -> np.ndarray:
         K, M1 = self.K, self.M + 1
@@ -314,27 +310,39 @@ class _Operator:
         SZ = self._dz_apply(self.Dz, S)
         SZZ = self._dz_apply(self.Dzz, S)
 
-        # move z to the leading axis for batched lateral FFTs
+        # one batched lateral transform: the five PDE terms on the interior
+        # levels 1..M-1 (z leading), then the impedance trace at level M
         def lead(A):
-            return np.transpose(A, (2, 0, 1))
+            return np.moveaxis(A[:, :, 1:M], -1, 0)
 
-        lat_phys = self._to_phys(lead(self.lat[:, :, None] * S))
-        szz_phys = self._to_phys(lead(SZZ))
-        sxz_phys = self._to_phys(lead(1j * self.ax[:, :, None] * SZ))
-        syz_phys = self._to_phys(lead(1j * self.ay[:, :, None] * SZ))
-        sz_phys = self._to_phys(lead(SZ))
+        spec = np.empty((5 * (M - 1) + 1, K, K), dtype=complex)
+        terms = spec[:-1].reshape(5, M - 1, K, K)
+        sz = lead(SZ)
+        terms[0] = self.lat * lead(S)
+        terms[1] = lead(SZZ)
+        terms[2] = 1j * self.ax * sz
+        terms[3] = 1j * self.ay * sz
+        terms[4] = sz
+        spec[-1] = self.Z * S[:, :, M]
+        phys = self._to_phys(spec)
+        lat_p, szz_p, sxz_p, syz_p, sz_p = phys[:-1].reshape(5, M - 1, P, P)
 
         cf = self.cf
-        phys = (cf.c1[None, :, :] * lat_phys + cf.c2 * szz_phys
-                - cf.c3 * sxz_phys - cf.c4 * syz_phys - cf.c5 * sz_phys)
-        out = np.transpose(self._to_spec(phys), (1, 2, 0))
+        inner = slice(1, M)
+        prod = np.empty((M, P, P), dtype=complex)
+        prod[:-1] = (cf.c1 * lat_p + cf.c2[inner] * szz_p
+                     - cf.c3[inner] * sxz_p - cf.c4[inner] * syz_p
+                     - cf.c5[inner] * sz_p)
+        # the slab impedance seen through (1 - f/a)
+        prod[-1] = (cf.one_minus_f_over_a / self.cfg.rho) * phys[-1]
+        back = self._to_spec(prod)
 
+        out = np.empty((K, K, M + 1), dtype=complex)
         # row 0: Dirichlet on the flattened surface
         out[:, :, 0] = S[:, :, 0]
-        # row M: one-sided dz minus the slab impedance seen through (1 - f/a)
-        ua_phys = self._to_phys(self.Z * S[:, :, M])
-        w = (cf.one_minus_f_over_a / self.cfg.rho) * ua_phys
-        out[:, :, M] = SZ[:, :, M] - self._to_spec(w)
+        out[:, :, 1:M] = np.moveaxis(back[:-1], 0, -1)
+        # row M: one-sided dz minus the impedance term
+        out[:, :, M] = SZ[:, :, M] - back[-1]
         return out.reshape(-1)
 
     def rhs(self) -> np.ndarray:
@@ -345,25 +353,25 @@ class _Operator:
         return r.reshape(-1)
 
     def preconditioner(self) -> LinearOperator:
-        """Exact inverse of the flat-surface (f=0) operator, which is
-        mode-diagonal: one (M+1)x(M+1) dense system per lateral mode."""
+        """Exact inverse of the flat-surface (f=0) operator.
+
+        That operator is mode-diagonal: one banded (M+1)x(M+1) block per
+        lateral mode, sharing the FD rows and differing only by the
+        a^2 * (omega^2 - |alpha|^2) diagonal on the interior rows and -Z/rho
+        at row M.  The block-diagonal matrix is factored once by a sparse
+        LU in natural order; the blocks have half-bandwidth <= 5, so the
+        factors stay banded.
+        """
         K, M = self.K, self.M
         a2 = self.cfg.a ** 2
-        base = np.zeros((K, K, M + 1, M + 1), dtype=complex)
-        interior = a2 * self.Dzz_dense[1:M, :]
-        base[:, :, 1:M, :] = interior[None, None]
-        j = np.arange(1, M)
-        base[:, :, j, j] += a2 * self.lat[:, :, None]
-        base[:, :, 0, 0] = 1.0
-        base[:, :, M, :] = self.Dz_dense[M, :][None, None]
-        base[:, :, M, M] -= self.Z / self.cfg.rho
-        inv = np.linalg.inv(base.reshape(K * K, M + 1, M + 1))
-
-        def apply_inv(x):
-            S = x.reshape(K * K, M + 1)
-            return np.einsum("qij,qj->qi", inv, S).reshape(-1)
-
-        return LinearOperator((self.dim, self.dim), matvec=apply_inv,
+        e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, M + 1))
+        shared = sp.vstack([e0, a2 * self.Dzz[1:M], self.Dz[M]])
+        diag = np.zeros((K, K, M + 1), dtype=complex)
+        diag[:, :, 1:M] = a2 * self.lat[:, :, None]
+        diag[:, :, M] = -self.Z / self.cfg.rho
+        A0 = sp.kron(sp.identity(K * K), shared) + sp.diags(diag.reshape(-1))
+        lu = splu(A0.tocsc(), permc_spec="NATURAL")
+        return LinearOperator((self.dim, self.dim), matvec=lu.solve,
                               dtype=complex)
 
 
@@ -371,15 +379,25 @@ class _Operator:
 
 @dataclass(frozen=True)
 class ForwardSolution:
-    """interior: physical field on the I x I x (M+1) flattened tensor grid;
-    spectral_interior: its mode coefficients (K, K, M+1); top: coefficients
-    u_n(b) on the solver window; top_grid: u(x_i, b) on the I x I grid."""
-    interior: np.ndarray
+    """spectral_interior: mode coefficients (K, K, M+1) of the field on the
+    flattened levels; top: coefficients u_n(b) on the solver window;
+    top_grid: u(x_i, b) on the I x I grid."""
     spectral_interior: np.ndarray
     top: SpectrumField
     top_grid: np.ndarray
     iterations: int
     residual: float
+
+    @property
+    def interior(self) -> np.ndarray:
+        """Physical field on the I x I x (M+1) flattened tensor grid,
+        synthesized from spectral_interior on each access."""
+        N_f = self.top.W1
+        grid = self.top_grid.shape
+        return np.stack(
+            [synthesize(SpectrumField(self.spectral_interior[:, :, j], N_f, N_f),
+                        N_f, grid)
+             for j in range(self.spectral_interior.shape[2])], axis=-1)
 
 
 def _back_substitute(op: _Operator, S: np.ndarray, cfg: PhysicalConfig,
@@ -445,12 +463,7 @@ def solve_forward(profile: SurfaceProfile, cfg: PhysicalConfig,
     S = x.reshape(op.K, op.K, disc.M + 1)
     top = _back_substitute(op, S, cfg, disc)
     top_grid = synthesize(top, disc.N_f, (disc.I, disc.I))
-    spec_lead = np.transpose(S, (2, 0, 1))
-    interior = np.stack(
-        [synthesize(SpectrumField(spec_lead[j], disc.N_f, disc.N_f),
-                    disc.N_f, (disc.I, disc.I)) for j in range(disc.M + 1)],
-        axis=-1)
-    return ForwardSolution(interior=interior, spectral_interior=S, top=top,
+    return ForwardSolution(spectral_interior=S, top=top,
                            top_grid=top_grid, iterations=iterations,
                            residual=res)
 
@@ -495,7 +508,7 @@ def save_solution(sol: ForwardSolution, path: str | Path) -> None:
     """Little-endian layout: magic 'SLIF', u32 version=1, then int64
     I, N_f, M, iterations, float64 residual, followed by C-order
     complex128 arrays spectral_interior (K,K,M+1), top (K,K), and
-    top_grid (I,I).  The physical interior is re-synthesized on load."""
+    top_grid (I,I).  The physical interior is synthesized on access."""
     K = sol.top.values.shape[0]
     N_f = (K - 1) // 2
     I = sol.top_grid.shape[0]
@@ -527,11 +540,7 @@ def load_solution(path: str | Path) -> ForwardSolution:
         spectral = arr((K, K, M + 1))
         top_vals = arr((K, K))
         top_grid = arr((I, I))
-    top = SpectrumField(top_vals, N_f, N_f)
-    spec_lead = np.transpose(spectral, (2, 0, 1))
-    interior = np.stack(
-        [synthesize(SpectrumField(spec_lead[j], N_f, N_f), N_f, (I, I))
-         for j in range(M + 1)], axis=-1)
-    return ForwardSolution(interior=interior, spectral_interior=spectral,
-                           top=top, top_grid=top_grid, iterations=iterations,
+    return ForwardSolution(spectral_interior=spectral,
+                           top=SpectrumField(top_vals, N_f, N_f),
+                           top_grid=top_grid, iterations=iterations,
                            residual=residual)

@@ -167,27 +167,46 @@ def load_measurement_csv(path: str | Path) -> Measurement:
 
     Only the grids survive the round trip: sigma comes back as NaN and the
     seed as -1 (the CSV does not carry them), and snr is recomputed from
-    the grids (+inf for a zero noise grid).
+    the grids (+inf for a zero noise grid).  Malformed data — short rows,
+    non-finite values, negative, duplicated or missing grid points — raise
+    ValueError.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
+    with open(path) as fh:
+        header = next(csv.reader([fh.readline()]), [])
         if [h.strip() for h in header] != CSV_HEADER:
             raise ValueError(f"unexpected measurement CSV header: {header}")
-        for row in rd:
-            if row:
-                rows.append(row)
-    if not rows:
+        lines = fh.read().splitlines()
+    if not any(lines):
         raise ValueError("measurement CSV has no data rows")
-    I1 = max(int(r[0]) for r in rows) + 1
-    I2 = max(int(r[1]) for r in rows) + 1
-    u_delta = np.zeros((I1, I2), dtype=complex)
-    delta = np.zeros((I1, I2), dtype=complex)
-    for r in rows:
-        i1, i2 = int(r[0]), int(r[1])
-        u_delta[i1, i2] = float(r[2]) + 1j * float(r[3])
-        delta[i1, i2] = float(r[4]) + 1j * float(r[5])
+    # numpy's text reader parses floats exactly as float() does; it raises
+    # ValueError on unparsable fields and on rows of differing length
+    data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    if data.shape[1] != len(CSV_HEADER):
+        raise ValueError(f"measurement CSV rows have {data.shape[1]} fields, "
+                         f"expected {len(CSV_HEADER)}")
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise ValueError("non-finite value in measurement CSV data row "
+                         f"{int(np.argmax(bad)) + 1}")
+    idx = data[:, :2]
+    if (idx < 0).any() or (idx != np.floor(idx)).any():
+        raise ValueError("measurement CSV grid indices must be non-negative "
+                         "integers")
+    n = len(data)
+    I1, I2 = (int(m) + 1 for m in idx.max(axis=0))
+    if n != I1 * I2:
+        raise ValueError(f"measurement CSV has {n} rows for an {I1}x{I2} "
+                         f"grid ({I1 * I2} expected)")
+    flat = (idx[:, 0] * I2 + idx[:, 1]).astype(np.int64)
+    if np.unique(flat).size != n:
+        raise ValueError("duplicated grid point in measurement CSV")
+    # re_u, im_u, re_delta, im_delta: two complex columns, bit for bit
+    pairs = np.ascontiguousarray(data[:, 2:]).view(complex)
+    u_delta = np.empty(n, dtype=complex)
+    delta = np.empty(n, dtype=complex)
+    u_delta[flat] = pairs[:, 0]
+    delta[flat] = pairs[:, 1]
+    u_delta, delta = u_delta.reshape(I1, I2), delta.reshape(I1, I2)
     try:
         snr = snr_of(u_delta - delta, delta)
     except ZeroNoise:

@@ -125,6 +125,42 @@ def test_invert_missing_data_file(tmp_path):
                  "--out", str(tmp_path)]) == 1
 
 
+def _corrupt_csv(src, dst, edit):
+    lines = src.read_text().splitlines()
+    dst.write_text("\n".join(edit(lines)) + "\n")
+    return dst
+
+
+def _with_nan(lines):
+    fields = lines[40].split(",")
+    fields[2] = "nan"
+    return lines[:40] + [",".join(fields)] + lines[41:]
+
+
+@pytest.mark.parametrize("edit", [_with_nan, lambda lines: lines[:-5]],
+                         ids=["nan", "missing-rows"])
+def test_invert_rejects_bad_data_before_output(forward_dir, tmp_path, capsys,
+                                                edit):
+    data = _corrupt_csv(forward_dir / "top_field.csv", tmp_path / "bad.csv",
+                        edit)
+    out = tmp_path / "out"
+    code, cap = run(["invert", *FAST, "--data", str(data),
+                     "--out", str(out)], capsys)
+    assert code == 2
+    assert "error:" in cap.err and "Traceback" not in cap.err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_invert_rejects_window_beyond_grid(forward_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, cap = run(["invert", *FAST, "--set", "N_window=17", "--data",
+                     str(forward_dir / "top_field.csv"), "--out", str(out)],
+                    capsys)
+    assert code == 2
+    assert "N_window=17" in cap.err
+    assert not out.exists() or not any(out.iterdir())
+
+
 # --- config plumbing ----------------------------------------------------------
 
 def test_config_file_and_set_precedence(tmp_path):
@@ -201,6 +237,15 @@ def test_experiment_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("chose N=3") == 3
     assert (tmp_path / "exp1" / "index.json").exists()
+
+
+def test_experiment_window_beyond_grid_writes_nothing(tmp_path, capsys):
+    # --fast: I=33 holds modes up to 16
+    code, cap = run(["experiment", "1", "--fast", "--set", "N_window=40",
+                     "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "N_window=40" in cap.err and "Traceback" not in cap.err
+    assert not any(tmp_path.iterdir())
 
 
 def test_experiment_bad_id(tmp_path):

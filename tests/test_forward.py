@@ -7,7 +7,8 @@ import pytest
 from superlens_imaging.core import PhysicalConfig, gamma_of
 from superlens_imaging.errors import (NoConvergence, NyquistViolation,
                                       ProfileTooTall)
-from superlens_imaging.forward import (Discretization, deriv_matrix,
+from superlens_imaging.forward import (Discretization, _Operator,
+                                       coefficient_fields, deriv_matrix,
                                        fd_weights, load_solution,
                                        reflected_flux, save_solution,
                                        slab_impedance, solve_forward,
@@ -94,6 +95,38 @@ def test_second_order_stencils_less_accurate(phys_table1):
                             Discretization(I=9, N_f=2, M=32, fd_order=p))
         e[p] = abs(sol.top_grid.mean() - u0_top(flat))
     assert e[2] > 10 * e[4]
+
+
+def _operator(cfg, disc):
+    return _Operator(cfg, disc, coefficient_fields(trig_profile(), cfg, disc))
+
+
+def test_pruned_lateral_transforms_match_full_fft(phys_table1):
+    op = _operator(phys_table1, FAST)
+    K, P, N = FAST.K, FAST.P, FAST.N_f
+    rng = np.random.default_rng(7)
+    idx = np.arange(-N, N + 1) % P
+    C = rng.normal(size=(5, K, K)) + 1j * rng.normal(size=(5, K, K))
+    embedded = np.zeros((5, P, P), dtype=complex)
+    embedded[:, idx[:, None], idx[None, :]] = C
+    want = np.fft.ifft2(embedded) * P * P
+    got = op._to_phys(C)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    U = rng.normal(size=(5, P, P)) + 1j * rng.normal(size=(5, P, P))
+    want = (np.fft.fft2(U) / (P * P))[:, idx[:, None], idx[None, :]]
+    got = op._to_spec(U)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("fd_order", [2, 4])
+def test_preconditioner_inverts_flat_operator(phys_table1, fd_order):
+    flat = replace(phys_table1, epsilon=0.0)
+    op = _operator(flat, replace(FAST, fd_order=fd_order))
+    rng = np.random.default_rng(fd_order)
+    x = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+    back = op.preconditioner().matvec(op.apply(x))
+    assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
 
 
 def test_dense_and_iterative_agree(phys_table1):

@@ -139,3 +139,56 @@ def test_load_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         load_measurement_csv(path)
+
+
+@pytest.mark.parametrize("text", ["", ",".join(CSV_HEADER) + "\n\n"])
+def test_load_rejects_empty_file(tmp_path, text):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        load_measurement_csv(path)
+
+
+def _saved_lines(tmp_path, I=4):
+    m = add_noise(_clean(I), NoiseSpec(sigma=0.1, seed=3))
+    path = tmp_path / "m.csv"
+    save_measurement_csv(m, path)
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite(tmp_path, value):
+    path, lines = _saved_lines(tmp_path)
+    fields = lines[5].split(",")
+    fields[3] = value
+    lines[5] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="non-finite value .* row 5$"):
+        load_measurement_csv(path)
+
+
+def test_load_rejects_missing_rows(tmp_path):
+    path, lines = _saved_lines(tmp_path)
+    path.write_text("\n".join(lines[:7] + lines[9:]) + "\n")
+    with pytest.raises(ValueError, match="rows for an 4x4 grid"):
+        load_measurement_csv(path)
+
+
+def test_load_rejects_duplicated_point(tmp_path):
+    # same row count as a full grid, but (0, 1) twice and (0, 2) missing
+    path, lines = _saved_lines(tmp_path)
+    lines[3] = lines[2]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="duplicated"):
+        load_measurement_csv(path)
+
+
+@pytest.mark.parametrize("row", ["0,0,1.0,0.0,0.0", "-1,0,1.0,0.0,0.0,0.0",
+                                 "0.5,0,1.0,0.0,0.0,0.0", "0,0,1.0,x,0.0,0.0",
+                                 "99999999999999999999,0,1.0,0.0,0.0,0.0"])
+def test_load_rejects_malformed_row(tmp_path, row):
+    path, lines = _saved_lines(tmp_path)
+    lines[1] = row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        load_measurement_csv(path)
