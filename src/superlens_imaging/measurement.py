@@ -10,6 +10,7 @@ implementations only the statistics are promised.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -149,17 +150,16 @@ CSV_HEADER = ["i1", "i2", "re_u", "im_u", "re_delta", "im_delta"]
 
 def save_measurement_csv(m: Measurement, path: str | Path) -> None:
     """One row per sample: indices, noisy field, noise.  repr() floats so
-    the grids round-trip bitwise."""
+    the grids round-trip bitwise; the bytes are those csv.writer produces
+    (no field needs quoting, rows end in CRLF)."""
+    I1, I2 = m.u_delta.shape
+    columns = [part.ravel().tolist() for grid in (m.u_delta, m.delta)
+               for part in (grid.real, grid.imag)]
+    points = itertools.product(range(I1), range(I2))
+    body = "".join(f"{i1},{i2},{a!r},{b!r},{c!r},{d!r}\r\n"
+                   for (i1, i2), a, b, c, d in zip(points, *columns))
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(CSV_HEADER)
-        I1, I2 = m.u_delta.shape
-        for i1 in range(I1):
-            for i2 in range(I2):
-                ud = m.u_delta[i1, i2]
-                d = m.delta[i1, i2]
-                wr.writerow([i1, i2, repr(float(ud.real)), repr(float(ud.imag)),
-                             repr(float(d.real)), repr(float(d.imag))])
+        fh.write(",".join(CSV_HEADER) + "\r\n" + body)
 
 
 def load_measurement_csv(path: str | Path) -> Measurement:

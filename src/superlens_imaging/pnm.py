@@ -44,18 +44,32 @@ def colormap(values: np.ndarray, vmin: float | None = None,
     return np.round(rgb * 255).astype(np.uint8)
 
 
-def _write_tokens(fh, tokens) -> None:
-    # plain NetPBM wants lines of at most 70 characters
-    line = ""
-    for tok in tokens:
-        tok = str(tok)
-        if line and len(line) + 1 + len(tok) > 70:
-            fh.write(line + "\n")
-            line = tok
-        else:
-            line = tok if not line else line + " " + tok
-    if line:
-        fh.write(line + "\n")
+_TOKENS = [str(v) for v in range(256)]
+#: width of each token plus the one character that follows it
+_STEPS = np.array([len(tok) + 1 for tok in _TOKENS])
+
+
+def _write_tokens(fh, values: np.ndarray) -> None:
+    """Space-separated uint8 tokens, packed greedily into lines of at most
+    70 characters as plain NetPBM asks."""
+    n = len(values)
+    if n == 0:
+        return
+    # ends[k]: offset just past token k and its separator in the one-line
+    # text; a line starting at token k holds every token j with
+    # ends[j] <= start_k + 71, which gives the next line's first token
+    ends = np.cumsum(_STEPS[values])
+    starts = np.concatenate(([0], ends[:-1]))
+    following = np.searchsorted(ends, starts + 71, side="right").tolist()
+    breaks = []
+    k = following[0]
+    while k < n:
+        breaks.append(k)
+        k = following[k]
+    line = " ".join(map(_TOKENS.__getitem__, values.tolist())) + "\n"
+    buf = bytearray(line.encode())
+    np.frombuffer(buf, dtype=np.uint8)[starts[breaks] - 1] = ord("\n")
+    fh.write(buf.decode())
 
 
 def write_ppm(path: str | Path, rgb: np.ndarray) -> None:

@@ -39,12 +39,22 @@ class SurfaceProfile:
     period1: float = 1.0
     period2: float = 1.0
     meta: dict = field(default_factory=dict)
+    #: Fourier coefficients of a band-limited profile, when they are known
+    spectrum: SpectrumField | None = None
 
     @property
     def has_derivatives(self) -> bool:
         return self.grad is not None and self.laplacian is not None
 
     def sample_grid(self, I1: int, I2: int) -> np.ndarray:
+        if self.spectrum is not None:
+            # one inverse FFT; mode n lands on index n mod I, and folding
+            # aliased modes together keeps the samples exact on grids too
+            # coarse to resolve the band
+            n1, n2 = self.spectrum.mode_arrays()
+            full = np.zeros((I1, I2), dtype=complex)
+            np.add.at(full, (n1 % I1, n2 % I2), self.spectrum.values)
+            return (np.fft.ifft2(full) * (I1 * I2)).real
         x = np.arange(I1)[:, None] * (self.period1 / I1)
         y = np.arange(I2)[None, :] * (self.period2 / I2)
         return self.sample(*np.broadcast_arrays(x, y))
@@ -66,10 +76,6 @@ def _d2p(t):
     s = 2.0 * np.pi * t
     w2 = (2.0 * np.pi) ** 2
     return 0.25 * w2 * (-np.sin(s) - 4 * np.cos(2 * s) - 9 * np.sin(3 * s))
-
-
-def profile1(x, y):
-    return _p(x) + _p(y)
 
 
 def trig_profile() -> SurfaceProfile:
@@ -146,13 +152,22 @@ def _peaks_terms(s, t):
     return val, ds, dt, lap
 
 
+def _peaks_value(s, t):
+    """The value part of _peaks_terms alone, by the same operations."""
+    val = np.zeros_like(s)
+    val += 0.3 * (1 - s) ** 2 * np.exp(-s * s - (t + 1) ** 2)
+    val += -(0.2 * s - s**3 - t**5) * np.exp(-s * s - t * t)
+    val += -0.03 * np.exp(-((s + 1) ** 2) - t * t)
+    return val
+
+
 def peaks_profile() -> SurfaceProfile:
     def _map(x, y):
         return 8.0 * (x % 1.0) - 4.0, 8.0 * (y % 1.0) - 4.0
 
     def sample(x, y):
         s, t = _map(x, y)
-        return _peaks_terms(s, t)[0]
+        return _peaks_value(s, t)
 
     def grad(x, y):
         s, t = _map(x, y)
@@ -266,6 +281,8 @@ def band_limited_profile(profile: SurfaceProfile, N_max: int,
     The result is smooth and band-limited, evaluable anywhere, with
     analytic derivatives — it is the surface the band-limited solver (and
     the inverse problem) actually sees when handed a non-smooth profile.
+    Its ``sample_grid`` is one inverse FFT of the stored spectrum;
+    ``sample``, ``grad`` and ``laplacian`` sum the series pointwise.
     """
     spec = profile_spectrum(profile, N_max, quad_I=quad_I)
     C = spec.values
@@ -299,4 +316,5 @@ def band_limited_profile(profile: SurfaceProfile, N_max: int,
                           sample=sample, grad=grad, laplacian=laplacian,
                           period1=profile.period1, period2=profile.period2,
                           meta={"N_max": N_max, "quad_I": quad_I,
-                                "source": profile.kind})
+                                "source": profile.kind},
+                          spectrum=spec)

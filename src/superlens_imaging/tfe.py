@@ -14,6 +14,7 @@ makes the linearized inversion a single diagonal solve.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,12 +249,14 @@ def scaling_sweep(cfg: PhysicalConfig, N_max: int):
     return rows
 
 
+@functools.lru_cache(maxsize=16)
 def scaling_factor_grid(cfg: PhysicalConfig, W: int):
     """Vectorized s_n over the centered window, plus an unusable-mode mask.
 
     Matches scaling_factor entrywise; used by the reconstruction where a
     per-mode Python loop over the full measurement window would dominate
-    the runtime.
+    the runtime.  The grid depends on the operating point alone, so it is
+    built once per (cfg, W) and shared: both arrays are read-only.
     """
     n1g, n2g = np.meshgrid(np.arange(-W, W + 1), np.arange(-W, W + 1),
                            indexing="ij")
@@ -273,6 +276,8 @@ def scaling_factor_grid(cfg: PhysicalConfig, W: int):
     with np.errstate(divide="ignore", invalid="ignore"):
         s_vals = -(cfg.rho**2) * sig0 * sig / (16 * tau * s0.gamma * s0.eta * gam * eta)
     s_vals = np.where(bad, 0j, s_vals)
+    s_vals.flags.writeable = False
+    bad.flags.writeable = False
     return s_vals, bad
 
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -116,6 +117,48 @@ def test_csv_round_trip_bitwise(tmp_path):
     assert back.snr == pytest.approx(m.snr, rel=1e-12)
     # sigma/seed are not serialized; the loader marks them unknown
     assert math.isnan(back.sigma) and back.seed == -1
+
+
+def _csv_writer_reference(m, path):
+    # row-by-row csv.writer serialization: the byte-level reference
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(CSV_HEADER)
+        I1, I2 = m.u_delta.shape
+        for i1 in range(I1):
+            for i2 in range(I2):
+                ud = m.u_delta[i1, i2]
+                d = m.delta[i1, i2]
+                wr.writerow([i1, i2, repr(float(ud.real)), repr(float(ud.imag)),
+                             repr(float(d.real)), repr(float(d.imag))])
+
+
+def _awkward_measurement():
+    rng = np.random.default_rng(3)
+    u = rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7))
+    d = 1e-3 * (rng.normal(size=(4, 7)) + 1j * rng.normal(size=(4, 7)))
+    odd = [-0.0, 5e-324, 1e300, 0.1, -5e-324, 1e-300, 123456789.0]
+    u.real[0] = odd
+    u.imag[1] = odd[::-1]
+    d.real[2] = odd
+    d.imag[3] = odd[1:] + odd[:1]
+    return Measurement(u_delta=u, delta=d, sigma=1e-3, seed=0, snr=1.0)
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    m = _awkward_measurement()
+    save_measurement_csv(m, tmp_path / "new.csv")
+    _csv_writer_reference(m, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_awkward_values_round_trip_bitwise(tmp_path):
+    m = _awkward_measurement()
+    save_measurement_csv(m, tmp_path / "m.csv")
+    with np.errstate(over="ignore"):     # 1e300 overflows the SNR's square
+        back = load_measurement_csv(tmp_path / "m.csv")
+    for got, want in [(back.u_delta, m.u_delta), (back.delta, m.delta)]:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_csv_header_layout(tmp_path):

@@ -49,6 +49,52 @@ def test_line_length_limit(tmp_path):
     assert all(len(line) <= 70 for line in p.read_text().splitlines())
 
 
+def _greedy_token_lines(tokens) -> str:
+    # greedy packing one token at a time: the byte-level reference
+    out = []
+    line = ""
+    for tok in tokens:
+        tok = str(tok)
+        if line and len(line) + 1 + len(tok) > 70:
+            out.append(line + "\n")
+            line = tok
+        else:
+            line = tok if not line else line + " " + tok
+    if line:
+        out.append(line + "\n")
+    return "".join(out)
+
+
+# 17 three-digit tokens and one two-digit token fill exactly 70 columns
+_COLUMN_70 = np.array(([200] * 17 + [20]) * 6, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4), (7, 11), (2, 54), (99, 99)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_token_writers_match_greedy_loop(tmp_path, shape, seed):
+    rng = np.random.default_rng(seed)
+    # mix narrow and wide tokens so that line breaks fall everywhere
+    gray = np.where(rng.random(shape) < 0.5, rng.integers(0, 10, shape),
+                    rng.integers(0, 256, shape)).astype(np.uint8)
+    rgb = rng.integers(0, 256, size=shape + (3,)).astype(np.uint8)
+    H, W = shape
+    write_pgm(tmp_path / "g.pgm", gray)
+    write_ppm(tmp_path / "c.ppm", rgb)
+    assert (tmp_path / "g.pgm").read_bytes() == (
+        f"P2\n{W} {H}\n255\n" + _greedy_token_lines(gray.reshape(-1))).encode()
+    assert (tmp_path / "c.ppm").read_bytes() == (
+        f"P3\n{W} {H}\n255\n" + _greedy_token_lines(rgb.reshape(-1))).encode()
+
+
+@pytest.mark.parametrize("n", [18, 19, 35, 36, 37, len(_COLUMN_70)])
+def test_token_writer_lines_ending_at_column_70(tmp_path, n):
+    gray = _COLUMN_70[:n].reshape(1, n)
+    write_pgm(tmp_path / "g.pgm", gray)
+    expect = f"P2\n{n} 1\n255\n" + _greedy_token_lines(gray.reshape(-1))
+    assert 70 in [len(line) for line in expect.splitlines()]
+    assert (tmp_path / "g.pgm").read_bytes() == expect.encode()
+
+
 def test_write_ppm_shape_guard(tmp_path):
     with pytest.raises(ValueError):
         write_ppm(tmp_path / "x.ppm", np.zeros((4, 4)))

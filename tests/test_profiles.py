@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from superlens_imaging.errors import (BadThreshold, EmptyImage,
                                       NyquistViolation)
-from superlens_imaging.profiles import (PROFILE_BUILDERS,
+from superlens_imaging.profiles import (PROFILE_BUILDERS, _peaks_terms,
                                         band_limited_profile, builtin_glyph,
                                         image_profile, peaks_profile,
                                         profile_spectrum, trig_profile,
@@ -151,3 +151,39 @@ def test_band_limited_spectrum_is_idempotent():
     S_raw = profile_spectrum(raw, 5, quad_I=21)
     S_bl = profile_spectrum(bl, 5, quad_I=21)
     assert np.max(np.abs(S_raw.values - S_bl.values)) < 1e-12
+
+
+def _pointwise_grid(p, I1, I2):
+    x = np.arange(I1)[:, None] * (p.period1 / I1)
+    y = np.arange(I2)[None, :] * (p.period2 / I2)
+    return p.sample(*np.broadcast_arrays(x, y))
+
+
+@pytest.fixture(scope="module")
+def glyph_band_limited():
+    # the glyph at the solver's bandwidth N_f = 12, quadrature P = 49
+    return band_limited_profile(image_profile(builtin_glyph()), 12, quad_I=49)
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (5, 31), (8, 8), (33, 33),
+                                   (99, 99), (297, 297)])
+def test_band_limited_sample_grid_matches_pointwise(glyph_band_limited, shape):
+    # grids at or below the Nyquist size 2 * 12 + 1 fold aliased modes
+    ref = _pointwise_grid(glyph_band_limited, *shape)
+    grid = glyph_band_limited.sample_grid(*shape)
+    assert grid.shape == shape and grid.dtype == float
+    assert np.max(np.abs(grid - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_profile_without_spectrum_samples_pointwise():
+    for p in (trig_profile(), peaks_profile(), image_profile(builtin_glyph())):
+        assert p.spectrum is None
+        assert np.array_equal(p.sample_grid(9, 12), _pointwise_grid(p, 9, 12))
+
+
+def test_peaks_sample_is_value_term():
+    p = peaks_profile()
+    x, y = np.meshgrid(np.linspace(-0.3, 1.3, 61), np.linspace(0.0, 1.0, 47),
+                       indexing="ij")
+    s, t = 8.0 * (x % 1.0) - 4.0, 8.0 * (y % 1.0) - 4.0
+    assert np.array_equal(p.sample(x, y), _peaks_terms(s, t)[0])

@@ -213,6 +213,21 @@ def test_scaling_factor_grid_matches_scalar(phys_table1):
                 scaling_factor((n1, n2), phys_table1), rel=1e-13)
 
 
+def test_scaling_factor_grid_is_shared_and_read_only(phys_table1):
+    s1, bad1 = scaling_factor_grid(phys_table1, 6)
+    s2, bad2 = scaling_factor_grid(phys_table1, 6)
+    assert np.array_equal(s1, s2) and np.array_equal(bad1, bad2)
+    for arr in (s1, bad1, s2, bad2):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        s1[6, 6] = 0.0
+    with pytest.raises(ValueError):
+        bad2[0, 0] = True
+    # an equal but distinct config maps to the same grid
+    s3, _ = scaling_factor_grid(PhysicalConfig(**vars(phys_table1)), 6)
+    assert np.array_equal(s3, s1)
+
+
 def test_first_order_top_against_band_limited_surface(phys_table1):
     # each trig-spectrum mode maps through its own scaling factor; the
     # diagonal map has no cross-talk
