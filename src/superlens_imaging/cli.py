@@ -17,7 +17,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -30,15 +29,14 @@ import numpy as np
 from . import __version__
 from .config import (ExperimentConfig, _parse_complex, build_config)
 from .errors import SuperlensError, UsageError
-from .experiments import (EXPERIMENTS, check_window, effective_profile,
+from .experiments import (EXPERIMENTS, _write_csv, check_window,
+                          effective_profile, invert_measurement,
                           run_experiment)
 from .forward import reflected_flux, solve_forward
-from .inverse import (choose_cutoff, recon_coefficients, reconstruct,
-                      residual_curve)
 from .measurement import (NoiseSpec, add_noise, load_measurement_csv,
                           noise_dft_stats, save_measurement_csv)
 from .pnm import save_field_ppm
-from .spectral import dft2, grid_l2_norm, window_halfwidth
+from .spectral import window_halfwidth
 from .tfe import scaling_sweep, u0_top
 
 
@@ -89,13 +87,6 @@ def _finite(x: float) -> float | None:
     return float(x) if math.isfinite(x) else None
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
-
-
 # --- forward -----------------------------------------------------------------
 
 def cmd_forward(args) -> int:
@@ -144,54 +135,22 @@ def cmd_invert(args) -> int:
             f"I={cfg.I}; pass --set I=... to match the file")
     out = _outdir(cfg)
 
-    U = dft2(m.u_delta)
-    rc = recon_coefficients(U, phys)
-    curve = residual_curve(U, phys, cfg.N_window)
-    noise_norm = grid_l2_norm(m.delta)
-    choice = choose_cutoff(curve, noise_norm, cfg.c)
-    _write_csv(out / "residual_curve.csv", ["N", "residual", "threshold"],
-               [[n, v, choice.threshold]
-                for n, v in zip(curve.ns, curve.values)])
-
     truth = None
     if not args.no_truth:
         truth = cfg.epsilon * effective_profile(cfg).sample_grid(cfg.I, cfg.I)
-        save_field_ppm(out / "truth.ppm", truth,
-                       meta={"field": "epsilon*g on the sample grid"})
-    vkw = ({"vmin": float(truth.min()), "vmax": float(truth.max())}
-           if truth is not None else {})
-
-    errs: list[float] = []
-    for N in range(cfg.N_window + 1):
-        fN = reconstruct(rc, N, (cfg.I, cfg.I))
-        meta = {"N": N, "chosen": N == choice.N}
-        if truth is not None:
-            rel = grid_l2_norm(fN - truth) / grid_l2_norm(truth)
-            errs.append(rel)
-            meta["rel_error"] = rel
-        save_field_ppm(out / f"recon_N{N:02d}.ppm", fN, meta=meta, **vkw)
-    if errs:
-        _write_csv(out / "error_curve.csv", ["N", "rel_error"],
-                   [[n, e] for n, e in enumerate(errs)])
+    inverted = invert_measurement(m, phys, cfg, out, truth)
 
     summary = {
         "config": cfg.resolved_dict(),
         "data_file": str(args.data),
         "snr": _finite(m.snr),
-        "noise_norm": noise_norm,
-        "chosen_N": choice.N,
-        "discrepancy_satisfied": choice.satisfied,
-        "residual_at_chosen": choice.residual,
-        "threshold": choice.threshold,
+        **inverted,
     }
-    if errs:
-        summary["rel_error_at_chosen"] = errs[choice.N]
-        summary["best_N"] = int(np.argmin(errs))
-        summary["best_rel_error"] = float(np.min(errs))
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    tail = f", rel error {errs[choice.N]:.3f}" if errs else ""
-    print(f"invert: chose N={choice.N} "
-          f"(discrepancy {'met' if choice.satisfied else 'NOT met'}){tail}; "
+    tail = (f", rel error {summary['rel_error_at_chosen']:.3f}"
+            if truth is not None else "")
+    met = "met" if summary["discrepancy_satisfied"] else "NOT met"
+    print(f"invert: chose N={summary['chosen_N']} (discrepancy {met}){tail}; "
           f"wrote {out}/summary.json")
     return 0
 
@@ -221,6 +180,8 @@ SWEEP_HEADER = ["n1", "n2", "abs_alpha", "re_s", "im_s", "abs_s",
 
 def cmd_sweep_sn(args) -> int:
     cfg = _config_from(args)
+    if args.n_max < 0:
+        raise UsageError(f"--n-max must be nonnegative, got {args.n_max}")
     out = _outdir(cfg)
     media = args.media or list(DEFAULT_MEDIA)
     index = []

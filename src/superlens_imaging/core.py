@@ -66,33 +66,28 @@ def branch_sqrt(w: complex) -> complex:
     library's cut: for w real positive the result is real positive, for w
     real negative it is +i sqrt|w|.
     """
-    r = cmath.sqrt(w)
-    if r.imag < 0:
-        r = -r
-    return r
+    return complex(branch_sqrt_arr(w))
 
 
 def alpha_of(n: Mode, cfg: PhysicalConfig) -> tuple[float, float]:
-    return (2.0 * np.pi * n[0] / cfg.period1, 2.0 * np.pi * n[1] / cfg.period2)
+    ax, ay, _ = alpha_grid(n[0], n[1], cfg)
+    return float(ax), float(ay)
 
 
-def _alpha_sq(n: Mode, cfg: PhysicalConfig) -> float:
-    ax, ay = alpha_of(n, cfg)
-    return ax * ax + ay * ay
+def _nonresonant(name: str, root: complex, n: Mode, cfg: PhysicalConfig) -> complex:
+    if _vanishes(root, cfg):
+        raise ResonantMode(f"{name} vanishes at mode {n}")
+    return root
 
 
 def gamma_of(n: Mode, cfg: PhysicalConfig) -> complex:
-    g = branch_sqrt(cfg.omega**2 - _alpha_sq(n, cfg))
-    if abs(g) < RESONANCE_RTOL * cfg.omega:
-        raise ResonantMode(f"gamma vanishes at mode {n}")
-    return g
+    g, _, _ = gamma_eta_grid(n[0], n[1], cfg)
+    return _nonresonant("gamma", complex(g), n, cfg)
 
 
 def eta_of(n: Mode, cfg: PhysicalConfig) -> complex:
-    e = branch_sqrt((cfg.rho / cfg.kappa) * cfg.omega**2 - _alpha_sq(n, cfg))
-    if abs(e) < RESONANCE_RTOL * cfg.omega:
-        raise ResonantMode(f"eta vanishes at mode {n}")
-    return e
+    _, e, _ = gamma_eta_grid(n[0], n[1], cfg)
+    return _nonresonant("eta", complex(e), n, cfg)
 
 
 def tau_of(cfg: PhysicalConfig) -> complex:
@@ -111,11 +106,13 @@ class Scalars:
 
 
 def mode_scalars(n: Mode, cfg: PhysicalConfig) -> Scalars:
-    g = gamma_of(n, cfg)
-    e = eta_of(n, cfg)
+    g, e, _ = gamma_eta_grid(n[0], n[1], cfg)
+    g = _nonresonant("gamma", complex(g), n, cfg)
+    e = _nonresonant("eta", complex(e), n, cfg)
+    ax, ay, asq = alpha_grid(n[0], n[1], cfg)
     return Scalars(
-        alpha=alpha_of(n, cfg),
-        alpha_sq=_alpha_sq(n, cfg),
+        alpha=(float(ax), float(ay)),
+        alpha_sq=float(asq),
         gamma=g,
         eta=e,
         phi=e / cfg.rho + g,
@@ -130,29 +127,38 @@ def mode_set(N: int) -> list[Mode]:
     return [(n1, n2) for n1 in range(-N, N + 1) for n2 in range(-N, N + 1)]
 
 
-# --- vectorized variants used by sweeps and the solvers ------------------
+def mode_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n1, n2) index arrays over the same window, shape (2N+1, 2N+1)."""
+    n = np.arange(-N, N + 1)
+    return np.meshgrid(n, n, indexing="ij")
 
-def alpha_grid(n1: np.ndarray, n2: np.ndarray, cfg: PhysicalConfig):
+
+# --- the per-mode kernel: index arrays (or plain ints) in, arrays out ------
+
+def alpha_grid(n1, n2, cfg: PhysicalConfig):
     """(alpha_x, alpha_y, |alpha|^2) for integer index arrays of equal shape."""
     ax = 2.0 * np.pi * n1 / cfg.period1
     ay = 2.0 * np.pi * n2 / cfg.period2
     return ax, ay, ax * ax + ay * ay
 
 
-def branch_sqrt_arr(w: np.ndarray) -> np.ndarray:
-    r = np.sqrt(w.astype(complex))
+def branch_sqrt_arr(w) -> np.ndarray:
+    r = np.sqrt(np.asarray(w, dtype=complex))
     return np.where(r.imag < 0, -r, r)
 
 
-def gamma_eta_grid(n1: np.ndarray, n2: np.ndarray, cfg: PhysicalConfig):
+def _vanishes(root, cfg: PhysicalConfig):
+    return np.abs(root) < RESONANCE_RTOL * cfg.omega
+
+
+def gamma_eta_grid(n1, n2, cfg: PhysicalConfig):
     """Vectorized (gamma_n, eta_n, resonant-mask) over index arrays.
 
     Resonant entries are flagged, not raised; callers decide how to report
-    them (sweeps keep the row, the reconstruction drops the mode).
+    them (sweeps keep the row, the reconstruction drops the mode, the
+    scalar accessors above raise ResonantMode).
     """
     _, _, asq = alpha_grid(n1, n2, cfg)
     gam = branch_sqrt_arr(cfg.omega**2 - asq)
     eta = branch_sqrt_arr((cfg.rho / cfg.kappa) * cfg.omega**2 - asq)
-    tol = RESONANCE_RTOL * cfg.omega
-    resonant = (np.abs(gam) < tol) | (np.abs(eta) < tol)
-    return gam, eta, resonant
+    return gam, eta, _vanishes(gam, cfg) | _vanishes(eta, cfg)

@@ -125,7 +125,53 @@ def _invert(meas: Measurement, phys, N_window: int, c: float):
     rc = recon_coefficients(U, phys)
     curve = residual_curve(U, phys, N_window)
     choice = choose_cutoff(curve, grid_l2_norm(meas.delta), c)
-    return U, rc, curve, choice
+    return rc, curve, choice
+
+
+def invert_measurement(meas: Measurement, phys, cfg: ExperimentConfig,
+                       out_dir: Path, truth: np.ndarray | None = None) -> dict:
+    """The inversion `experiment` rows and `invert` share.
+
+    Chooses the cut-off by the discrepancy principle (residual_curve.csv),
+    then reconstructs every N in 0..N_window into recon_NXX.ppm.  Given the
+    truth samples it also writes truth.ppm, scores each reconstruction
+    against them (error_curve.csv) and draws all images on the truth's
+    color scale.  Returns the summary entries the two commands share.
+    """
+    rc, curve, choice = _invert(meas, phys, cfg.N_window, cfg.c)
+    _write_csv(out_dir / "residual_curve.csv", ["N", "residual", "threshold"],
+               [[n, v, choice.threshold] for n, v in zip(curve.ns, curve.values)])
+
+    scale = {}
+    if truth is not None:
+        truth_norm = grid_l2_norm(truth)
+        scale = {"vmin": float(truth.min()), "vmax": float(truth.max())}
+        save_field_ppm(out_dir / "truth.ppm", truth,
+                       meta={"field": "epsilon*g on the sample grid"})
+    errs = []
+    for N in range(cfg.N_window + 1):
+        fN = reconstruct(rc, N, (cfg.I, cfg.I))
+        meta = {"N": N}
+        if truth is not None:
+            meta["rel_error"] = grid_l2_norm(fN - truth) / truth_norm
+            errs.append(meta["rel_error"])
+        meta["chosen"] = N == choice.N
+        save_field_ppm(out_dir / f"recon_N{N:02d}.ppm", fN, meta=meta, **scale)
+
+    summary = {
+        "noise_norm": grid_l2_norm(meas.delta),
+        "chosen_N": choice.N,
+        "discrepancy_satisfied": choice.satisfied,
+        "residual_at_chosen": choice.residual,
+        "threshold": choice.threshold,
+    }
+    if truth is not None:
+        _write_csv(out_dir / "error_curve.csv", ["N", "rel_error"],
+                   [[n, e] for n, e in enumerate(errs)])
+        summary["rel_error_at_chosen"] = errs[choice.N]
+        summary["best_N"] = int(np.argmin(errs))
+        summary["best_rel_error"] = float(np.min(errs))
+    return summary
 
 
 def run_row(cfg: ExperimentConfig, out_dir: Path,
@@ -151,31 +197,13 @@ def run_row(cfg: ExperimentConfig, out_dir: Path,
 
     truth = cfg.epsilon * profile.sample_grid(cfg.I, cfg.I)
     truth_norm = grid_l2_norm(truth)
-    save_field_ppm(out_dir / "truth.ppm", truth,
-                   meta={"field": "epsilon*g on the sample grid"})
-
     meas = _measure(sol.top_grid, cfg.sigma, cfg.seed, cfg.target_snr)
     save_measurement_csv(meas, out_dir / "measurement.csv")
-
-    U, rc, curve, choice = _invert(meas, phys, cfg.N_window, cfg.c)
-    _write_csv(out_dir / "residual_curve.csv",
-               ["N", "residual", "threshold"],
-               [[n, v, choice.threshold] for n, v in zip(curve.ns, curve.values)])
-
-    errs = []
-    for N in range(cfg.N_window + 1):
-        fN = reconstruct(rc, N, (cfg.I, cfg.I))
-        rel = grid_l2_norm(fN - truth) / truth_norm
-        errs.append(rel)
-        save_field_ppm(out_dir / f"recon_N{N:02d}.ppm", fN,
-                       vmin=float(truth.min()), vmax=float(truth.max()),
-                       meta={"N": N, "rel_error": rel,
-                             "chosen": N == choice.N})
-    _write_csv(out_dir / "error_curve.csv", ["N", "rel_error"],
-               [[n, e] for n, e in enumerate(errs)])
+    inverted = invert_measurement(meas, phys, cfg, out_dir, truth)
 
     clean_top = dft2(sol.top_grid)
-    dec = error_decomposition(profile, clean_top, meas, choice.N, phys)
+    dec = error_decomposition(profile, clean_top, meas, inverted["chosen_N"],
+                              phys)
     _write_csv(out_dir / "decomposition.csv", ["term", "grid_norm"],
                [["E1_linearization", dec.norm_E1],
                 ["E2_noise", dec.norm_E2],
@@ -187,7 +215,7 @@ def run_row(cfg: ExperimentConfig, out_dir: Path,
         for k in range(SWEEP_TRIALS):
             m = _measure(sol.top_grid, cfg.sigma,
                          cfg.seed + 1000 * (k + 1), target)
-            _, rck, curvek, choicek = _invert(m, phys, cfg.N_window, cfg.c)
+            rck, _, choicek = _invert(m, phys, cfg.N_window, cfg.c)
             per_n = [grid_l2_norm(reconstruct(rck, N, (cfg.I, cfg.I)) - truth)
                      / truth_norm for N in range(cfg.N_window + 1)]
             best_N = int(np.argmin(per_n))
@@ -201,14 +229,7 @@ def run_row(cfg: ExperimentConfig, out_dir: Path,
     summary = {
         "config": cfg.resolved_dict(),
         "realized_snr": meas.snr if math.isfinite(meas.snr) else None,
-        "noise_norm": grid_l2_norm(meas.delta),
-        "chosen_N": choice.N,
-        "discrepancy_satisfied": choice.satisfied,
-        "residual_at_chosen": choice.residual,
-        "threshold": choice.threshold,
-        "rel_error_at_chosen": errs[choice.N],
-        "best_N": int(np.argmin(errs)),
-        "best_rel_error": float(np.min(errs)),
+        **inverted,
         "decomposition": {"E1": dec.norm_E1, "E2": dec.norm_E2,
                           "E3": dec.norm_E3,
                           "beyond_window": dec.beyond_window_norm},

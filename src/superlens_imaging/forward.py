@@ -20,16 +20,15 @@ inverse problem, only ever sees the band-limited surface.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.fft as sfft
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .core import Mode, PhysicalConfig, gamma_eta_grid, mode_scalars, tau_of
+from .core import (Mode, PhysicalConfig, alpha_grid, gamma_eta_grid, mode_grid,
+                   tau_of)
 from .errors import (DegenerateSlab, NoConvergence, NyquistViolation,
                      ProfileTooTall, ResonantMode)
 from .profiles import SurfaceProfile, profile_spectrum
@@ -162,15 +161,13 @@ def _surface_fields(profile: SurfaceProfile, cfg: PhysicalConfig,
         glap = profile.laplacian(X, Y)
     else:
         spec = profile_spectrum(profile, disc.N_f, quad_I=P)
-        n1, n2 = spec.mode_arrays()
-        ax = 2 * np.pi * n1 / cfg.period1
-        ay = 2 * np.pi * n2 / cfg.period2
+        ax, ay, asq = alpha_grid(*spec.mode_arrays(), cfg)
         g = synthesize(spec, disc.N_f, (P, P), take_real=True)
         gx = synthesize(SpectrumField(1j * ax * spec.values, spec.W1, spec.W2),
                         disc.N_f, (P, P), take_real=True)
         gy = synthesize(SpectrumField(1j * ay * spec.values, spec.W1, spec.W2),
                         disc.N_f, (P, P), take_real=True)
-        glap = synthesize(SpectrumField(-(ax**2 + ay**2) * spec.values,
+        glap = synthesize(SpectrumField(-asq * spec.values,
                                         spec.W1, spec.W2),
                           disc.N_f, (P, P), take_real=True)
     e = cfg.epsilon
@@ -199,49 +196,42 @@ def coefficient_fields(profile: SurfaceProfile, cfg: PhysicalConfig,
 
 # --- slab elimination --------------------------------------------------------
 
-def slab_impedance(n: Mode, cfg: PhysicalConfig) -> tuple[complex, complex]:
-    """Affine relation d/dz u_n(a+) = Z_n u_n(a) + zeta_n obtained by
-    eliminating the slab amplitudes against the top radiation row.
+def _impedance(n1, n2, cfg: PhysicalConfig):
+    """Affine relation d/dz u_n(a+) = Z_n u_n(a) + zeta_n over index arrays,
+    obtained by eliminating the slab amplitudes against the top radiation
+    row; returns (Z_n, zeta_n, eta_n).
 
-    zeta_n carries the incident forcing, hence vanishes off n = 0.
+    zeta_n carries the incident forcing, hence vanishes off n = 0.  Raises
+    on the first resonant or degenerate mode.
     """
-    s = mode_scalars(n, cfg)  # raises ResonantMode when gamma/eta degenerate
-    h = cfg.h
-    ep, em = np.exp(1j * s.eta * h), np.exp(-1j * s.eta * h)
-    t1, t2 = s.psi * ep, s.phi * em
-    den = t1 + t2
-    if abs(den) < 1e-12 * max(abs(t1) + abs(t2), 1e-300):
-        raise DegenerateSlab(f"slab elimination denominator cancels at mode {n}")
-    Z = 1j * s.eta * (s.phi * em - s.psi * ep) / den
-    tau_n = tau_of(cfg) if n == (0, 0) else 0.0
-    zeta = 2 * s.eta * tau_n / den
-    return complex(Z), complex(zeta)
+    gam, eta, resonant = gamma_eta_grid(n1, n2, cfg)
 
+    def first(mask):
+        k = np.flatnonzero(mask)[0]
+        return int(np.ravel(n1)[k]), int(np.ravel(n2)[k])
 
-def _impedance_grid(cfg: PhysicalConfig, N_f: int):
-    """Vectorized slab_impedance over the solver window; raises on any
-    resonant or degenerate mode inside it."""
-    K = 2 * N_f + 1
-    n1g, n2g = np.meshgrid(np.arange(-N_f, N_f + 1), np.arange(-N_f, N_f + 1),
-                           indexing="ij")
-    gam, eta, resonant = gamma_eta_grid(n1g, n2g, cfg)
     if resonant.any():
-        i, j = np.argwhere(resonant)[0]
-        raise ResonantMode(f"resonant mode ({n1g[i, j]}, {n2g[i, j]}) in solver window")
+        raise ResonantMode(f"resonant mode {first(resonant)} in solver window")
     phi = eta / cfg.rho + gam
     psi = eta / cfg.rho - gam
     ep, em = np.exp(1j * eta * cfg.h), np.exp(-1j * eta * cfg.h)
     t1, t2 = psi * ep, phi * em
     den = t1 + t2
-    degenerate = np.abs(den) < 1e-12 * (np.abs(t1) + np.abs(t2))
+    scale = np.maximum(np.abs(t1) + np.abs(t2), 1e-300)
+    degenerate = np.abs(den) < 1e-12 * scale
     if degenerate.any():
-        i, j = np.argwhere(degenerate)[0]
         raise DegenerateSlab(
-            f"slab elimination denominator cancels at mode ({n1g[i, j]}, {n2g[i, j]})")
+            f"slab elimination denominator cancels at mode {first(degenerate)}")
     Z = 1j * eta * (phi * em - psi * ep) / den
-    zeta = np.zeros((K, K), dtype=complex)
-    zeta[N_f, N_f] = 2 * eta[N_f, N_f] * tau_of(cfg) / den[N_f, N_f]
-    return Z, zeta, gam, eta
+    zeta = np.where((n1 == 0) & (n2 == 0), 2 * eta * tau_of(cfg) / den, 0j)
+    return Z, zeta, eta
+
+
+def slab_impedance(n: Mode, cfg: PhysicalConfig) -> tuple[complex, complex]:
+    """(Z_n, zeta_n) of the slab elimination at one mode; raises like
+    _impedance."""
+    Z, zeta, _ = _impedance(n[0], n[1], cfg)
+    return complex(Z), complex(zeta)
 
 
 # --- the discrete operator ---------------------------------------------------
@@ -264,18 +254,15 @@ class _Operator:
         self.cf = cf
         self.dim = K * K * (M + 1)
 
-        n = np.arange(-disc.N_f, disc.N_f + 1)
-        n1g, n2g = np.meshgrid(n, n, indexing="ij")
-        self.ax = 2 * np.pi * n1g / cfg.period1
-        self.ay = 2 * np.pi * n2g / cfg.period2
-        self.asq = self.ax**2 + self.ay**2
-        self.lat = cfg.omega**2 - self.asq  # (omega^2 - |alpha|^2) per mode
+        n1g, n2g = mode_grid(disc.N_f)
+        self.ax, self.ay, asq = alpha_grid(n1g, n2g, cfg)
+        self.lat = cfg.omega**2 - asq  # (omega^2 - |alpha|^2) per mode
 
         hz = cfg.a / M
         self.Dz = sp.csr_matrix(deriv_matrix(M, hz, 1, disc.fd_order))
         self.Dzz = sp.csr_matrix(deriv_matrix(M, hz, 2, disc.fd_order))
 
-        self.Z, self.zeta, self.gam_w, self.eta_w = _impedance_grid(cfg, disc.N_f)
+        self.Z, self.zeta, self.eta_w = _impedance(n1g, n2g, cfg)
 
     # spectral (..., K, K) <-> physical (..., P, P).  Only K of the P rows
     # and columns of the padded spectrum are non-zero (modes 0..N_f at the
@@ -497,50 +484,3 @@ def reflected_flux(top: SpectrumField, cfg: PhysicalConfig) -> float:
     R[top.W1, top.W2] -= np.exp(-1j * cfg.omega * cfg.b)
     propagating = np.abs(gam.imag) < 1e-12 * cfg.omega
     return float(np.sum((np.abs(R) ** 2 * gam.real / cfg.omega)[propagating]))
-
-
-# --- binary dump -------------------------------------------------------------
-
-_MAGIC = b"SLIF"
-
-
-def save_solution(sol: ForwardSolution, path: str | Path) -> None:
-    """Little-endian layout: magic 'SLIF', u32 version=1, then int64
-    I, N_f, M, iterations, float64 residual, followed by C-order
-    complex128 arrays spectral_interior (K,K,M+1), top (K,K), and
-    top_grid (I,I).  The physical interior is synthesized on access."""
-    K = sol.top.values.shape[0]
-    N_f = (K - 1) // 2
-    I = sol.top_grid.shape[0]
-    M = sol.spectral_interior.shape[2] - 1
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sI", _MAGIC, 1))
-        fh.write(struct.pack("<qqqq", I, N_f, M, sol.iterations))
-        fh.write(struct.pack("<d", sol.residual))
-        fh.write(np.ascontiguousarray(sol.spectral_interior,
-                                      dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(sol.top.values, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(sol.top_grid, dtype="<c16").tobytes())
-
-
-def load_solution(path: str | Path) -> ForwardSolution:
-    with open(path, "rb") as fh:
-        magic, version = struct.unpack("<4sI", fh.read(8))
-        if magic != _MAGIC or version != 1:
-            raise ValueError(f"not a forward-solution dump: {path}")
-        I, N_f, M, iterations = struct.unpack("<qqqq", fh.read(32))
-        (residual,) = struct.unpack("<d", fh.read(8))
-        K = 2 * N_f + 1
-
-        def arr(shape):
-            n = int(np.prod(shape))
-            buf = fh.read(16 * n)
-            return np.frombuffer(buf, dtype="<c16").reshape(shape).copy()
-
-        spectral = arr((K, K, M + 1))
-        top_vals = arr((K, K))
-        top_grid = arr((I, I))
-    return ForwardSolution(spectral_interior=spectral,
-                           top=SpectrumField(top_vals, N_f, N_f),
-                           top_grid=top_grid, iterations=iterations,
-                           residual=residual)

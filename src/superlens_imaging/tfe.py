@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Mode, PhysicalConfig, Scalars, gamma_eta_grid,
-                   mode_scalars, tau_of)
+from .core import (Mode, PhysicalConfig, alpha_grid, gamma_eta_grid,
+                   mode_grid, mode_scalars, tau_of)
 from .errors import NearSingularSystem
 
 ZERO: Mode = (0, 0)
@@ -47,24 +47,27 @@ def transfer_matrix(n: Mode, cfg: PhysicalConfig) -> np.ndarray:
     ], dtype=complex)
 
 
-def _sigma_terms(s: Scalars, a: float, h: float):
-    t1 = cmath.exp(-1j * s.gamma * a) * (
-        cmath.exp(-1j * s.eta * h) * s.phi**2 - cmath.exp(1j * s.eta * h) * s.psi**2)
-    t2 = cmath.exp(1j * s.gamma * a) * (
-        cmath.exp(1j * s.eta * h) - cmath.exp(-1j * s.eta * h)) * s.phi * s.psi
-    return t1, t2
+def _sigma(gam, eta, cfg: PhysicalConfig):
+    """The layer determinant over arrays of (gamma_n, eta_n), in the
+    cancellation-aware two-term closed form, plus the mask of entries
+    whose two terms cancel below SINGULAR_RTOL."""
+    phi = eta / cfg.rho + gam
+    psi = eta / cfg.rho - gam
+    ep, em = np.exp(1j * eta * cfg.h), np.exp(-1j * eta * cfg.h)
+    t1 = np.exp(-1j * gam * cfg.a) * (em * phi**2 - ep * psi**2)
+    t2 = np.exp(1j * gam * cfg.a) * (ep - em) * phi * psi
+    sig = t1 + t2
+    scale = np.maximum(np.abs(t1) + np.abs(t2), 1e-300)
+    return sig, np.abs(sig) < SINGULAR_RTOL * scale
 
 
 def sigma_n(n: Mode, cfg: PhysicalConfig) -> complex:
-    """Determinant of the transfer matrix, in the cancellation-aware
-    two-term closed form."""
+    """Determinant of the transfer matrix at one mode."""
     s = mode_scalars(n, cfg)
-    t1, t2 = _sigma_terms(s, cfg.a, cfg.h)
-    sig = t1 + t2
-    scale = abs(t1) + abs(t2)
-    if abs(sig) < SINGULAR_RTOL * max(scale, 1e-300):
+    sig, singular = _sigma(s.gamma, s.eta, cfg)
+    if singular:
         raise NearSingularSystem(f"layer determinant cancels at mode {n}")
-    return sig
+    return complex(sig)
 
 
 @dataclass(frozen=True)
@@ -139,14 +142,25 @@ def first_order_top(n: Mode, g_n: complex, cfg: PhysicalConfig) -> complex:
     return -(8j / (cfg.rho * sig)) * C0 * s0.gamma * s.gamma * s.eta * g_n
 
 
-def scaling_factor(n: Mode, cfg: PhysicalConfig) -> complex:
-    """s_n with s_n * first_order_top(n, g_n) = g_n exactly."""
-    s = mode_scalars(n, cfg)
+def _scaling(n1, n2, cfg: PhysicalConfig):
+    """s_n over index arrays, plus the mask of unusable (resonant or
+    near-singular) modes, whose entries are not meaningful.  The zero mode
+    normalizes every entry, so a resonant or singular zero mode raises."""
+    gam, eta, resonant = gamma_eta_grid(n1, n2, cfg)
+    sig, singular = _sigma(gam, eta, cfg)
     s0 = mode_scalars(ZERO, cfg)
     sig0 = sigma_n(ZERO, cfg)
-    sig = sigma_n(n, cfg)
-    tau = tau_of(cfg)
-    return -(cfg.rho**2) * sig0 * sig / (16 * tau * s0.gamma * s0.eta * s.gamma * s.eta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -(cfg.rho**2) * sig0 * sig / (
+            16 * tau_of(cfg) * s0.gamma * s0.eta * gam * eta)
+    return s, resonant | singular
+
+
+def scaling_factor(n: Mode, cfg: PhysicalConfig) -> complex:
+    """s_n with s_n * first_order_top(n, g_n) = g_n exactly."""
+    sigma_n(n, cfg)  # raises on a resonant or near-singular mode
+    s, _ = _scaling(n[0], n[1], cfg)
+    return complex(s)
 
 
 # --- independent verification route ---------------------------------------
@@ -209,28 +223,10 @@ def scaling_sweep(cfg: PhysicalConfig, N_max: int):
     Resonant modes are kept in the output with a flag so sweeps never
     silently drop part of the window.
     """
-    n1g, n2g = np.meshgrid(np.arange(-N_max, N_max + 1),
-                           np.arange(-N_max, N_max + 1), indexing="ij")
-    gam, eta, resonant = gamma_eta_grid(n1g, n2g, cfg)
-    s0 = mode_scalars(ZERO, cfg)
-    sig0 = sigma_n(ZERO, cfg)
-    tau = tau_of(cfg)
-
-    phi = eta / cfg.rho + gam
-    psi = eta / cfg.rho - gam
-    t1 = np.exp(-1j * gam * cfg.a) * (
-        np.exp(-1j * eta * cfg.h) * phi**2 - np.exp(1j * eta * cfg.h) * psi**2)
-    t2 = np.exp(1j * gam * cfg.a) * (
-        np.exp(1j * eta * cfg.h) - np.exp(-1j * eta * cfg.h)) * phi * psi
-    sig = t1 + t2
-    near_singular = np.abs(sig) < SINGULAR_RTOL * (np.abs(t1) + np.abs(t2))
-    bad = resonant | near_singular
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_vals = -(cfg.rho**2) * sig0 * sig / (16 * tau * s0.gamma * s0.eta * gam * eta)
+    n1g, n2g = mode_grid(N_max)
+    s_vals, bad = _scaling(n1g, n2g, cfg)
     s_vals = np.where(bad, np.nan + 0j, s_vals)
-
-    ax, ay, asq = (2 * np.pi * n1g / cfg.period1, 2 * np.pi * n2g / cfg.period2, None)
+    ax, ay, _ = alpha_grid(n1g, n2g, cfg)
     abs_alpha = np.hypot(ax, ay)
     rows = []
     for i1 in range(n1g.shape[0]):
@@ -251,30 +247,14 @@ def scaling_sweep(cfg: PhysicalConfig, N_max: int):
 
 @functools.lru_cache(maxsize=16)
 def scaling_factor_grid(cfg: PhysicalConfig, W: int):
-    """Vectorized s_n over the centered window, plus an unusable-mode mask.
+    """s_n over the centered window, plus an unusable-mode mask.
 
-    Matches scaling_factor entrywise; used by the reconstruction where a
-    per-mode Python loop over the full measurement window would dominate
-    the runtime.  The grid depends on the operating point alone, so it is
-    built once per (cfg, W) and shared: both arrays are read-only.
+    Used by the reconstruction, where a per-mode Python loop over the full
+    measurement window would dominate the runtime.  The grid depends on
+    the operating point alone, so it is built once per (cfg, W) and
+    shared: both arrays are read-only, and unusable entries hold 0.
     """
-    n1g, n2g = np.meshgrid(np.arange(-W, W + 1), np.arange(-W, W + 1),
-                           indexing="ij")
-    gam, eta, resonant = gamma_eta_grid(n1g, n2g, cfg)
-    phi = eta / cfg.rho + gam
-    psi = eta / cfg.rho - gam
-    t1 = np.exp(-1j * gam * cfg.a) * (
-        np.exp(-1j * eta * cfg.h) * phi**2 - np.exp(1j * eta * cfg.h) * psi**2)
-    t2 = np.exp(1j * gam * cfg.a) * (
-        np.exp(1j * eta * cfg.h) - np.exp(-1j * eta * cfg.h)) * phi * psi
-    sig = t1 + t2
-    bad = resonant | (np.abs(sig) < SINGULAR_RTOL * (np.abs(t1) + np.abs(t2)))
-
-    s0 = mode_scalars(ZERO, cfg)
-    sig0 = sigma_n(ZERO, cfg)
-    tau = tau_of(cfg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_vals = -(cfg.rho**2) * sig0 * sig / (16 * tau * s0.gamma * s0.eta * gam * eta)
+    s_vals, bad = _scaling(*mode_grid(W), cfg)
     s_vals = np.where(bad, 0j, s_vals)
     s_vals.flags.writeable = False
     bad.flags.writeable = False

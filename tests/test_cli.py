@@ -47,6 +47,14 @@ def test_profile_too_tall_is_invariant_violation(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_resonant_operating_point_is_invariant_violation(tmp_path, capsys):
+    # wavelength 1 puts the (+-1, 0) modes on the Rayleigh circle
+    code = main(["forward", *FAST, "--set", "wavelength=1.0",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "resonant mode" in capsys.readouterr().err
+
+
 def test_no_convergence_is_numerical_failure(tmp_path, capsys):
     code = main(["forward", *FAST, "--set", "epsilon=0.02",
                  "--set", "iter_max=1", "--out", str(tmp_path)])
@@ -214,6 +222,13 @@ def test_sweep_sn_bad_media(tmp_path):
 
 
 # --- noise-stats ---------------------------------------------------------------
+
+def test_sweep_sn_negative_window_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep-sn", "--n-max", "-3", "--out", str(out)]) == 1
+    assert "--n-max" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_noise_stats(tmp_path, capsys):
     code = main(["noise-stats", "--grid", "9", "--trials", "150",

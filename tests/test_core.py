@@ -127,6 +127,16 @@ def test_gamma_eta_grid_matches_scalars(phys_table1):
             assert eta[i, j] == pytest.approx(eta_of(n, phys_table1), rel=1e-13)
 
 
+@pytest.mark.parametrize("n1, n2", [(0, 0), (3, -2), (np.array(1), np.array(4)),
+                                    (np.int64(-5), 0)])
+def test_gamma_eta_grid_scalar_inputs(phys_table1, n1, n2):
+    gam, eta, res = gamma_eta_grid(n1, n2, phys_table1)
+    assert np.shape(gam) == np.shape(eta) == np.shape(res) == ()
+    assert not res
+    s = mode_scalars((int(n1), int(n2)), phys_table1)
+    assert complex(gam) == s.gamma and complex(eta) == s.eta
+
+
 def test_gamma_eta_grid_flags_resonance():
     cfg = PhysicalConfig(omega=2 * math.pi)
     n1g, n2g = np.meshgrid(np.arange(-1, 2), np.arange(-1, 2), indexing="ij")

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from superlens_imaging.cli import main
 from superlens_imaging.config import build_config
 from superlens_imaging.errors import UsageError
 from superlens_imaging.experiments import (EXPERIMENTS, SNR_SWEEP_TARGETS,
@@ -148,6 +149,29 @@ def test_exp1_decomposition_identity(exp1_fast):
     # the summary mirrors the CSV
     summary = json.loads((d / "summary.json").read_text())
     assert summary["decomposition"]["E2"] == pytest.approx(rows["E2_noise"])
+
+
+def test_invert_reproduces_row_inversion(exp1_fast, tmp_path, capsys):
+    # `invert` on a row's own measurement runs the row's inversion: same
+    # curves, same images, same choice
+    result, _ = exp1_fast
+    row = result["rows"][0]
+    d = Path(result["dir"]) / "row1_sigma_0.005"
+    argv = ["invert", "--fast", "--data", str(d / "measurement.csv"),
+            "--out", str(tmp_path)]
+    for key in ("profile", "rho", "kappa", "epsilon", "c"):
+        argv += ["--set", f"{key}={row['config'][key]}"]
+    assert main(argv) == 0
+    recons = sorted(p.name for p in d.glob("recon_N*.ppm"))
+    assert recons == sorted(p.name for p in tmp_path.glob("recon_N*.ppm"))
+    assert len(recons) == row["config"]["N_window"] + 1
+    for name in ["residual_curve.csv", "error_curve.csv", "truth.ppm",
+                 *recons]:
+        assert (tmp_path / name).read_bytes() == (d / name).read_bytes(), name
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    for key in ("chosen_N", "best_N", "rel_error_at_chosen", "noise_norm",
+                "threshold", "residual_at_chosen"):
+        assert summary[key] == row[key], key
 
 
 def test_unknown_experiment_rejected(tmp_path):

@@ -6,11 +6,10 @@ import pytest
 
 from superlens_imaging.core import PhysicalConfig, gamma_of
 from superlens_imaging.errors import (NoConvergence, NyquistViolation,
-                                      ProfileTooTall)
+                                      ProfileTooTall, ResonantMode)
 from superlens_imaging.forward import (Discretization, _Operator,
                                        coefficient_fields, deriv_matrix,
-                                       fd_weights, load_solution,
-                                       reflected_flux, save_solution,
+                                       fd_weights, reflected_flux,
                                        slab_impedance, solve_forward,
                                        synthesize_linear_data)
 from superlens_imaging.profiles import (band_limited_profile, builtin_glyph,
@@ -214,6 +213,12 @@ def test_slab_impedance_no_slab_reduction(phys_vacuum):
             assert zeta == 0
 
 
+def test_slab_impedance_resonant_mode_raises():
+    cfg = PhysicalConfig(omega=2 * math.pi)  # |alpha_(1,0)| == omega exactly
+    with pytest.raises(ResonantMode, match="resonant mode"):
+        slab_impedance((1, 0), cfg)
+
+
 def test_slab_impedance_consistent_with_zeroth_order(phys_table1):
     # eliminate the slab, solve the reduced 1D problem below it, compare
     # against the four-coefficient solution
@@ -240,23 +245,3 @@ def test_band_limited_image_profile_solves(phys_table1):
     sol = solve_forward(prof, phys_table1, FAST)
     assert np.all(np.isfinite(sol.top_grid))
     assert sol.residual < FAST.iter_tol
-
-
-def test_save_load_round_trip(tmp_path, phys_table1):
-    sol = solve_forward(trig_profile(), phys_table1, TINY)
-    path = tmp_path / "sol.bin"
-    save_solution(sol, path)
-    back = load_solution(path)
-    assert np.array_equal(back.spectral_interior, sol.spectral_interior)
-    assert np.array_equal(back.top.values, sol.top.values)
-    assert np.array_equal(back.top_grid, sol.top_grid)
-    assert back.iterations == sol.iterations
-    assert back.residual == sol.residual
-    assert np.allclose(back.interior, sol.interior, atol=1e-12)
-
-
-def test_load_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a solution dump at all")
-    with pytest.raises(ValueError):
-        load_solution(path)
