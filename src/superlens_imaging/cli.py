@@ -91,9 +91,9 @@ def _finite(x: float) -> float | None:
 
 def cmd_forward(args) -> int:
     cfg = _config_from(args)
-    out = _outdir(cfg)
     phys, disc = cfg.to_physical(), cfg.to_discretization()
     profile = effective_profile(cfg)
+    out = _outdir(cfg)
 
     t0 = time.time()
     sol = solve_forward(profile, phys, disc)
@@ -124,6 +124,7 @@ def cmd_invert(args) -> int:
     cfg = _config_from(args)
     check_window(cfg)
     phys = cfg.to_physical()
+    cfg.to_discretization()  # reject any config `forward` would reject
 
     try:
         m = load_measurement_csv(args.data)
@@ -133,11 +134,11 @@ def cmd_invert(args) -> int:
         raise UsageError(
             f"data grid {m.u_delta.shape} does not match config "
             f"I={cfg.I}; pass --set I=... to match the file")
-    out = _outdir(cfg)
 
     truth = None
     if not args.no_truth:
         truth = cfg.epsilon * effective_profile(cfg).sample_grid(cfg.I, cfg.I)
+    out = _outdir(cfg)
     inverted = invert_measurement(m, phys, cfg, out, truth)
 
     summary = {
@@ -182,15 +183,17 @@ def cmd_sweep_sn(args) -> int:
     cfg = _config_from(args)
     if args.n_max < 0:
         raise UsageError(f"--n-max must be nonnegative, got {args.n_max}")
-    out = _outdir(cfg)
-    media = args.media or list(DEFAULT_MEDIA)
-    index = []
-    for k, spec_str in enumerate(media, 1):
+    media = []
+    for spec_str in args.media or DEFAULT_MEDIA:
         rho_s, sep, kappa_s = spec_str.partition(":")
         if not sep:
             raise UsageError(f"--media expects RHO:KAPPA, got {spec_str!r}")
-        rho, kappa = _parse_complex(rho_s), _parse_complex(kappa_s)
-        phys = replace(cfg.to_physical(), rho=rho, kappa=kappa)
+        media.append(replace(cfg.to_physical(), rho=_parse_complex(rho_s),
+                             kappa=_parse_complex(kappa_s)))
+    out = _outdir(cfg)
+    index = []
+    for k, phys in enumerate(media, 1):
+        rho, kappa = phys.rho, phys.kappa
         rows = scaling_sweep(phys, args.n_max)
         path = out / f"sweep_sn_{k}.csv"
         _write_csv(path, SWEEP_HEADER,

@@ -112,6 +112,13 @@ def check_window(cfg: ExperimentConfig) -> None:
             f"of an I={cfg.I} grid")
 
 
+def _row_inputs(cfg: ExperimentConfig):
+    """(physics, discretization, effective profile) of one row, built and
+    validated before anything is solved or written."""
+    check_window(cfg)
+    return cfg.to_physical(), cfg.to_discretization(), effective_profile(cfg)
+
+
 def _measure(top_grid: np.ndarray, sigma: float, seed: int,
              target_snr: float | None) -> Measurement:
     m = add_noise(top_grid, NoiseSpec(sigma=sigma, seed=seed))
@@ -174,26 +181,22 @@ def invert_measurement(meas: Measurement, phys, cfg: ExperimentConfig,
     return summary
 
 
-def run_row(cfg: ExperimentConfig, out_dir: Path,
-            solve_cache: dict | None = None) -> dict:
+def run_row(cfg: ExperimentConfig, out_dir: Path, solve_cache: dict) -> dict:
     """Full pipeline for one operating point; returns the summary dict
-    (also written to out_dir/summary.json)."""
-    check_window(cfg)
+    (also written to out_dir/summary.json).  Forward solves are looked up
+    in and added to solve_cache."""
+    phys, disc, profile = _row_inputs(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    phys = cfg.to_physical()
-    disc = cfg.to_discretization()
-    profile = effective_profile(cfg)
 
     key = (cfg.profile, cfg.image_path, cfg.image_threshold, phys, disc)
     t0 = time.time()
-    if solve_cache is not None and key in solve_cache:
+    if key in solve_cache:
         sol = solve_cache[key]
         solve_seconds = 0.0
     else:
         sol = solve_forward(profile, phys, disc)
         solve_seconds = time.time() - t0
-        if solve_cache is not None:
-            solve_cache[key] = sol
+        solve_cache[key] = sol
 
     truth = cfg.epsilon * profile.sample_grid(cfg.I, cfg.I)
     truth_norm = grid_l2_norm(truth)
@@ -257,7 +260,7 @@ def run_experiment(exp_id: str, base: ExperimentConfig,
         cfg = replace(base, **merged, seed=base.seed + 10 * i,
                       defaulted=tuple(k for k in base.defaulted
                                       if k not in merged))
-        check_window(cfg)
+        _row_inputs(cfg)
         row_cfgs.append((row, merged, cfg))
     cache: dict = {}
     rows_out = []

@@ -24,6 +24,10 @@ from .profiles import SurfaceProfile
 from .spectral import SpectrumField, dft2, grid_l2_norm, synthesize
 from .tfe import scaling_factor_grid, u0_top
 
+#: error_decomposition samples the truth this many times finer per axis to
+#: measure its content beyond the data window
+BEYOND_FACTOR = 3
+
 
 @dataclass(frozen=True)
 class ReconCoefficients:
@@ -69,12 +73,6 @@ class ResidualCurve:
     """
     ns: list[int]
     values: list[float]
-
-    def value_at(self, N: int) -> float:
-        return self.values[self.ns.index(N)]
-
-    def rows(self) -> list[dict]:
-        return [{"N": n, "residual": v} for n, v in zip(self.ns, self.values)]
 
 
 def residual_curve(U_delta: SpectrumField, cfg: PhysicalConfig,
@@ -140,8 +138,8 @@ class ErrorDecomposition:
 
 
 def error_decomposition(truth: SurfaceProfile, clean_top: SpectrumField,
-                        meas: Measurement, N: int, cfg: PhysicalConfig,
-                        beyond_factor: int = 3) -> ErrorDecomposition:
+                        meas: Measurement, N: int,
+                        cfg: PhysicalConfig) -> ErrorDecomposition:
     """Decompose the error of the N-cutoff reconstruction from meas.
 
     clean_top are the DFT coefficients of the noiseless forward solve on
@@ -184,8 +182,8 @@ def error_decomposition(truth: SurfaceProfile, clean_top: SpectrumField,
     E3 = synthesize(SpectrumField(tail, W, W), W, (I1, I2), take_real=True)
 
     # truth content beyond the data window, from a finer sampling
-    If1 = beyond_factor * I1 + (1 - (beyond_factor * I1) % 2)
-    If2 = beyond_factor * I2 + (1 - (beyond_factor * I2) % 2)
+    If1 = BEYOND_FACTOR * I1 + (1 - (BEYOND_FACTOR * I1) % 2)
+    If2 = BEYOND_FACTOR * I2 + (1 - (BEYOND_FACTOR * I2) % 2)
     f_fine = dft2(truth.sample_grid(If1, If2))
     ring_f = f_fine.ring()
     beyond = cfg.epsilon * np.sqrt(float(np.sum(np.abs(f_fine.values[ring_f > W]) ** 2)))

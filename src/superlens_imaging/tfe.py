@@ -171,7 +171,7 @@ def first_order_ode_oracle(n: Mode, g_n: complex, cfg: PhysicalConfig,
 
     Deliberately avoids the closed-form route: the interior forcing is
     integrated by composite-Simpson variation of parameters, and the four
-    boundary/interface constants come from a dense 4x4 solve.  Used to
+    boundary/interface constants come from a 4x4 linear solve.  Used to
     validate the closed forms; accuracy degrades for strongly evanescent
     modes where sinh-scale cancellation amplifies quadrature error, so
     verification draws keep |gamma_n| * a moderate.

@@ -55,6 +55,21 @@ def test_resonant_operating_point_is_invariant_violation(tmp_path, capsys):
     assert "resonant mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["forward", *FAST, "--set", "fd_order=3"], "fd_order"),
+    (["experiment", "1", "--fast", "--set", "M=4"], "M >= 8"),
+    (["sweep-sn", "--set", "a=0.5"], "a < b"),
+    (["invert", *FAST, "--set", "fd_order=3", "--data", "none.csv"],
+     "fd_order"),
+])
+def test_bad_config_writes_nothing(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    code, cap = run([*argv, "--out", str(out)], capsys)
+    assert code == 2
+    assert message in cap.err and "Traceback" not in cap.err
+    assert not out.exists()
+
+
 def test_no_convergence_is_numerical_failure(tmp_path, capsys):
     code = main(["forward", *FAST, "--set", "epsilon=0.02",
                  "--set", "iter_max=1", "--out", str(tmp_path)])

@@ -14,13 +14,12 @@ from superlens_imaging.forward import (Discretization, _Operator,
                                        synthesize_linear_data)
 from superlens_imaging.profiles import (band_limited_profile, builtin_glyph,
                                         image_profile, trig_profile)
-from superlens_imaging.spectral import grid_l2_norm
 from superlens_imaging.tfe import solve_zeroth, u0_top
 
 OMEGA = 2 * math.pi / 1.1
 
 FAST = Discretization(I=33, N_f=8, M=32)
-TINY = Discretization(I=19, N_f=4, M=24)  # small enough for dense-direct
+TINY = Discretization(I=19, N_f=4, M=24)  # small enough to assemble
 
 
 def test_discretization_properties():
@@ -35,6 +34,7 @@ def test_discretization_properties():
     dict(M=4),
     dict(fd_order=3),
     dict(solver="direct"),
+    dict(solver="dense-direct"),
     dict(iter_tol=0.0),
     dict(iter_tol=1e-3),
     dict(iter_max=0),
@@ -129,19 +129,19 @@ def test_preconditioner_inverts_flat_operator(phys_table1, fd_order):
 
 
 def test_dense_and_iterative_agree(phys_table1):
-    prof = trig_profile()
-    it = solve_forward(prof, phys_table1, TINY)
-    de = solve_forward(prof, phys_table1,
-                       replace(TINY, solver="dense-direct"))
-    diff = grid_l2_norm(it.top_grid - de.top_grid)
-    assert diff < 10 * TINY.iter_tol
-    assert de.iterations == 0
-
-
-def test_dense_direct_dimension_guard(phys_table1):
-    big = replace(FAST, solver="dense-direct")  # 17^2 * 33 unknowns
-    with pytest.raises(ValueError):
-        solve_forward(trig_profile(), phys_table1, big)
+    # oracle: assemble the collocation matrix column by column and solve it
+    # directly
+    op = _operator(phys_table1, TINY)
+    A = np.empty((op.dim, op.dim), dtype=complex)
+    e = np.zeros(op.dim, dtype=complex)
+    for k in range(op.dim):
+        e[k] = 1.0
+        A[:, k] = op.apply(e)
+        e[k] = 0.0
+    want = np.linalg.solve(A, op.rhs())
+    sol = solve_forward(trig_profile(), phys_table1, TINY)
+    got = sol.spectral_interior.reshape(-1)
+    assert np.linalg.norm(got - want) < 10 * TINY.iter_tol * np.linalg.norm(want)
 
 
 def test_no_convergence_raises(phys_table1):
@@ -240,8 +240,12 @@ def test_lossy_slab_absorbs(sol_table1, phys_table1):
 
 
 def test_band_limited_image_profile_solves(phys_table1):
-    prof = band_limited_profile(image_profile(builtin_glyph()), FAST.N_f,
-                                quad_I=FAST.P)
+    raw = image_profile(builtin_glyph())
+    prof = band_limited_profile(raw, FAST.N_f, quad_I=FAST.P)
     sol = solve_forward(prof, phys_table1, FAST)
     assert np.all(np.isfinite(sol.top_grid))
     assert sol.residual < FAST.iter_tol
+    # the solver band-limits a raw indicator profile the same way
+    raw_sol = solve_forward(raw, phys_table1, FAST)
+    assert np.array_equal(raw_sol.top_grid, sol.top_grid)
+    assert raw_sol.iterations == sol.iterations
