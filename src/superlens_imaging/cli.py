@@ -17,7 +17,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -29,14 +28,14 @@ import numpy as np
 from . import __version__
 from .config import (ExperimentConfig, _parse_complex, build_config)
 from .errors import SuperlensError, UsageError
-from .experiments import (EXPERIMENTS, _write_csv, check_window,
+from .experiments import (EXPERIMENTS, _write_csv, _write_json, check_window,
                           effective_profile, invert_measurement,
                           run_experiment)
 from .forward import reflected_flux, solve_forward
 from .measurement import (NoiseSpec, add_noise, load_measurement_csv,
                           noise_dft_stats, save_measurement_csv)
 from .pnm import save_field_ppm
-from .spectral import window_halfwidth
+from .spectral import grid_l2_norm, window_halfwidth
 from .tfe import scaling_sweep, u0_top
 
 
@@ -112,7 +111,7 @@ def cmd_forward(args) -> int:
         "specular_coefficient": str(sol.top.coeff((0, 0))),
         "reflected_flux": reflected_flux(sol.top, phys),
     }
-    (out / "forward.json").write_text(json.dumps(diag, indent=2) + "\n")
+    _write_json(out / "forward.json", diag)
     print(f"forward: {cfg.I}x{cfg.I} grid, {sol.iterations} iterations, "
           f"residual {sol.residual:.3e}; wrote {out}/top_field.csv")
     return 0
@@ -138,6 +137,9 @@ def cmd_invert(args) -> int:
     truth = None
     if not args.no_truth:
         truth = cfg.epsilon * effective_profile(cfg).sample_grid(cfg.I, cfg.I)
+        if grid_l2_norm(truth) == 0.0:
+            raise UsageError("the true surface is identically zero, so no "
+                             "relative error exists; pass --no-truth")
     out = _outdir(cfg)
     inverted = invert_measurement(m, phys, cfg, out, truth)
 
@@ -147,7 +149,7 @@ def cmd_invert(args) -> int:
         "snr": _finite(m.snr),
         **inverted,
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_json(out / "summary.json", summary)
     tail = (f", rel error {summary['rel_error_at_chosen']:.3f}"
             if truth is not None else "")
     met = "met" if summary["discrepancy_satisfied"] else "NOT met"
@@ -203,9 +205,8 @@ def cmd_sweep_sn(args) -> int:
         index.append({"file": path.name, "rho": str(rho),
                       "kappa": str(kappa), "n_max": args.n_max})
         print(f"sweep-sn: rho={rho} kappa={kappa} -> {path}")
-    (out / "sweep_sn_index.json").write_text(
-        json.dumps({"omega": cfg.omega, "a": cfg.a, "b": cfg.b,
-                    "files": index}, indent=2) + "\n")
+    _write_json(out / "sweep_sn_index.json",
+                {"omega": cfg.omega, "a": cfg.a, "b": cfg.b, "files": index})
     return 0
 
 

@@ -8,30 +8,41 @@ config burn far more time than a hard error.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .core import PhysicalConfig
 from .errors import UsageError
 from .forward import Discretization
-from .measurement import NoiseSpec
 from .profiles import (PROFILE_BUILDERS, SurfaceProfile, image_profile)
 
 TWO_PI = 6.283185307179586476925287
 
 
+def _finite(v, s: str):
+    if not cmath.isfinite(v):
+        raise UsageError(f"non-finite value {s!r}")
+    return v
+
+
+def _parse_float(s: str) -> float:
+    return _finite(float(s), s)
+
+
 def _parse_complex(s: str) -> complex:
     # accept both the i and j spellings of the imaginary unit
     try:
-        return complex(s.strip().replace("i", "j"))
+        v = complex(s.strip().replace("i", "j"))
     except ValueError:
         raise UsageError(f"cannot parse complex value {s!r}") from None
+    return _finite(v, s)
 
 
 def _parse_optional_float(s: str):
     if s.strip().lower() in ("none", "off", ""):
         return None
-    return float(s)
+    return _parse_float(s)
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,18 @@ class ExperimentConfig:
     out: str = "out"
     defaulted: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        # the keys no module-level config checks; the rest are checked
+        # where they are converted (to_physical, to_discretization)
+        if not self.c > 0:
+            raise ValueError("c must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not self.sigma >= 0:
+            raise ValueError("sigma must be nonnegative")
+        if self.target_snr is not None and not self.target_snr > 0:
+            raise ValueError("target_snr must be positive or none")
+
     # -- conversions to the module-level configs --------------------------
 
     @property
@@ -80,9 +103,6 @@ class ExperimentConfig:
         return Discretization(I=self.I, N_f=self.N_f, M=self.M,
                               fd_order=self.fd_order, solver=self.solver,
                               iter_tol=self.iter_tol, iter_max=self.iter_max)
-
-    def to_noise(self) -> NoiseSpec:
-        return NoiseSpec(sigma=self.sigma, seed=self.seed)
 
     def to_profile(self) -> SurfaceProfile:
         if self.profile in PROFILE_BUILDERS:
@@ -110,15 +130,16 @@ class ExperimentConfig:
 
 
 _PARSERS = {
-    "wavelength": float, "period1": float, "period2": float,
-    "a": float, "b": float, "epsilon": float,
+    "wavelength": _parse_float, "period1": _parse_float,
+    "period2": _parse_float, "a": _parse_float, "b": _parse_float,
+    "epsilon": _parse_float,
     "rho": _parse_complex, "kappa": _parse_complex,
     "profile": lambda s: s.strip(), "image_path": lambda s: s.strip(),
-    "image_threshold": float,
+    "image_threshold": _parse_float,
     "I": int, "N_f": int, "M": int, "fd_order": int,
-    "solver": lambda s: s.strip(), "iter_tol": float, "iter_max": int,
-    "sigma": float, "seed": int, "target_snr": _parse_optional_float,
-    "c": float, "N_window": int, "out": lambda s: s.strip(),
+    "solver": lambda s: s.strip(), "iter_tol": _parse_float, "iter_max": int,
+    "sigma": _parse_float, "seed": int, "target_snr": _parse_optional_float,
+    "c": _parse_float, "N_window": int, "out": lambda s: s.strip(),
 }
 
 FAST_OVERRIDES = {"I": 33, "N_f": 8, "M": 32}
@@ -130,8 +151,8 @@ def _parse_pairs(pairs: dict[str, str], base: dict, provided: set[str]) -> None:
             raise UsageError(f"unknown config key: {key!r}")
         try:
             base[key] = _PARSERS[key](raw)
-        except UsageError:
-            raise
+        except UsageError as exc:
+            raise UsageError(f"{key}: {exc}") from None
         except (ValueError, TypeError):
             raise UsageError(f"cannot parse value for {key}: {raw!r}") from None
         provided.add(key)

@@ -43,13 +43,17 @@ class PhysicalConfig:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, (self.omega, self.period1, self.period2,
+                                        self.a, self.b, self.rho, self.kappa,
+                                        self.epsilon))):
+            raise ValueError("physical parameters must be finite")
         if not self.omega > 0:
             raise ValueError("omega must be positive")
         if not (self.period1 > 0 and self.period2 > 0):
             raise ValueError("periods must be positive")
         if not 0 < self.a < self.b:
             raise ValueError("need 0 < a < b")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
         if self.rho == 0 or self.kappa == 0:
             raise ValueError("rho and kappa must be nonzero")
@@ -59,35 +63,10 @@ class PhysicalConfig:
         return self.b - self.a
 
 
-def branch_sqrt(w: complex) -> complex:
-    """Principal square root flipped onto the Im >= 0 branch.
-
-    Enforces the sign convention directly instead of relying on the host
-    library's cut: for w real positive the result is real positive, for w
-    real negative it is +i sqrt|w|.
-    """
-    return complex(branch_sqrt_arr(w))
-
-
-def alpha_of(n: Mode, cfg: PhysicalConfig) -> tuple[float, float]:
-    ax, ay, _ = alpha_grid(n[0], n[1], cfg)
-    return float(ax), float(ay)
-
-
 def _nonresonant(name: str, root: complex, n: Mode, cfg: PhysicalConfig) -> complex:
     if _vanishes(root, cfg):
         raise ResonantMode(f"{name} vanishes at mode {n}")
     return root
-
-
-def gamma_of(n: Mode, cfg: PhysicalConfig) -> complex:
-    g, _, _ = gamma_eta_grid(n[0], n[1], cfg)
-    return _nonresonant("gamma", complex(g), n, cfg)
-
-
-def eta_of(n: Mode, cfg: PhysicalConfig) -> complex:
-    _, e, _ = gamma_eta_grid(n[0], n[1], cfg)
-    return _nonresonant("eta", complex(e), n, cfg)
 
 
 def tau_of(cfg: PhysicalConfig) -> complex:
@@ -120,15 +99,9 @@ def mode_scalars(n: Mode, cfg: PhysicalConfig) -> Scalars:
     )
 
 
-def mode_set(N: int) -> list[Mode]:
-    """All modes with max(|n1|, |n2|) <= N, row-major in n1 then n2."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    return [(n1, n2) for n1 in range(-N, N + 1) for n2 in range(-N, N + 1)]
-
-
 def mode_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """(n1, n2) index arrays over the same window, shape (2N+1, 2N+1)."""
+    """(n1, n2) index arrays over all modes with max(|n1|, |n2|) <= N,
+    shape (2N+1, 2N+1), n1 along the first axis."""
     n = np.arange(-N, N + 1)
     return np.meshgrid(n, n, indexing="ij")
 
@@ -143,6 +116,12 @@ def alpha_grid(n1, n2, cfg: PhysicalConfig):
 
 
 def branch_sqrt_arr(w) -> np.ndarray:
+    """Principal square root flipped onto the Im >= 0 branch.
+
+    Enforces the sign convention directly instead of relying on the host
+    library's cut: for w real positive the result is real positive, for w
+    real negative it is +i sqrt|w|.
+    """
     r = np.sqrt(np.asarray(w, dtype=complex))
     return np.where(r.imag < 0, -r, r)
 
@@ -155,8 +134,8 @@ def gamma_eta_grid(n1, n2, cfg: PhysicalConfig):
     """Vectorized (gamma_n, eta_n, resonant-mask) over index arrays.
 
     Resonant entries are flagged, not raised; callers decide how to report
-    them (sweeps keep the row, the reconstruction drops the mode, the
-    scalar accessors above raise ResonantMode).
+    them (sweeps keep the row, the reconstruction drops the mode,
+    mode_scalars raises ResonantMode).
     """
     _, _, asq = alpha_grid(n1, n2, cfg)
     gam = branch_sqrt_arr(cfg.omega**2 - asq)

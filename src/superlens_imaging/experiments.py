@@ -88,6 +88,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         wr.writerows(rows)
 
 
+def _write_json(path: Path, obj) -> None:
+    """Indented JSON; a NaN or infinity raises instead of being written."""
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+
+
 def effective_profile(cfg: ExperimentConfig):
     """The surface object both the solver and the error metrics see.
 
@@ -239,7 +244,7 @@ def run_row(cfg: ExperimentConfig, out_dir: Path, solve_cache: dict) -> dict:
         "solver": {"iterations": sol.iterations, "residual": sol.residual,
                    "solve_seconds": solve_seconds},
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_json(out_dir / "summary.json", summary)
     return summary
 
 
@@ -277,5 +282,5 @@ def run_experiment(exp_id: str, base: ExperimentConfig,
                        "realized_snr": r["realized_snr"],
                        "rel_error_at_chosen": r["rel_error_at_chosen"],
                        "best_N": r["best_N"]} for r in rows_out]}
-    (exp_dir / "index.json").write_text(json.dumps(index, indent=2) + "\n")
+    _write_json(exp_dir / "index.json", index)
     return {"experiment": exp_id, "dir": str(exp_dir), "rows": rows_out}

@@ -28,13 +28,12 @@ import scipy.fft as sfft
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .core import (Mode, PhysicalConfig, alpha_grid, gamma_eta_grid, mode_grid,
+from .core import (PhysicalConfig, alpha_grid, gamma_eta_grid, mode_grid,
                    tau_of)
 from .errors import (DegenerateSlab, NoConvergence, NyquistViolation,
                      ProfileTooTall, ResonantMode)
-from .profiles import SurfaceProfile, band_limited_profile, profile_spectrum
+from .profiles import SurfaceProfile, band_limited_profile
 from .spectral import SpectrumField, synthesize
-from .tfe import first_order_top, u0_top
 
 
 @dataclass(frozen=True)
@@ -212,13 +211,6 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
     return Z, zeta, eta
 
 
-def slab_impedance(n: Mode, cfg: PhysicalConfig) -> tuple[complex, complex]:
-    """(Z_n, zeta_n) of the slab elimination at one mode; raises like
-    _impedance."""
-    Z, zeta, _ = _impedance(n[0], n[1], cfg)
-    return complex(Z), complex(zeta)
-
-
 # --- the discrete operator ---------------------------------------------------
 
 class _Operator:
@@ -360,17 +352,6 @@ class ForwardSolution:
     iterations: int
     residual: float
 
-    @property
-    def interior(self) -> np.ndarray:
-        """Physical field on the I x I x (M+1) flattened tensor grid,
-        synthesized from spectral_interior on each access."""
-        N_f = self.top.W1
-        grid = self.top_grid.shape
-        return np.stack(
-            [synthesize(SpectrumField(self.spectral_interior[:, :, j], N_f, N_f),
-                        N_f, grid)
-             for j in range(self.spectral_interior.shape[2])], axis=-1)
-
 
 def _back_substitute(op: _Operator, S: np.ndarray, cfg: PhysicalConfig,
                      disc: Discretization) -> SpectrumField:
@@ -426,25 +407,6 @@ def solve_forward(profile: SurfaceProfile, cfg: PhysicalConfig,
     return ForwardSolution(spectral_interior=S, top=top,
                            top_grid=top_grid, iterations=iterations,
                            residual=res)
-
-
-def synthesize_linear_data(profile: SurfaceProfile, cfg: PhysicalConfig,
-                           N_max: int = 12, quad_I: int = 99) -> SpectrumField:
-    """Top-plane coefficients with the second-order remainder dropped:
-    u_n(b) = u0(b) [n=0] + eps * u1_n(b).
-
-    Inverse-crime data for round-trip tests — the linearized reconstruction
-    inverts it exactly; real data come from solve_forward.
-    """
-    g_spec = profile_spectrum(profile, N_max, quad_I=quad_I)
-    vals = np.zeros_like(g_spec.values)
-    W = g_spec.W1
-    for i1 in range(vals.shape[0]):
-        for i2 in range(vals.shape[1]):
-            n = (i1 - W, i2 - W)
-            vals[i1, i2] = cfg.epsilon * first_order_top(n, g_spec.values[i1, i2], cfg)
-    vals[W, W] += u0_top(cfg)
-    return SpectrumField(vals, W, W)
 
 
 def reflected_flux(top: SpectrumField, cfg: PhysicalConfig) -> float:

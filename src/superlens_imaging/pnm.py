@@ -82,16 +82,6 @@ def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
         _write_tokens(fh, rgb.astype(np.uint8).reshape(-1))
 
 
-def write_pgm(path: str | Path, gray: np.ndarray) -> None:
-    gray = np.asarray(gray)
-    if gray.ndim != 2:
-        raise ValueError("write_pgm expects an (H, W) array")
-    H, W = gray.shape
-    with open(path, "w") as fh:
-        fh.write(f"P2\n{W} {H}\n255\n")
-        _write_tokens(fh, gray.astype(np.uint8).reshape(-1))
-
-
 def read_pgm(path: str | Path) -> np.ndarray:
     """Plain P2 only; returns floats in [0, 1], shape (H, W)."""
     try:
@@ -132,4 +122,5 @@ def save_field_ppm(path: str | Path, field: np.ndarray,
                "shape": list(img.shape)}
     if meta:
         sidecar.update(meta)
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    Path(str(path) + ".json").write_text(
+        json.dumps(sidecar, indent=2, allow_nan=False) + "\n")

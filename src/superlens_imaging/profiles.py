@@ -87,22 +87,6 @@ def trig_profile() -> SurfaceProfile:
     )
 
 
-def trig_profile_spectrum() -> SpectrumField:
-    """Analytic coefficients of profile 1 (window N=3).
-
-    From sin = (e^{i.} - e^{-i.})/2i and cos = (e^{i.} + e^{-i.})/2:
-    p_0 = 1/8, p_1 = p_3 = -i/8, p_2 = 1/8, p_{-k} = conj(p_k); the
-    separable sum g = p(x) + p(y) has no cross modes.
-    """
-    c = np.zeros((7, 7), dtype=complex)
-    pk = {0: 0.125, 1: -0.125j, 2: 0.125, 3: -0.125j}
-    for k, v in pk.items():
-        for s in ({1, -1} if k else {1}):
-            c[3 + s * k, 3] += v if s == 1 else np.conj(v)
-            c[3, 3 + s * k] += v if s == 1 else np.conj(v)
-    return SpectrumField(c, 3, 3)
-
-
 # --- profile 2: sum of Gaussian bumps on [-4, 4]^2 -------------------------
 
 def _peaks_terms(s, t):

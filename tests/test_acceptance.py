@@ -13,10 +13,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import (first_order_ode_oracle, synthesize_linear_data,
+                     transfer_matrix, zeroth_residuals)
 from superlens_imaging.core import PhysicalConfig, mode_scalars
 from superlens_imaging.errors import NearSingularSystem, ResonantMode
 from superlens_imaging.experiments import EXPERIMENTS
-from superlens_imaging.forward import synthesize_linear_data
 from superlens_imaging.inverse import (choose_cutoff, recon_coefficients,
                                        reconstruct, residual_curve)
 from superlens_imaging.measurement import (NoiseSpec, add_noise,
@@ -24,9 +25,8 @@ from superlens_imaging.measurement import (NoiseSpec, add_noise,
 from superlens_imaging.profiles import (peaks_profile, profile_spectrum,
                                         trig_profile)
 from superlens_imaging.spectral import dft2, grid_l2_norm
-from superlens_imaging.tfe import (first_order_ode_oracle, first_order_top,
-                                   scaling_factor, sigma_n, solve_zeroth,
-                                   transfer_matrix, zeroth_residuals)
+from superlens_imaging.tfe import (first_order_top, scaling_factor, sigma_n,
+                                   solve_zeroth)
 
 OMEGA = 2.0 * math.pi / 1.1
 

@@ -4,12 +4,16 @@ All but one test drive main(argv) in-process; a single subprocess test
 covers the installed console script.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superlens_imaging.cli import DEFAULT_MEDIA, build_parser, main
 
@@ -182,6 +186,84 @@ def test_invert_rejects_window_beyond_grid(forward_dir, tmp_path, capsys):
     assert code == 2
     assert "N_window=17" in cap.err
     assert not out.exists() or not any(out.iterdir())
+
+
+# --- bad values at the CLI boundary --------------------------------------------
+
+def _rejects(argv, forward_dir, out):
+    """Run main on argv (DATA stands for a valid measurement file) and
+    return its exit code and stderr; --out must never be created."""
+    data = str(forward_dir / "top_field.csv")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([data if a == "DATA" else a for a in argv]
+                    + ["--out", str(out)])
+    assert "Traceback" not in err.getvalue()
+    assert not out.exists()
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("argv, expect, message", [
+    (["forward", *FAST, "--set", "epsilon=nan"], 1, "epsilon: non-finite"),
+    (["invert", *FAST, "--set", "epsilon=nan", "--data", "DATA"], 1,
+     "epsilon: non-finite"),
+    (["forward", *FAST, "--set", "rho=nan"], 1, "rho: non-finite"),
+    (["invert", *FAST, "--set", "c=nan", "--data", "DATA"], 1,
+     "c: non-finite"),
+    (["invert", *FAST, "--set", "c=inf", "--data", "DATA"], 1,
+     "c: non-finite"),
+    (["forward", *FAST, "--set", "sigma=nan"], 1, "sigma: non-finite"),
+    (["invert", *FAST, "--set", "c=-1", "--data", "DATA"], 2,
+     "c must be positive"),
+    (["experiment", "1", "--fast", "--set", "seed=-5"], 2,
+     "seed must be nonnegative"),
+    (["invert", *FAST, "--set", "epsilon=0", "--data", "DATA"], 1,
+     "--no-truth"),
+], ids=["forward-epsilon-nan", "invert-epsilon-nan", "forward-rho-nan",
+       "invert-c-nan", "invert-c-inf", "forward-sigma-nan", "invert-c-negative",
+       "experiment-seed-negative", "invert-zero-truth"])
+def test_bad_value_writes_nothing(forward_dir, tmp_path, argv, expect,
+                                  message):
+    code, err = _rejects(argv, forward_dir, tmp_path / "out")
+    assert code == expect
+    assert err.startswith("error: ") and message in err
+
+
+_FLOAT_KEYS = ["wavelength", "period1", "period2", "a", "b", "epsilon",
+               "image_threshold", "iter_tol", "sigma", "target_snr", "c"]
+_INT_KEYS = ["I", "N_f", "M", "fd_order", "iter_max", "seed", "N_window"]
+_COMPLEX_KEYS = ["rho", "kappa"]
+# keys whose negative values every command below rejects (experiment 1's
+# row presets replace epsilon, and sweep-sn reads no grid key)
+_NEGATIVE_KEYS = ["wavelength", "period1", "period2", "a", "b", "sigma",
+                  "target_snr", "c", "seed"]
+_COMMANDS = [["forward", "--fast"], ["invert", "--fast", "--data", "DATA"],
+             ["experiment", "1", "--fast"], ["sweep-sn", "--fast"]]
+
+
+@st.composite
+def _bad_settings(draw):
+    """A numeric key and a value every command rejects: non-finite, junk,
+    or negative where no command accepts a negative."""
+    key = draw(st.sampled_from(_FLOAT_KEYS + _INT_KEYS + _COMPLEX_KEYS))
+    bad = ["nan", "inf", "-inf", "NaN", "1e999", "x1", "0.1.2"]
+    if key in _COMPLEX_KEYS:
+        bad += ["nan+1j", "1+infj", "-1+nanj"]
+    values = st.sampled_from(bad)
+    if key in _NEGATIVE_KEYS:
+        values |= (st.floats(-1e6, -1e-3).map(repr)
+                   | st.integers(-10**6, -1).map(str))
+    return key, draw(values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_COMMANDS), _bad_settings())
+def test_fuzzed_bad_value_writes_nothing(forward_dir, tmp_path_factory,
+                                         command, setting):
+    key, value = setting
+    out = tmp_path_factory.mktemp("fuzz") / "out"
+    code, _ = _rejects([*command, "--set", f"{key}={value}"], forward_dir, out)
+    assert code in (1, 2, 3)
 
 
 # --- config plumbing ----------------------------------------------------------

@@ -125,8 +125,6 @@ def test_conversions_round_trip():
     assert phys.omega == pytest.approx(cfg.omega)
     disc = cfg.to_discretization()
     assert (disc.I, disc.N_f, disc.M) == (99, 12, 64)
-    noise = cfg.to_noise()
-    assert noise.sigma == cfg.sigma and noise.seed == 5
 
 
 def test_read_config_file_missing(tmp_path):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superlens_imaging.core import (PhysicalConfig, alpha_of, branch_sqrt,
-                                    branch_sqrt_arr, gamma_eta_grid, gamma_of,
-                                    eta_of, mode_scalars, mode_set, tau_of)
+from superlens_imaging.core import (PhysicalConfig, alpha_grid,
+                                    branch_sqrt_arr, gamma_eta_grid,
+                                    mode_grid, mode_scalars, tau_of)
 from superlens_imaging.errors import ResonantMode
 
 finite_complex = st.complex_numbers(min_magnitude=1e-8, max_magnitude=1e8,
@@ -27,21 +27,21 @@ def configs(draw):
 
 @given(finite_complex)
 def test_branch_sqrt_squares_back(w):
-    s = branch_sqrt(w)
+    s = complex(branch_sqrt_arr(w))
     assert abs(s * s - w) <= 1e-9 * abs(w)
 
 
 @given(finite_complex)
 def test_branch_sqrt_upper_half_plane(w):
-    s = branch_sqrt(w)
+    s = complex(branch_sqrt_arr(w))
     assert s.imag >= 0.0
 
 
 def test_branch_sqrt_negative_real_axis():
     # the branch that makes evanescent modes decay upward
-    assert branch_sqrt(-4.0) == pytest.approx(2j)
-    assert branch_sqrt(4.0) == pytest.approx(2.0)
-    assert branch_sqrt(0.0) == 0.0
+    assert branch_sqrt_arr(-4.0) == pytest.approx(2j)
+    assert branch_sqrt_arr(4.0) == pytest.approx(2.0)
+    assert branch_sqrt_arr(0.0) == 0.0
 
 
 @given(st.integers(-30, 30), st.integers(-30, 30))
@@ -49,37 +49,39 @@ def test_branch_sqrt_arr_matches_scalar(n1, n2):
     w = np.array([complex(n1, n2), 4.0 + 0j, -9.0 + 0j])
     out = branch_sqrt_arr(w)
     for wi, oi in zip(w, out):
-        assert oi == pytest.approx(branch_sqrt(complex(wi)))
+        assert oi == branch_sqrt_arr(complex(wi))
 
 
 def test_alpha_of_scales_with_period():
     cfg = PhysicalConfig(omega=5.0, period1=2.0, period2=0.5)
-    a1, a2 = alpha_of((3, -1), cfg)
+    a1, a2, _ = alpha_grid(3, -1, cfg)
     assert a1 == pytest.approx(3 * math.pi)
     assert a2 == pytest.approx(-4 * math.pi)
 
 
 def test_gamma_propagating_vs_evanescent():
     cfg = PhysicalConfig(omega=2 * math.pi / 1.1)
-    g0 = gamma_of((0, 0), cfg)
+    g0 = mode_scalars((0, 0), cfg).gamma
     assert g0.imag == 0 and g0.real == pytest.approx(cfg.omega)
     # the very first lateral mode is already evanescent at lambda = 1.1
-    g1 = gamma_of((1, 0), cfg)
+    g1 = mode_scalars((1, 0), cfg).gamma
     assert g1.real == 0 and g1.imag > 0
     assert g1.imag == pytest.approx(math.sqrt(4 * math.pi**2 - cfg.omega**2))
 
 
 def test_resonant_mode_raises():
     cfg = PhysicalConfig(omega=2 * math.pi)  # |alpha_(1,0)| == omega exactly
-    with pytest.raises(ResonantMode):
-        gamma_of((1, 0), cfg)
-    with pytest.raises(ResonantMode):
-        eta_of((1, 0), cfg)
+    with pytest.raises(ResonantMode, match="gamma vanishes"):
+        mode_scalars((1, 0), cfg)
+    # a contrast rho/kappa = 4 at omega = pi puts eta alone on that circle
+    slab = PhysicalConfig(omega=math.pi, rho=4.0 + 0j, kappa=1.0 + 0j)
+    with pytest.raises(ResonantMode, match="eta vanishes"):
+        mode_scalars((1, 0), slab)
 
 
 def test_eta_uses_medium_contrast():
     cfg = PhysicalConfig(omega=3.0, rho=2.0 + 0j, kappa=0.5 + 0j)
-    e = eta_of((0, 0), cfg)
+    e = mode_scalars((0, 0), cfg).eta
     assert e == pytest.approx(cmath.sqrt((2.0 / 0.5) * 9.0))
 
 
@@ -105,15 +107,15 @@ def test_tau_modulus_and_phase():
 
 @given(st.integers(0, 6))
 def test_mode_set_window(N):
-    ms = mode_set(N)
-    assert len(ms) == (2 * N + 1) ** 2
-    assert (0, 0) in ms
-    assert all(max(abs(n1), abs(n2)) <= N for n1, n2 in ms)
-
-
-def test_mode_set_rejects_negative():
-    with pytest.raises(ValueError):
-        mode_set(-1)
+    n1, n2 = mode_grid(N)
+    assert n1.shape == n2.shape == (2 * N + 1, 2 * N + 1)
+    modes = set(zip(n1.ravel().tolist(), n2.ravel().tolist()))
+    assert len(modes) == (2 * N + 1) ** 2
+    assert (0, 0) in modes
+    assert all(max(abs(m1), abs(m2)) <= N for m1, m2 in modes)
+    # n1 runs along the first axis, n2 along the second
+    assert np.array_equal(n1[:, 0], np.arange(-N, N + 1))
+    assert np.array_equal(n2[0, :], np.arange(-N, N + 1))
 
 
 def test_gamma_eta_grid_matches_scalars(phys_table1):
@@ -123,8 +125,9 @@ def test_gamma_eta_grid_matches_scalars(phys_table1):
     for i in range(9):
         for j in range(9):
             n = (int(n1g[i, j]), int(n2g[i, j]))
-            assert gam[i, j] == pytest.approx(gamma_of(n, phys_table1), rel=1e-13)
-            assert eta[i, j] == pytest.approx(eta_of(n, phys_table1), rel=1e-13)
+            s = mode_scalars(n, phys_table1)
+            assert gam[i, j] == pytest.approx(s.gamma, rel=1e-13)
+            assert eta[i, j] == pytest.approx(s.eta, rel=1e-13)
 
 
 @pytest.mark.parametrize("n1, n2", [(0, 0), (3, -2), (np.array(1), np.array(4)),
@@ -154,6 +157,11 @@ def test_gamma_eta_grid_flags_resonance():
     dict(epsilon=-1e-3),
     dict(rho=0j),
     dict(kappa=0j),
+    dict(epsilon=math.nan),
+    dict(rho=complex(math.nan, 0.0)),
+    dict(kappa=complex(-1.0, math.inf)),
+    dict(omega=math.inf),
+    dict(b=math.inf),
 ])
 def test_config_validation(kwargs):
     base = dict(omega=5.0)

@@ -15,8 +15,8 @@ from superlens_imaging.cli import main
 from superlens_imaging.config import build_config
 from superlens_imaging.errors import UsageError
 from superlens_imaging.experiments import (EXPERIMENTS, SNR_SWEEP_TARGETS,
-                                           SWEEP_TRIALS, effective_profile,
-                                           run_experiment)
+                                           SWEEP_TRIALS, _write_json,
+                                           effective_profile, run_experiment)
 from superlens_imaging.profiles import PROFILE_BUILDERS
 
 
@@ -182,3 +182,12 @@ def test_unknown_experiment_rejected(tmp_path):
 def test_profile_builders_cover_presets():
     needed = {exp["base"]["profile"] for exp in EXPERIMENTS.values()}
     assert needed <= set(PROFILE_BUILDERS)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_writer_refuses_non_finite(tmp_path, bad):
+    # summaries must stay standard JSON: no NaN or Infinity token
+    path = tmp_path / "summary.json"
+    with pytest.raises(ValueError):
+        _write_json(path, {"ok": 1.0, "nested": {"bad": bad}})
+    assert not path.exists()

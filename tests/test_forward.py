@@ -4,14 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from superlens_imaging.core import PhysicalConfig, gamma_of
+from oracles import synthesize_linear_data
+from superlens_imaging.core import PhysicalConfig, mode_scalars
 from superlens_imaging.errors import (NoConvergence, NyquistViolation,
                                       ProfileTooTall, ResonantMode)
-from superlens_imaging.forward import (Discretization, _Operator,
-                                       coefficient_fields, deriv_matrix,
-                                       fd_weights, reflected_flux,
-                                       slab_impedance, solve_forward,
-                                       synthesize_linear_data)
+from superlens_imaging.forward import (Discretization, _impedance,
+                                       _Operator, coefficient_fields,
+                                       deriv_matrix, fd_weights,
+                                       reflected_flux, solve_forward)
 from superlens_imaging.profiles import (band_limited_profile, builtin_glyph,
                                         image_profile, trig_profile)
 from superlens_imaging.tfe import solve_zeroth, u0_top
@@ -157,7 +157,6 @@ def test_profile_too_tall(phys_table1):
 
 def test_solution_shapes(sol_table1, disc_default):
     I, K, M = disc_default.I, disc_default.K, disc_default.M
-    assert sol_table1.interior.shape == (I, I, M + 1)
     assert sol_table1.spectral_interior.shape == (K, K, M + 1)
     assert sol_table1.top_grid.shape == (I, I)
     assert sol_table1.top.W == disc_default.N_f
@@ -165,7 +164,8 @@ def test_solution_shapes(sol_table1, disc_default):
 
 
 def test_dirichlet_bottom_row(sol_table1):
-    assert np.max(np.abs(sol_table1.interior[:, :, 0])) < 1e-12
+    # row 0 is the Dirichlet identity, so every mode vanishes there exactly
+    assert np.max(np.abs(sol_table1.spectral_interior[:, :, 0])) < 1e-12
 
 
 def test_epsilon_consistency_fast(phys_table1):
@@ -201,8 +201,8 @@ def test_solver_matches_linear_model_at_small_eps(phys_table1):
 
 def test_slab_impedance_no_slab_reduction(phys_vacuum):
     for n in [(0, 0), (1, 0), (3, -2)]:
-        Z, zeta = slab_impedance(n, phys_vacuum)
-        g = gamma_of(n, phys_vacuum)
+        Z, zeta, _ = _impedance(*n, phys_vacuum)
+        g = mode_scalars(n, phys_vacuum).gamma
         assert Z == pytest.approx(1j * g, rel=1e-12)
         if n == (0, 0):
             want = (-2j * phys_vacuum.omega
@@ -216,13 +216,13 @@ def test_slab_impedance_no_slab_reduction(phys_vacuum):
 def test_slab_impedance_resonant_mode_raises():
     cfg = PhysicalConfig(omega=2 * math.pi)  # |alpha_(1,0)| == omega exactly
     with pytest.raises(ResonantMode, match="resonant mode"):
-        slab_impedance((1, 0), cfg)
+        _impedance(1, 0, cfg)
 
 
 def test_slab_impedance_consistent_with_zeroth_order(phys_table1):
     # eliminate the slab, solve the reduced 1D problem below it, compare
     # against the four-coefficient solution
-    Z, zeta = slab_impedance((0, 0), phys_table1)
+    Z, zeta, _ = _impedance(0, 0, phys_table1)
     om, a, rho = phys_table1.omega, phys_table1.a, phys_table1.rho
     E = (zeta / rho) / (om * np.cos(om * a) - (Z / rho) * np.sin(om * a))
     z0 = solve_zeroth(phys_table1)

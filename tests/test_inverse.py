@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import synthesize_linear_data
 from superlens_imaging.core import PhysicalConfig
 from superlens_imaging.inverse import (choose_cutoff, error_decomposition,
                                        recon_coefficients, reconstruct,
                                        residual_curve)
 from superlens_imaging.measurement import NoiseSpec, add_noise
-from superlens_imaging.forward import synthesize_linear_data
 from superlens_imaging.profiles import profile_spectrum, trig_profile
 from superlens_imaging.spectral import (SpectrumField, dft2, grid_l2_norm,
                                         synthesize)

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from superlens_imaging.errors import UsageError
-from superlens_imaging.pnm import (colormap, field_to_image, read_pgm,
-                                   save_field_ppm, write_pgm, write_ppm)
+from superlens_imaging.pnm import (_write_tokens, colormap, field_to_image,
+                                   read_pgm, save_field_ppm, write_ppm)
 
 
 def test_pgm_round_trip(tmp_path):
     gray = np.arange(12, dtype=np.uint8).reshape(3, 4) * 20
     p = tmp_path / "g.pgm"
-    write_pgm(p, gray)
+    p.write_text("P2\n4 3\n255\n" + " ".join(map(str, gray.ravel())) + "\n")
     back = read_pgm(p)
     assert back.shape == (3, 4)
     assert np.allclose(back * 255, gray)
@@ -78,28 +78,30 @@ def test_token_writers_match_greedy_loop(tmp_path, shape, seed):
                     rng.integers(0, 256, shape)).astype(np.uint8)
     rgb = rng.integers(0, 256, size=shape + (3,)).astype(np.uint8)
     H, W = shape
-    write_pgm(tmp_path / "g.pgm", gray)
+    with open(tmp_path / "g.txt", "w") as fh:
+        _write_tokens(fh, gray.reshape(-1))
     write_ppm(tmp_path / "c.ppm", rgb)
-    assert (tmp_path / "g.pgm").read_bytes() == (
-        f"P2\n{W} {H}\n255\n" + _greedy_token_lines(gray.reshape(-1))).encode()
+    assert (tmp_path / "g.txt").read_bytes() == _greedy_token_lines(
+        gray.reshape(-1)).encode()
     assert (tmp_path / "c.ppm").read_bytes() == (
         f"P3\n{W} {H}\n255\n" + _greedy_token_lines(rgb.reshape(-1))).encode()
 
 
 @pytest.mark.parametrize("n", [18, 19, 35, 36, 37, len(_COLUMN_70)])
 def test_token_writer_lines_ending_at_column_70(tmp_path, n):
-    gray = _COLUMN_70[:n].reshape(1, n)
-    write_pgm(tmp_path / "g.pgm", gray)
-    expect = f"P2\n{n} 1\n255\n" + _greedy_token_lines(gray.reshape(-1))
+    tokens = _COLUMN_70[:n]
+    with open(tmp_path / "g.txt", "w") as fh:
+        _write_tokens(fh, tokens)
+    expect = _greedy_token_lines(tokens)
     assert 70 in [len(line) for line in expect.splitlines()]
-    assert (tmp_path / "g.pgm").read_bytes() == expect.encode()
+    assert (tmp_path / "g.txt").read_bytes() == expect.encode()
 
 
 def test_write_ppm_shape_guard(tmp_path):
     with pytest.raises(ValueError):
         write_ppm(tmp_path / "x.ppm", np.zeros((4, 4)))
     with pytest.raises(ValueError):
-        write_pgm(tmp_path / "x.pgm", np.zeros((4, 4, 3)))
+        write_ppm(tmp_path / "x.ppm", np.zeros((4, 4, 4)))
 
 
 def test_colormap_endpoints_and_monotonicity():
@@ -145,3 +147,10 @@ def test_save_field_ppm_sidecar(tmp_path):
     assert side["image"] == "f.ppm"
     header = p.read_text().splitlines()[:2]
     assert header[0] == "P3" and header[1] == "4 5"
+
+
+def test_save_field_ppm_sidecar_refuses_nan(tmp_path):
+    p = tmp_path / "f.ppm"
+    with pytest.raises(ValueError):
+        save_field_ppm(p, np.ones((3, 3)), meta={"rel_error": float("nan")})
+    assert not (tmp_path / "f.ppm.json").exists()

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import trig_profile_spectrum
 from superlens_imaging.errors import (BadThreshold, EmptyImage,
                                       NyquistViolation)
 from superlens_imaging.profiles import (PROFILE_BUILDERS, _peaks_terms,
                                         band_limited_profile, builtin_glyph,
                                         image_profile, peaks_profile,
-                                        profile_spectrum, trig_profile,
-                                        trig_profile_spectrum)
+                                        profile_spectrum, trig_profile)
 from superlens_imaging.spectral import dft2, synthesize
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False)
