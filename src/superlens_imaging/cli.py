@@ -26,7 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (ExperimentConfig, _parse_complex, build_config)
+from .config import (ExperimentConfig, _parse_complex, _parse_float,
+                     build_config)
 from .errors import SuperlensError, UsageError
 from .experiments import (EXPERIMENTS, _write_csv, _write_json, check_window,
                           effective_profile, invert_measurement,
@@ -43,6 +44,15 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; route through our taxonomy
     def error(self, message):
         raise UsageError(message)
+
+
+def _finite_float(s: str) -> float:
+    """argparse type for a flag read outside the config layer: a finite
+    float, parsed as config values are; argparse names the flag."""
+    try:
+        return _parse_float(s)
+    except (UsageError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _config_epilog() -> str:
@@ -283,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("noise-stats", help="Monte-Carlo the DFT "
                         "white-noise law")
-    sp.add_argument("--sigma", type=float, default=0.01)
+    sp.add_argument("--sigma", type=_finite_float, default=0.01)
     sp.add_argument("--grid", type=int, default=99, metavar="I",
                     help="samples per period (default 99)")
     sp.add_argument("--trials", type=int, default=500)

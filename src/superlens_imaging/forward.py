@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse.linalg import splu
 
 from .core import (PhysicalConfig, alpha_grid, gamma_eta_grid, mode_grid,
                    tau_of)
@@ -316,8 +317,9 @@ class _Operator:
             self.cf.one_minus_f_over_a.astype(complex))
         return r.reshape(-1)
 
-    def preconditioner(self) -> LinearOperator:
-        """Exact inverse of the flat-surface (f=0) operator.
+    def preconditioner(self):
+        """Exact inverse of the flat-surface (f=0) operator, as a function
+        of one right-hand side.
 
         That operator is mode-diagonal: one banded (M+1)x(M+1) block per
         lateral mode, sharing the FD rows and differing only by the
@@ -334,9 +336,118 @@ class _Operator:
         diag[:, :, 1:M] = a2 * self.lat[:, :, None]
         diag[:, :, M] = -self.Z / self.cfg.rho
         A0 = sp.kron(sp.identity(K * K), shared) + sp.diags(diag.reshape(-1))
-        lu = splu(A0.tocsc(), permc_spec="NATURAL")
-        return LinearOperator((self.dim, self.dim), matvec=lu.solve,
-                              dtype=complex)
+        return splu(A0.tocsc(), permc_spec="NATURAL").solve
+
+
+# --- GMRES -------------------------------------------------------------------
+#
+# The Krylov vectors hold 40,625 unknowns at full resolution.  numpy sends
+# vdot, norm and matrix-vector products of that size to a multi-threaded
+# BLAS, whose worker threads then spin between the many short calls of the
+# Gram-Schmidt loop and double the CPU time of a solve.  The reductions
+# below are numpy's own einsum loops (without `optimize`, einsum never
+# calls BLAS); every other step is elementwise.
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a contiguous 1-D complex vector."""
+    r = v.view(np.float64)
+    return float(np.sqrt(np.einsum("i,i->", r, r)))
+
+
+def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
+    """Left-preconditioned restarted GMRES (Saad & Schultz 1986) from x = 0,
+    step for step as scipy.sparse.linalg.gmres (scipy 1.17) runs it with
+    atol=0, restart=min(50, iter_max) and ceil(iter_max / restart) cycles:
+    modified Gram-Schmidt, LAPACK Givens rotations, and the inner
+    tolerance control of scipy gh-8400.
+
+    Returns (x, inner iterations), counted as scipy's `pr_norm` callback
+    counts them.  Stops after the cycle in which ||b - A x|| <= rtol ||b||,
+    on breakdown, or when the cycles run out; the caller checks the
+    residual.
+    """
+    n = b.size
+    x = np.zeros(n, dtype=complex)
+    bnrm2 = _norm(b)
+    if bnrm2 == 0:
+        return x, 0
+    atol = rtol * bnrm2
+    eps = np.finfo(complex).eps
+    restart = min(50, iter_max)
+    cycles = -(-iter_max // restart)
+    lartg = get_lapack_funcs("lartg", dtype=complex)
+
+    # gh-8400: the inner loop stops on the preconditioned residual, ptol
+    ptol_max_factor = 1.0
+    ptol = _norm(psolve(b)) * min(ptol_max_factor, atol / bnrm2)
+    presid = 0.0
+    # v: Krylov basis; h[col]: Hessenberg column col, rotated in place
+    v = np.empty((restart + 1, n), dtype=complex)
+    h = np.zeros((restart, restart + 1), dtype=complex)
+    givens = np.zeros((restart, 2), dtype=complex)
+    iterations = 0
+    r = b.copy()
+    for _ in range(cycles):
+        v[0] = psolve(r)
+        tmp = _norm(v[0])
+        v[0] *= 1 / tmp
+        S = np.zeros(restart + 1, dtype=complex)
+        S[0] = tmp
+
+        breakdown = False
+        for col in range(restart):
+            w = psolve(matvec(v[col]))
+            h0 = _norm(w)
+            for k in range(col + 1):
+                tmp = np.einsum("i,i->", v[k].conj(), w)
+                h[col, k] = tmp
+                w -= tmp * v[k]
+            h1 = _norm(w)
+            h[col, col + 1] = h1
+            v[col + 1] = w
+            if h1 <= eps * h0:  # the Krylov space is invariant
+                h[col, col + 1] = 0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+
+            for k in range(col):
+                c, s = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k] = c * n0 + s * n1
+                h[col, k + 1] = -s.conj() * n0 + c * n1
+            c, s, mag = lartg(h[col, col], h[col, col + 1])
+            givens[col] = c, s
+            h[col, col], h[col, col + 1] = mag, 0
+            tmp = -np.conjugate(s) * S[col]
+            S[col], S[col + 1] = c * S[col], tmp
+            presid = np.abs(tmp)
+            iterations += 1
+            if presid <= ptol or breakdown:
+                break
+
+        # back-substitute the triangular system, tolerating a zero pivot
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += np.einsum("k,kn->n", y, v[:col + 1])
+
+        r = b - matvec(x)
+        rnorm = _norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, iterations
 
 
 # --- solution container ------------------------------------------------------
@@ -377,25 +488,14 @@ def solve_forward(profile: SurfaceProfile, cfg: PhysicalConfig,
     cf = coefficient_fields(profile, cfg, disc)
     op = _Operator(cfg, disc, cf)
     b = op.rhs()
-    b_norm = np.linalg.norm(b)
-    A = LinearOperator((op.dim, op.dim), matvec=op.apply, dtype=complex)
     # held until the function returns: freeing the LU factors before the
     # residual check and back-substitution raised peak RSS by about 9 MB
     # over repeated full-resolution solves
-    Minv = op.preconditioner()
-    count = {"n": 0}
+    psolve = op.preconditioner()
+    x, iterations = _gmres(op.apply, psolve, b, 0.05 * disc.iter_tol,
+                           disc.iter_max)
 
-    def cb(_):
-        count["n"] += 1
-
-    restart = min(50, disc.iter_max)
-    maxiter = max(1, -(-disc.iter_max // restart))
-    x, _ = gmres(A, b, M=Minv, rtol=0.05 * disc.iter_tol, atol=0.0,
-                 restart=restart, maxiter=maxiter,
-                 callback=cb, callback_type="pr_norm")
-    iterations = count["n"]
-
-    res = float(np.linalg.norm(op.apply(x) - b) / b_norm)
+    res = _norm(op.apply(x) - b) / _norm(b)
     if res > disc.iter_tol:
         raise NoConvergence(
             f"relative residual {res:.3e} above tolerance {disc.iter_tol:.1e} "

@@ -27,8 +27,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma >= 0 required")
+        if not 0 <= self.sigma < math.inf:  # NaN fails too
+            raise ValueError("sigma must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -90,12 +90,15 @@ def solve_zeroth(cfg: PhysicalConfig) -> ZerothOrder:
     return ZerothOrder(A=A, B=B, C=C, cfg=cfg)
 
 
+@functools.lru_cache(maxsize=16)
 def u0_top(cfg: PhysicalConfig) -> complex:
     """Zero-mode field value on the measurement plane z = b.
 
     All other modes carry no flat-surface contribution there.  For the
     lossless matched slab with a = h this value vanishes identically: the
-    slab images the bottom Dirichlet plane onto the top boundary.
+    slab images the bottom Dirichlet plane onto the top boundary.  The
+    value depends on the operating point alone, so, like
+    scaling_factor_grid, it is computed once per config.
     """
     z0 = solve_zeroth(cfg)
     s0 = mode_scalars(ZERO, cfg)

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superlens_imaging.cli import DEFAULT_MEDIA, build_parser, main
+from superlens_imaging.measurement import CSV_HEADER, load_measurement_csv
 
 FAST = ["--fast", "--set", "seed=0"]
 
@@ -178,6 +179,58 @@ def test_invert_rejects_bad_data_before_output(forward_dir, tmp_path, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+_NON_FINITE = ["nan", "inf", "-inf", "NaN", "1e999"]
+
+
+@st.composite
+def _malformed_csv_bodies(draw):
+    """A measurement CSV of a small grid with one defect the loader must
+    reject: a non-finite value, a short row, a fractional, negative or
+    duplicated grid index, or a row too few or too many."""
+    I1, I2 = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    values = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    rows = [[str(i1), str(i2), *(draw(values) for _ in range(4))]
+            for i1 in range(I1) for i2 in range(I2)]
+    k = draw(st.integers(0, len(rows) - 1))
+    col = draw(st.integers(0, 1))
+    defect = draw(st.sampled_from(["non-finite", "short", "fractional",
+                                   "negative", "duplicate", "count"]))
+    if defect == "non-finite":
+        rows[k][draw(st.integers(0, 5))] = draw(st.sampled_from(_NON_FINITE))
+    elif defect == "short":
+        del rows[k][draw(st.integers(1, 5)):]
+    elif defect == "fractional":
+        rows[k][col] = repr(int(rows[k][col]) + draw(st.floats(0.01, 0.99)))
+    elif defect == "negative":
+        rows[k][col] = str(-draw(st.integers(1, 10)))
+    elif defect == "duplicate":
+        other = draw(st.integers(0, len(rows) - 1).filter(lambda j: j != k))
+        rows[k][:2] = rows[other][:2]
+    elif draw(st.booleans()):
+        del rows[k]
+    else:
+        rows.append(list(rows[k]))
+    return "\r\n".join([",".join(CSV_HEADER), *map(",".join, rows)]) + "\r\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(_malformed_csv_bodies())
+def test_invert_rejects_malformed_csv_body(tmp_path_factory, body):
+    tmp = tmp_path_factory.mktemp("csv")
+    data = tmp / "bad.csv"
+    data.write_text(body, newline="")
+    with pytest.raises(ValueError):
+        load_measurement_csv(data)
+    out = tmp / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["invert", *FAST, "--data", str(data), "--out", str(out)])
+    assert code == 2
+    assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()
+    assert not out.exists()
+
+
 def test_invert_rejects_window_beyond_grid(forward_dir, tmp_path, capsys):
     out = tmp_path / "out"
     code, cap = run(["invert", *FAST, "--set", "N_window=17", "--data",
@@ -219,9 +272,16 @@ def _rejects(argv, forward_dir, out):
      "seed must be nonnegative"),
     (["invert", *FAST, "--set", "epsilon=0", "--data", "DATA"], 1,
      "--no-truth"),
+    (["noise-stats", "--grid", "9", "--sigma", "nan"], 1, "--sigma"),
+    (["noise-stats", "--grid", "9", "--sigma", "inf"], 1, "--sigma"),
+    (["noise-stats", "--grid", "9", "--sigma", "1e999"], 1, "--sigma"),
+    (["noise-stats", "--grid", "9", "--sigma", "x1"], 1, "--sigma"),
+    (["noise-stats", "--grid", "9", "--sigma=-0.5"], 2, "sigma"),
 ], ids=["forward-epsilon-nan", "invert-epsilon-nan", "forward-rho-nan",
        "invert-c-nan", "invert-c-inf", "forward-sigma-nan", "invert-c-negative",
-       "experiment-seed-negative", "invert-zero-truth"])
+       "experiment-seed-negative", "invert-zero-truth", "noise-stats-sigma-nan",
+       "noise-stats-sigma-inf", "noise-stats-sigma-overflow",
+       "noise-stats-sigma-junk", "noise-stats-sigma-negative"])
 def test_bad_value_writes_nothing(forward_dir, tmp_path, argv, expect,
                                   message):
     code, err = _rejects(argv, forward_dir, tmp_path / "out")

@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import gmres
 
 from oracles import synthesize_linear_data
 from superlens_imaging.core import PhysicalConfig, mode_scalars
 from superlens_imaging.errors import (NoConvergence, NyquistViolation,
                                       ProfileTooTall, ResonantMode)
-from superlens_imaging.forward import (Discretization, _impedance,
+from superlens_imaging.forward import (Discretization, _gmres, _impedance,
                                        _Operator, coefficient_fields,
                                        deriv_matrix, fd_weights,
                                        reflected_flux, solve_forward)
@@ -124,8 +125,56 @@ def test_preconditioner_inverts_flat_operator(phys_table1, fd_order):
     op = _operator(flat, replace(FAST, fd_order=fd_order))
     rng = np.random.default_rng(fd_order)
     x = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
-    back = op.preconditioner().matvec(op.apply(x))
+    back = op.preconditioner()(op.apply(x))
     assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def _nonnormal_system(coupling, n=100):
+    """A row-scaled complex system whose diagonal does not commute with
+    the rest: a spread diagonal, a dense coupling and an upper-triangular
+    part.  The diagonal preconditioner undoes the row scaling only."""
+    rng = np.random.default_rng(0)
+    d = (1.2 + rng.uniform(0.5, 2, n)
+         * np.exp(2j * np.pi * rng.uniform(size=n)))
+    G = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2 * n)
+    A = (np.diag(d) + coupling * G + 2 * np.triu(G, 1)) * rng.uniform(
+        0.5, 2, n)[:, None]
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return A, b
+
+
+@pytest.mark.parametrize("coupling, rtol, iter_max, expect", [
+    (0.05, 1e-10, 200, "one cycle"),
+    (0.5, 1e-10, 200, "two restarts"),
+    (0.5, 1e-10, 60, "budget spent"),
+])
+def test_gmres_matches_scipy(coupling, rtol, iter_max, expect):
+    # oracle: scipy's restarted GMRES with the settings _gmres documents
+    A, b = _nonnormal_system(coupling)
+    dinv = 1 / np.diag(A)
+    x, iterations = _gmres(lambda v: A @ v, lambda v: dinv * v, b, rtol,
+                           iter_max)
+
+    restart = min(50, iter_max)
+    calls = []
+    want, _ = gmres(A, b, M=np.diag(dinv), rtol=rtol, atol=0.0,
+                    restart=restart, maxiter=-(-iter_max // restart),
+                    callback=calls.append, callback_type="pr_norm")
+    assert iterations == len(calls)
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+    converged = np.linalg.norm(A @ x - b) <= rtol * np.linalg.norm(b)
+    if expect == "one cycle":
+        assert converged and iterations < restart
+    elif expect == "two restarts":
+        assert converged and iterations > 2 * restart
+    else:
+        assert not converged and iterations == 2 * restart
+
+
+def test_gmres_zero_rhs():
+    x, iterations = _gmres(None, None, np.zeros(4, dtype=complex), 1e-10, 10)
+    assert iterations == 0 and not x.any()
 
 
 def test_dense_and_iterative_agree(phys_table1):

@@ -101,6 +101,12 @@ def test_noise_dft_stats_law_small_grid():
     assert np.max(np.abs(stats.cov)) < 6 * se
 
 
+@pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+def test_noise_spec_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        NoiseSpec(sigma=sigma)
+
+
 def test_noise_dft_stats_rejects_few_trials():
     with pytest.raises(ValueError):
         noise_dft_stats(NoiseSpec(sigma=0.1, seed=0), 9, trials=10)

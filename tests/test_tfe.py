@@ -79,6 +79,15 @@ def test_u0_top_ideal_lens_vanishes():
     assert abs(u0_top(cfg)) < 1e-13
 
 
+def test_u0_top_cache_matches_fresh_evaluation(phys_table1):
+    cached = u0_top(phys_table1)
+    hits = u0_top.cache_info().hits
+    # an equal but distinct config hits the cache
+    assert u0_top(PhysicalConfig(**vars(phys_table1))) == cached
+    assert u0_top.cache_info().hits == hits + 1
+    assert u0_top.__wrapped__(phys_table1) == cached
+
+
 def test_vacuum_zeroth_field_is_standing_wave():
     cfg = PhysicalConfig(omega=OMEGA, a=0.1, b=0.2, rho=1 + 0j, kappa=1 + 0j)
     z0 = solve_zeroth(cfg)
