@@ -24,8 +24,8 @@ from .profiles import SurfaceProfile
 from .spectral import SpectrumField, dft2, grid_l2_norm, synthesize
 from .tfe import scaling_factor_grid, u0_top
 
-#: error_decomposition samples the truth this many times finer per axis to
-#: measure its content beyond the data window
+#: error_decomposition samples a truth without a stored spectrum this many
+#: times finer per axis to measure its content beyond the data window
 BEYOND_FACTOR = 3
 
 
@@ -81,14 +81,14 @@ def residual_curve(U_delta: SpectrumField, cfg: PhysicalConfig,
         raise CutoffOutOfRange("N_window must be >= 0")
     d = U_delta.values.copy()
     d[U_delta.W1, U_delta.W2] -= u0_top(cfg)
-    ring = U_delta.ring()
-    sq = np.abs(d) ** 2
-    ns = list(range(N_window + 1))
-    values = []
-    for N in ns:
-        tail = float(np.sum(sq[ring > N]))
-        values.append(float(np.sqrt(max(tail, 0.0))))
-    return ResidualCurve(ns=ns, values=values)
+    sq = d.real ** 2 + d.imag ** 2
+    # energy per ring, then tails[r] = sum over rings >= r; rings past the
+    # window edge hold nothing, so their tails are exactly 0
+    per_ring = np.bincount(U_delta.ring().ravel(), weights=sq.ravel(),
+                           minlength=N_window + 2)
+    tails = np.cumsum(per_ring[::-1])[::-1]
+    return ResidualCurve(ns=list(range(N_window + 1)),
+                         values=np.sqrt(tails[1:N_window + 2]).tolist())
 
 
 @dataclass(frozen=True)
@@ -181,12 +181,16 @@ def error_decomposition(truth: SurfaceProfile, clean_top: SpectrumField,
     tail = np.where(ring > N, -f_vals, 0j)
     E3 = synthesize(SpectrumField(tail, W, W), W, (I1, I2), take_real=True)
 
-    # truth content beyond the data window, from a finer sampling
-    If1 = BEYOND_FACTOR * I1 + (1 - (BEYOND_FACTOR * I1) % 2)
-    If2 = BEYOND_FACTOR * I2 + (1 - (BEYOND_FACTOR * I2) % 2)
-    f_fine = dft2(truth.sample_grid(If1, If2))
-    ring_f = f_fine.ring()
-    beyond = cfg.epsilon * np.sqrt(float(np.sum(np.abs(f_fine.values[ring_f > W]) ** 2)))
+    # truth content beyond the data window: from the spectrum when the
+    # profile carries one, else from a finer sampling
+    if truth.spectrum is not None:
+        g = truth.spectrum
+    else:
+        If1 = BEYOND_FACTOR * I1 + (1 - (BEYOND_FACTOR * I1) % 2)
+        If2 = BEYOND_FACTOR * I2 + (1 - (BEYOND_FACTOR * I2) % 2)
+        g = dft2(truth.sample_grid(If1, If2))
+    outside = g.values[g.ring() > W]
+    beyond = cfg.epsilon * np.sqrt(float(np.sum(np.abs(outside) ** 2)))
 
     return ErrorDecomposition(
         E1=E1, E2=E2, E3=E3,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
 from .errors import CutoffOutOfRange
 
@@ -75,11 +76,11 @@ def dft2(u: np.ndarray) -> SpectrumField:
     For even grid sizes the un-pairable Nyquist row/column is dropped.
     """
     I1, I2 = u.shape
-    F = np.fft.fft2(u) / (I1 * I2)
-    W1, W2 = window_halfwidth(I1), window_halfwidth(I2)
-    rows = np.arange(-W1, W1 + 1) % I1
-    cols = np.arange(-W2, W2 + 1) % I2
-    return SpectrumField(F[np.ix_(rows, cols)], W1, W2)
+    # after fftshift index k holds mode k - I//2, so an even size puts its
+    # Nyquist line first
+    F = sfft.fftshift(sfft.fft2(u, norm="forward"))
+    return SpectrumField(F[1 - I1 % 2:, 1 - I2 % 2:],
+                         window_halfwidth(I1), window_halfwidth(I2))
 
 
 def synthesize(coeffs: SpectrumField, N: int, grid_shape: tuple[int, int],
@@ -88,22 +89,37 @@ def synthesize(coeffs: SpectrumField, N: int, grid_shape: tuple[int, int],
 
     The synthesis grid must resolve the requested window (Ik > 2N), else
     distinct modes would collide under index wrap-around.
+
+    Both paths transform axis 0 over the live columns only.  take_real
+    synthesizes Re(sum c_n e_n), which is the synthesis of the Hermitian
+    part h_n = (c_n + conj(c_-n)) / 2: its columns n2 >= 0 determine it,
+    and the last axis is one real-output inverse FFT.
     """
     if N < 0 or N > coeffs.W:
         raise CutoffOutOfRange(f"N={N} outside coefficient window {coeffs.W}")
     I1, I2 = grid_shape
     if I1 <= 2 * N or I2 <= 2 * N:
         raise CutoffOutOfRange(f"grid {grid_shape} cannot resolve N={N}")
-    full = np.zeros((I1, I2), dtype=complex)
     block = coeffs.values[coeffs.W1 - N:coeffs.W1 + N + 1,
                           coeffs.W2 - N:coeffs.W2 + N + 1]
-    rows = np.arange(-N, N + 1) % I1
-    cols = np.arange(-N, N + 1) % I2
-    full[np.ix_(rows, cols)] = block
-    u = np.fft.ifft2(full) * (I1 * I2)
-    return u.real if take_real else u
+    if take_real:
+        block = 0.5 * (block[:, N:] + block[::-1, N::-1].conj())
+    rows = np.zeros((I1, block.shape[1]), dtype=complex)
+    rows[np.arange(-N, N + 1) % I1] = block
+    cols = sfft.ifft(rows, axis=0, norm="forward", overwrite_x=True)
+    if take_real:
+        return sfft.irfft(cols, n=I2, axis=1, norm="forward")
+    full = np.zeros((I1, I2), dtype=complex)
+    full[:, np.arange(-N, N + 1) % I2] = cols
+    return sfft.ifft(full, axis=1, norm="forward", overwrite_x=True)
 
 
 def grid_l2_norm(u: np.ndarray) -> float:
     """sqrt(mean |u_i|^2); Parseval-consistent with dft2."""
-    return float(np.sqrt(np.mean(np.abs(u) ** 2)))
+    u = np.asarray(u)
+    # a complex grid as its interleaved float64 (re, im) pairs; einsum
+    # without `optimize` never calls BLAS
+    r = (np.ascontiguousarray(u, dtype=complex).view(np.float64)
+         if np.iscomplexobj(u) else np.asarray(u, dtype=np.float64))
+    axes = list(range(r.ndim))
+    return float(np.sqrt(np.einsum(r, axes, r, axes, []) / u.size))

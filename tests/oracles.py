@@ -4,7 +4,8 @@ Each one reaches its answer by a different route from the closed forms in
 ``superlens_imaging``: the 4x4 transfer matrix whose determinant sigma_n
 must equal, an ODE quadrature of the first-order problem, substitution of
 the flat-surface field back into its defining conditions, the analytic
-spectrum of profile 1, and inverse-crime linear data.  They live beside
+spectrum of profile 1, inverse-crime linear data, and residual tails summed
+one cut-off at a time.  They live beside
 the tests, not in the package, so that the code under test does not ship
 its own checks.
 """
@@ -187,3 +188,18 @@ def synthesize_linear_data(profile: SurfaceProfile, cfg: PhysicalConfig,
             vals[i1, i2] = cfg.epsilon * first_order_top(n, g_spec.values[i1, i2], cfg)
     vals[W, W] += u0_top(cfg)
     return SpectrumField(vals, W, W)
+
+
+def residual_curve_masked_sums(U_delta: SpectrumField, cfg: PhysicalConfig,
+                               N_window: int) -> list[float]:
+    """Discrepancy residuals ||R^{delta,N}|| for N = 0..N_window, each tail
+    summed afresh over the modes with ||n||_inf > N."""
+    d = U_delta.values.copy()
+    d[U_delta.W1, U_delta.W2] -= u0_top(cfg)
+    ring = U_delta.ring()
+    sq = np.abs(d) ** 2
+    values = []
+    for N in range(N_window + 1):
+        tail = float(np.sum(sq[ring > N]))
+        values.append(float(np.sqrt(max(tail, 0.0))))
+    return values

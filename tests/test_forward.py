@@ -152,8 +152,8 @@ def test_gmres_matches_scipy(coupling, rtol, iter_max, expect):
     # oracle: scipy's restarted GMRES with the settings _gmres documents
     A, b = _nonnormal_system(coupling)
     dinv = 1 / np.diag(A)
-    x, iterations = _gmres(lambda v: A @ v, lambda v: dinv * v, b, rtol,
-                           iter_max)
+    x, iterations, rnorm = _gmres(lambda v: A @ v, lambda v: dinv * v, b,
+                                  rtol, iter_max)
 
     restart = min(50, iter_max)
     calls = []
@@ -162,6 +162,7 @@ def test_gmres_matches_scipy(coupling, rtol, iter_max, expect):
                     callback=calls.append, callback_type="pr_norm")
     assert iterations == len(calls)
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+    assert rnorm == pytest.approx(np.linalg.norm(b - A @ x), rel=1e-12)
 
     converged = np.linalg.norm(A @ x - b) <= rtol * np.linalg.norm(b)
     if expect == "one cycle":
@@ -173,8 +174,45 @@ def test_gmres_matches_scipy(coupling, rtol, iter_max, expect):
 
 
 def test_gmres_zero_rhs():
-    x, iterations = _gmres(None, None, np.zeros(4, dtype=complex), 1e-10, 10)
-    assert iterations == 0 and not x.any()
+    x, iterations, rnorm = _gmres(None, None, np.zeros(4, dtype=complex),
+                                  1e-10, 10)
+    assert iterations == 0 and rnorm == 0.0 and not x.any()
+
+
+@pytest.mark.parametrize("profile, epsilon, min_cycles", [
+    ("trig", 1e-3, 1),
+    ("glyph", 1e-2, 2),
+])
+def test_solve_makes_one_matvec_per_iteration_and_cycle(
+        phys_table1, monkeypatch, profile, epsilon, min_cycles):
+    # GMRES ends every cycle with the true residual b - A x; the residual
+    # gate reuses the last one instead of making another matvec
+    counts = {"apply": 0, "psolve": 0}
+    apply, preconditioner = _Operator.apply, _Operator.preconditioner
+
+    def counting_apply(self, x):
+        counts["apply"] += 1
+        return apply(self, x)
+
+    def counting_preconditioner(self):
+        solve = preconditioner(self)
+
+        def counted(v):
+            counts["psolve"] += 1
+            return solve(v)
+        return counted
+
+    monkeypatch.setattr(_Operator, "apply", counting_apply)
+    monkeypatch.setattr(_Operator, "preconditioner", counting_preconditioner)
+    surface = (trig_profile() if profile == "trig" else
+               band_limited_profile(image_profile(builtin_glyph()), FAST.N_f,
+                                    quad_I=FAST.P))
+    sol = solve_forward(surface, replace(phys_table1, epsilon=epsilon), FAST)
+    # one preconditioner apply for the inner tolerance, one per cycle
+    # start and one per iteration
+    cycles = counts["psolve"] - 1 - sol.iterations
+    assert cycles >= min_cycles
+    assert counts["apply"] == sol.iterations + cycles
 
 
 def test_dense_and_iterative_agree(phys_table1):

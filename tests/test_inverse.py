@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import synthesize_linear_data
+from oracles import residual_curve_masked_sums, synthesize_linear_data
 from superlens_imaging.core import PhysicalConfig
 from superlens_imaging.inverse import (choose_cutoff, error_decomposition,
                                        recon_coefficients, reconstruct,
                                        residual_curve)
 from superlens_imaging.measurement import NoiseSpec, add_noise
-from superlens_imaging.profiles import profile_spectrum, trig_profile
+from superlens_imaging.profiles import (band_limited_profile,
+                                        profile_spectrum, trig_profile)
 from superlens_imaging.spectral import (SpectrumField, dft2, grid_l2_norm,
                                         synthesize)
 from superlens_imaging.tfe import u0_top
@@ -64,6 +65,20 @@ def test_residual_curve_non_increasing_and_vanishing():
     # the tail beyond the data window is empty by construction
     full = residual_curve(dft2(m.u_delta), cfg, N_window=49)
     assert full.values[-1] == 0.0
+
+
+@pytest.mark.parametrize("I, N_window", [(99, 12), (99, 49), (33, 16),
+                                         (32, 15)])
+def test_residual_curve_matches_masked_sums(I, N_window):
+    cfg = _cfg()
+    m = add_noise(_linear_grid(cfg, I=I), NoiseSpec(sigma=0.005, seed=I))
+    U = dft2(m.u_delta)
+    got = residual_curve(U, cfg, N_window).values
+    want = residual_curve_masked_sums(U, cfg, N_window)
+    assert len(got) == N_window + 1
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+    # tails are exactly 0 from the window edge on
+    assert all(v == 0.0 for v in got[U.W:])
 
 
 @settings(max_examples=25, deadline=None)
@@ -172,3 +187,25 @@ def test_error_decomposition_linearization_term_quadratic_in_eps():
 def test_error_decomposition_beyond_window_vanishes_for_band_limited():
     _, _, _, dec = _decomposed()
     assert dec.beyond_window_norm <= 1e-12
+
+
+@pytest.mark.parametrize("I", [5, 6, 7])
+def test_beyond_window_from_spectrum_and_fine_grid_agree(I):
+    # the band-limited trig surface has its ring-3 modes p_(+-3, 0) and
+    # p_(0, +-3), each of modulus 1/8; a 5 x 5 or 6 x 6 grid (window 2)
+    # misses them and a 7 x 7 grid holds them all
+    cfg = _cfg(epsilon=1e-2)
+    with_spectrum = band_limited_profile(trig_profile(), 3)
+    pointwise = replace(with_spectrum, spectrum=None)
+    clean = np.full((I, I), u0_top(cfg))
+    m = add_noise(clean, NoiseSpec(sigma=0.01, seed=1))
+    decs = [error_decomposition(p, dft2(clean), m, 1, cfg)
+            for p in (with_spectrum, pointwise)]
+    if I < 7:
+        assert decs[0].beyond_window_norm == pytest.approx(
+            cfg.epsilon * 0.25, rel=1e-13)
+        assert decs[1].beyond_window_norm == pytest.approx(
+            decs[0].beyond_window_norm, rel=1e-12)
+    else:
+        assert decs[0].beyond_window_norm == 0.0
+        assert decs[1].beyond_window_norm <= 1e-15

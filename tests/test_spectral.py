@@ -32,10 +32,11 @@ def test_dft2_planted_mode():
     assert np.max(np.abs(vals)) < 1e-12
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 1), st.data())
-def test_synthesize_dft2_round_trip(N, parity, data):
-    I = 2 * N + 3 + parity  # > 2N, both parities
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 1), st.integers(0, 1), st.booleans(),
+       st.data())
+def test_synthesize_dft2_round_trip(N, parity, pad, take_real, data):
+    I = 2 * N + 1 + parity + 2 * pad  # > 2N, both parities, tightest too
     coeffs = data.draw(st.lists(
         st.complex_numbers(max_magnitude=10, allow_nan=False,
                            allow_infinity=False),
@@ -43,6 +44,15 @@ def test_synthesize_dft2_round_trip(N, parity, data):
     C = SpectrumField(np.array(coeffs, dtype=complex).reshape(2 * N + 1, -1),
                       N, N)
     u = synthesize(C, N, (I, I))
+    if take_real:
+        # the coefficients are not Hermitian: the real path must still
+        # give the real part of the full synthesis, at cut-offs 0 and N
+        bound = 1e-12 * max(1.0, float(np.sum(np.abs(C.values))))
+        for n in {0, N}:
+            got = synthesize(C, n, (I, I), take_real=True)
+            assert got.dtype == np.float64 and got.shape == (I, I)
+            want = synthesize(C, n, (I, I)).real
+            assert np.max(np.abs(got - want)) <= bound
     back = dft2(u)
     for n1 in range(-N, N + 1):
         for n2 in range(-N, N + 1):
@@ -69,6 +79,16 @@ def test_even_grid_drops_nyquist_energy():
 def test_grid_l2_norm_of_constant(c, I):
     u = np.full((I, I), c, dtype=complex)
     assert grid_l2_norm(u) == pytest.approx(c, rel=1e-12)
+
+
+@pytest.mark.parametrize("view", ["transposed", "real", "imag", "strided"])
+def test_grid_l2_norm_of_non_contiguous_views(view):
+    rng = np.random.default_rng(10)
+    u = rng.normal(size=(17, 12)) + 1j * rng.normal(size=(17, 12))
+    v = {"transposed": u.T, "real": u.real, "imag": u.imag,
+         "strided": u[1::3, ::2]}[view]
+    assert grid_l2_norm(v) == pytest.approx(
+        np.sqrt(np.mean(np.abs(v) ** 2)), rel=1e-14)
 
 
 def test_grid_l2_norm_scales_linearly():
