@@ -214,6 +214,16 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
 
 # --- the discrete operator ---------------------------------------------------
 
+def _in_place(transform, buf: np.ndarray, axis: int) -> None:
+    """One scipy.fft transform of buf along axis, left in buf.  scipy
+    writes into its input when told it may overwrite it, and returns a new
+    view of that memory; any other result is copied back."""
+    out = transform(buf, axis=axis, norm="forward", overwrite_x=True)
+    if (out.__array_interface__["data"] != buf.__array_interface__["data"]
+            or out.strides != buf.strides):
+        buf[...] = out
+
+
 class _Operator:
     """Matrix-free application of the collocation system.
 
@@ -221,20 +231,36 @@ class _Operator:
     is mode (i1 - N_f, i2 - N_f) at level z_j.  Row j=0 is the Dirichlet
     identity, rows 1..M-1 the transformed PDE, row M the impedance
     interface condition.
+
+    apply() works in one complex (5(M-1)+1, P, P) workspace that lives as
+    long as the operator: five blocks of M-1 slices for the PDE terms on
+    the interior levels, then one slice for the impedance trace.  Each
+    slice holds a padded lateral spectrum, mode (n1, n2) at row n1 mod P
+    and column n2 mod P.  So only rows and columns 0..N_f and P-N_f..P-1
+    are live; the pad band between them must be zero when the inverse
+    transforms run.  The previous call's transforms and products fill the
+    whole workspace, so every call re-zeroes the pad band before writing
+    the live entries.  The products overwrite the first M slices and are
+    transformed back there.  Each call returns a fresh vector, but the
+    workspace is shared, so one operator must not run two apply() calls
+    at once.
     """
 
     def __init__(self, cfg: PhysicalConfig, disc: Discretization,
                  cf: CoefficientFields):
-        K, P, M = disc.K, disc.P, disc.M
+        K, P, M, N = disc.K, disc.P, disc.M, disc.N_f
         self.K, self.P, self.M = K, P, M
-        self.N_f = disc.N_f
+        self.N_f = N
         self.cfg = cfg
         self.cf = cf
         self.dim = K * K * (M + 1)
 
-        n1g, n2g = mode_grid(disc.N_f)
-        self.ax, self.ay, asq = alpha_grid(n1g, n2g, cfg)
+        n1g, n2g = mode_grid(N)
+        ax, ay, asq = alpha_grid(n1g, n2g, cfg)
+        self.iax, self.iay = 1j * ax, 1j * ay
         self.lat = cfg.omega**2 - asq  # (omega^2 - |alpha|^2) per mode
+        # the slab impedance seen through (1 - f/a)
+        self.trace_coef = cf.one_minus_f_over_a / cfg.rho
 
         hz = cfg.a / M
         self.Dz = sp.csr_matrix(deriv_matrix(M, hz, 1, disc.fd_order))
@@ -242,27 +268,45 @@ class _Operator:
 
         self.Z, self.zeta, self.eta_w = _impedance(n1g, n2g, cfg)
 
-    # spectral (..., K, K) <-> physical (..., P, P).  Only K of the P rows
-    # and columns of the padded spectrum are non-zero (modes 0..N_f at the
-    # front, -N_f..-1 wrapped to the back), so each direction transforms
-    # one axis on the K live rows and the other on all P.
+        # padded rows (or columns) of the modes >= 0 and < 0, the spectral
+        # indices they come from, and the pad band between them
+        self._live = (slice(None, N + 1), slice(P - N, None))
+        modes = (slice(N, None), slice(None, N))
+        self._dead = slice(N + 1, P - N)
+        # (padded, spectral) index of the four quadrants of the mode block
+        self._quadrants = [((..., pr, pc), (..., mr, mc))
+                           for pr, mr in zip(self._live, modes)
+                           for pc, mc in zip(self._live, modes)]
+        self._ws = np.zeros((5 * (M - 1) + 1, P, P), dtype=complex)
+
+    # spectral (..., K, K) <-> physical (..., P, P), in place on a padded
+    # buffer.  Only the K live rows and columns of the padded spectrum are
+    # non-zero, so each direction transforms one axis on the live rows and
+    # the other on all P.
+    def _ifft_live(self, buf: np.ndarray) -> None:
+        for rows in self._live:
+            _in_place(sfft.ifft, buf[..., rows, :], -1)
+        _in_place(sfft.ifft, buf, -2)
+
+    def _fft_live(self, buf: np.ndarray) -> None:
+        _in_place(sfft.fft, buf, -2)
+        for rows in self._live:
+            _in_place(sfft.fft, buf[..., rows, :], -1)
+
     def _to_phys(self, C: np.ndarray) -> np.ndarray:
-        N, P = self.N_f, self.P
-        rows = np.zeros(C.shape[:-1] + (P,), dtype=complex)
-        rows[..., :N + 1] = C[..., N:]
-        rows[..., P - N:] = C[..., :N]
-        rows = sfft.ifft(rows, axis=-1, norm="forward", overwrite_x=True)
-        full = np.zeros(C.shape[:-2] + (P, P), dtype=complex)
-        full[..., :N + 1, :] = rows[..., N:, :]
-        full[..., P - N:, :] = rows[..., :N, :]
-        return sfft.ifft(full, axis=-2, norm="forward", overwrite_x=True)
+        buf = np.zeros(C.shape[:-2] + (self.P, self.P), dtype=complex)
+        for pad, mode in self._quadrants:
+            buf[pad] = C[mode]
+        self._ifft_live(buf)
+        return buf
 
     def _to_spec(self, U: np.ndarray) -> np.ndarray:
-        N = self.N_f
-        F = sfft.fft(U, axis=-2, norm="forward")
-        cols = np.concatenate([F[..., -N:, :], F[..., :N + 1, :]], axis=-2)
-        F = sfft.fft(cols, axis=-1, norm="forward", overwrite_x=True)
-        return np.concatenate([F[..., -N:], F[..., :N + 1]], axis=-1)
+        buf = np.array(U, dtype=complex)
+        self._fft_live(buf)
+        out = np.empty(buf.shape[:-2] + (self.K, self.K), dtype=complex)
+        for pad, mode in self._quadrants:
+            out[mode] = buf[pad]
+        return out
 
     def _dz_apply(self, D: sp.csr_matrix, S: np.ndarray) -> np.ndarray:
         K, M1 = self.K, self.M + 1
@@ -275,39 +319,47 @@ class _Operator:
         SZ = self._dz_apply(self.Dz, S)
         SZZ = self._dz_apply(self.Dzz, S)
 
-        # one batched lateral transform: the five PDE terms on the interior
-        # levels 1..M-1 (z leading), then the impedance trace at level M
-        def lead(A):
+        def lead(A):  # interior levels 1..M-1, z leading
             return np.moveaxis(A[:, :, 1:M], -1, 0)
 
-        spec = np.empty((5 * (M - 1) + 1, K, K), dtype=complex)
-        terms = spec[:-1].reshape(5, M - 1, K, K)
-        sz = lead(SZ)
-        terms[0] = self.lat * lead(S)
-        terms[1] = lead(SZZ)
-        terms[2] = 1j * self.ax * sz
-        terms[3] = 1j * self.ay * sz
-        terms[4] = sz
-        spec[-1] = self.Z * S[:, :, M]
-        phys = self._to_phys(spec)
-        lat_p, szz_p, sxz_p, syz_p, sz_p = phys[:-1].reshape(5, M - 1, P, P)
+        ws = self._ws
+        for rows in self._live:
+            ws[:, rows, self._dead] = 0
+        ws[:, self._dead, :] = 0
+        lat, szz, sxz, syz, sz = ws[:-1].reshape(5, M - 1, P, P)
+        s, s_z, s_zz, trace = lead(S), lead(SZ), lead(SZZ), S[:, :, M]
+        for pad, mode in self._quadrants:
+            np.multiply(self.lat[mode], s[mode], out=lat[pad])
+            szz[pad] = s_zz[mode]
+            np.multiply(self.iax[mode], s_z[mode], out=sxz[pad])
+            np.multiply(self.iay[mode], s_z[mode], out=syz[pad])
+            sz[pad] = s_z[mode]
+            np.multiply(self.Z[mode], trace[mode], out=ws[-1][pad])
+        self._ifft_live(ws)
 
+        # c1 lat + c2 szz - c3 sxz - c4 syz - c5 sz, summed left to right
+        # into the first block; the interface row goes to slice M-1, whose
+        # szz term is spent by then
         cf = self.cf
         inner = slice(1, M)
-        prod = np.empty((M, P, P), dtype=complex)
-        prod[:-1] = (cf.c1 * lat_p + cf.c2[inner] * szz_p
-                     - cf.c3[inner] * sxz_p - cf.c4[inner] * syz_p
-                     - cf.c5[inner] * sz_p)
-        # the slab impedance seen through (1 - f/a)
-        prod[-1] = (cf.one_minus_f_over_a / self.cfg.rho) * phys[-1]
-        back = self._to_spec(prod)
+        np.multiply(cf.c1, lat, out=lat)
+        for c, term, accumulate in ((cf.c2, szz, np.add),
+                                    (cf.c3, sxz, np.subtract),
+                                    (cf.c4, syz, np.subtract),
+                                    (cf.c5, sz, np.subtract)):
+            np.multiply(c[inner], term, out=term)
+            accumulate(lat, term, out=lat)
+        np.multiply(self.trace_coef, ws[-1], out=ws[M - 1])
+        self._fft_live(ws[:M])
 
         out = np.empty((K, K, M + 1), dtype=complex)
         # row 0: Dirichlet on the flattened surface
         out[:, :, 0] = S[:, :, 0]
-        out[:, :, 1:M] = np.moveaxis(back[:-1], 0, -1)
-        # row M: one-sided dz minus the impedance term
-        out[:, :, M] = SZ[:, :, M] - back[-1]
+        rows, row_m = lead(out), out[:, :, M]
+        for pad, mode in self._quadrants:
+            rows[mode] = lat[pad]
+            # row M: one-sided dz minus the impedance term
+            np.subtract(SZ[:, :, M][mode], ws[M - 1][pad], out=row_m[mode])
         return out.reshape(-1)
 
     def rhs(self) -> np.ndarray:

@@ -4,8 +4,9 @@ Each one reaches its answer by a different route from the closed forms in
 ``superlens_imaging``: the 4x4 transfer matrix whose determinant sigma_n
 must equal, an ODE quadrature of the first-order problem, substitution of
 the flat-surface field back into its defining conditions, the analytic
-spectrum of profile 1, inverse-crime linear data, and residual tails summed
-one cut-off at a time.  They live beside
+spectrum of profile 1, inverse-crime linear data, residual tails summed
+one cut-off at a time, and the forward operator's matvec with freshly
+allocated, zero-filled padded buffers on every call.  They live beside
 the tests, not in the package, so that the code under test does not ship
 its own checks.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
+import scipy.fft as sfft
 
 from superlens_imaging.core import Mode, PhysicalConfig, mode_scalars, tau_of
 from superlens_imaging.profiles import SurfaceProfile, profile_spectrum
@@ -203,3 +205,66 @@ def residual_curve_masked_sums(U_delta: SpectrumField, cfg: PhysicalConfig,
         tail = float(np.sum(sq[ring > N]))
         values.append(float(np.sqrt(max(tail, 0.0))))
     return values
+
+
+def allocating_matvec(op, x: np.ndarray) -> np.ndarray:
+    """forward._Operator.apply as it was before the operator kept a
+    workspace: every call scatters the spectral terms into new zeroed
+    padded buffers and concatenates the pruned transforms' live rows and
+    columns.  Same arithmetic in the same order, so the two must agree
+    bit for bit."""
+    K, M, P, N = op.K, op.M, op.P, op.N_f
+
+    def to_phys(C):
+        rows = np.zeros(C.shape[:-1] + (P,), dtype=complex)
+        rows[..., :N + 1] = C[..., N:]
+        rows[..., P - N:] = C[..., :N]
+        rows = sfft.ifft(rows, axis=-1, norm="forward", overwrite_x=True)
+        full = np.zeros(C.shape[:-2] + (P, P), dtype=complex)
+        full[..., :N + 1, :] = rows[..., N:, :]
+        full[..., P - N:, :] = rows[..., :N, :]
+        return sfft.ifft(full, axis=-2, norm="forward", overwrite_x=True)
+
+    def to_spec(U):
+        F = sfft.fft(U, axis=-2, norm="forward")
+        cols = np.concatenate([F[..., -N:, :], F[..., :N + 1, :]], axis=-2)
+        F = sfft.fft(cols, axis=-1, norm="forward", overwrite_x=True)
+        return np.concatenate([F[..., -N:], F[..., :N + 1]], axis=-1)
+
+    def dz_apply(D, S):
+        flat = S.reshape(K * K, M + 1)
+        return (D @ flat.T).T.reshape(K, K, M + 1)
+
+    S = x.reshape(K, K, M + 1)
+    SZ = dz_apply(op.Dz, S)
+    SZZ = dz_apply(op.Dzz, S)
+
+    def lead(A):
+        return np.moveaxis(A[:, :, 1:M], -1, 0)
+
+    spec = np.empty((5 * (M - 1) + 1, K, K), dtype=complex)
+    terms = spec[:-1].reshape(5, M - 1, K, K)
+    sz = lead(SZ)
+    terms[0] = op.lat * lead(S)
+    terms[1] = lead(SZZ)
+    terms[2] = op.iax * sz
+    terms[3] = op.iay * sz
+    terms[4] = sz
+    spec[-1] = op.Z * S[:, :, M]
+    phys = to_phys(spec)
+    lat_p, szz_p, sxz_p, syz_p, sz_p = phys[:-1].reshape(5, M - 1, P, P)
+
+    cf = op.cf
+    inner = slice(1, M)
+    prod = np.empty((M, P, P), dtype=complex)
+    prod[:-1] = (cf.c1 * lat_p + cf.c2[inner] * szz_p
+                 - cf.c3[inner] * sxz_p - cf.c4[inner] * syz_p
+                 - cf.c5[inner] * sz_p)
+    prod[-1] = (cf.one_minus_f_over_a / op.cfg.rho) * phys[-1]
+    back = to_spec(prod)
+
+    out = np.empty((K, K, M + 1), dtype=complex)
+    out[:, :, 0] = S[:, :, 0]
+    out[:, :, 1:M] = np.moveaxis(back[:-1], 0, -1)
+    out[:, :, M] = SZ[:, :, M] - back[-1]
+    return out.reshape(-1)

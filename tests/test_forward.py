@@ -1,11 +1,13 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import gmres
 
-from oracles import synthesize_linear_data
+from oracles import allocating_matvec, synthesize_linear_data
+from superlens_imaging import forward
 from superlens_imaging.core import PhysicalConfig, mode_scalars
 from superlens_imaging.errors import (NoConvergence, NyquistViolation,
                                       ProfileTooTall, ResonantMode)
@@ -117,6 +119,47 @@ def test_pruned_lateral_transforms_match_full_fft(phys_table1):
     want = (np.fft.fft2(U) / (P * P))[:, idx[:, None], idx[None, :]]
     got = op._to_spec(U)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+_WORKSPACE_GRIDS = {
+    "fast-fd4": FAST,
+    "fast-fd2": replace(FAST, fd_order=2),
+    "pad-band-2": Discretization(I=9, N_f=1, M=16),  # P=5, K=3
+}
+
+
+@pytest.mark.parametrize("grid", list(_WORKSPACE_GRIDS))
+def test_apply_matches_allocating_matvec_bitwise(phys_table1, grid):
+    # x1, x2, x1: a pad entry left over from an earlier call would show in
+    # the repeat; the first result must not change when the workspace is
+    # reused, so it cannot be a view of it
+    op = _operator(phys_table1, _WORKSPACE_GRIDS[grid])
+    rng = np.random.default_rng(3)
+    x1, x2 = (rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+              for _ in range(2))
+    first = op.apply(x1)
+    kept = first.copy()
+    assert np.array_equal(first, allocating_matvec(op, x1))
+    assert np.array_equal(op.apply(x2), allocating_matvec(op, x2))
+    assert np.array_equal(first, kept)
+    assert not np.shares_memory(first, op._ws)
+    assert np.array_equal(op.apply(x1), kept)
+
+
+def test_apply_does_not_rely_on_in_place_transforms(phys_table1,
+                                                    monkeypatch):
+    # a scipy.fft that returns new arrays: the results are copied back
+    op = _operator(phys_table1, FAST)
+    x = np.random.default_rng(4).normal(size=op.dim) + 0j
+    want = allocating_matvec(op, x)
+
+    sfft = forward.sfft
+    copying = SimpleNamespace(
+        fft=lambda a, **kw: sfft.fft(a.copy(), **kw),
+        ifft=lambda a, **kw: sfft.ifft(a.copy(), **kw))
+    monkeypatch.setattr(forward, "sfft", copying)
+    assert np.array_equal(op.apply(x), want)
+    assert np.array_equal(op.apply(x), want)
 
 
 @pytest.mark.parametrize("fd_order", [2, 4])
