@@ -21,18 +21,15 @@ band-limited surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
-import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import splu
 
 from .core import (PhysicalConfig, alpha_grid, gamma_eta_grid, mode_grid,
                    tau_of)
-from .errors import (DegenerateSlab, NoConvergence, NyquistViolation,
-                     ProfileTooTall, ResonantMode)
+from .errors import (DegenerateSlab, NearSingularSystem, NoConvergence,
+                     NyquistViolation, ProfileTooTall, ResonantMode)
 from .profiles import SurfaceProfile, band_limited_profile
 from .spectral import SpectrumField, synthesize
 
@@ -120,6 +117,19 @@ def deriv_matrix(M: int, h: float, d: int, p: int) -> np.ndarray:
         w = fd_weights(z[lo:hi + 1], z[j], d)
         D[j, lo:hi + 1] = w[:, d]
     return D
+
+
+def _band_rows(D: np.ndarray, p: int) -> np.ndarray:
+    """(n, 2p+1) array whose row i holds D[i, i-p..i+p], zero outside D."""
+    n = len(D)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(D, ((0, 0), (p, p))), 2 * p + 1, axis=1)
+    return windows[np.arange(n), np.arange(n)]
+
+
+def _half_bandwidth(D: np.ndarray) -> int:
+    i, j = np.nonzero(D)
+    return int(np.max(np.abs(i - j)))
 
 
 # --- coefficient fields ------------------------------------------------------
@@ -214,16 +224,6 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
 
 # --- the discrete operator ---------------------------------------------------
 
-def _in_place(transform, buf: np.ndarray, axis: int) -> None:
-    """One scipy.fft transform of buf along axis, left in buf.  scipy
-    writes into its input when told it may overwrite it, and returns a new
-    view of that memory; any other result is copied back."""
-    out = transform(buf, axis=axis, norm="forward", overwrite_x=True)
-    if (out.__array_interface__["data"] != buf.__array_interface__["data"]
-            or out.strides != buf.strides):
-        buf[...] = out
-
-
 class _Operator:
     """Matrix-free application of the collocation system.
 
@@ -241,9 +241,10 @@ class _Operator:
     transforms run.  The previous call's transforms and products fill the
     whole workspace, so every call re-zeroes the pad band before writing
     the live entries.  The products overwrite the first M slices and are
-    transformed back there.  Each call returns a fresh vector, but the
-    workspace is shared, so one operator must not run two apply() calls
-    at once.
+    transformed back there.  The z-derivatives work on a z-leading copy of
+    the state, (M+1, K, K), kept beside the workspace.  Each call returns a
+    fresh vector, but the buffers are shared, so one operator must not run
+    two apply() calls at once.
     """
 
     def __init__(self, cfg: PhysicalConfig, disc: Discretization,
@@ -263,8 +264,8 @@ class _Operator:
         self.trace_coef = cf.one_minus_f_over_a / cfg.rho
 
         hz = cfg.a / M
-        self.Dz = sp.csr_matrix(deriv_matrix(M, hz, 1, disc.fd_order))
-        self.Dzz = sp.csr_matrix(deriv_matrix(M, hz, 2, disc.fd_order))
+        self.Dz = deriv_matrix(M, hz, 1, disc.fd_order)
+        self.Dzz = deriv_matrix(M, hz, 2, disc.fd_order)
 
         self.Z, self.zeta, self.eta_w = _impedance(n1g, n2g, cfg)
 
@@ -278,6 +279,16 @@ class _Operator:
                            for pr, mr in zip(self._live, modes)
                            for pc, mc in zip(self._live, modes)]
         self._ws = np.zeros((5 * (M - 1) + 1, P, P), dtype=complex)
+        # the z-leading state between p zero levels on either side, its
+        # float64 windows of 2p+1 levels, and the two z-derivatives
+        p = max(_half_bandwidth(self.Dz), _half_bandwidth(self.Dzz))
+        self._bands = np.stack([_band_rows(D, p) for D in (self.Dz, self.Dzz)])
+        padded = np.zeros((M + 1 + 2 * p, K, K), dtype=complex)
+        self._state = padded[p:M + 1 + p]
+        self._windows = np.lib.stride_tricks.sliding_window_view(
+            padded.reshape(M + 1 + 2 * p, -1).view(np.float64),
+            2 * p + 1, axis=0)
+        self._derivs = np.empty((2, M + 1, K, K), dtype=complex)
 
     # spectral (..., K, K) <-> physical (..., P, P), in place on a padded
     # buffer.  Only the K live rows and columns of the padded spectrum are
@@ -285,20 +296,15 @@ class _Operator:
     # the other on all P.
     def _ifft_live(self, buf: np.ndarray) -> None:
         for rows in self._live:
-            _in_place(sfft.ifft, buf[..., rows, :], -1)
-        _in_place(sfft.ifft, buf, -2)
+            live = buf[..., rows, :]
+            np.fft.ifft(live, axis=-1, norm="forward", out=live)
+        np.fft.ifft(buf, axis=-2, norm="forward", out=buf)
 
     def _fft_live(self, buf: np.ndarray) -> None:
-        _in_place(sfft.fft, buf, -2)
+        np.fft.fft(buf, axis=-2, norm="forward", out=buf)
         for rows in self._live:
-            _in_place(sfft.fft, buf[..., rows, :], -1)
-
-    def _to_phys(self, C: np.ndarray) -> np.ndarray:
-        buf = np.zeros(C.shape[:-2] + (self.P, self.P), dtype=complex)
-        for pad, mode in self._quadrants:
-            buf[pad] = C[mode]
-        self._ifft_live(buf)
-        return buf
+            live = buf[..., rows, :]
+            np.fft.fft(live, axis=-1, norm="forward", out=live)
 
     def _to_spec(self, U: np.ndarray) -> np.ndarray:
         buf = np.array(U, dtype=complex)
@@ -308,26 +314,33 @@ class _Operator:
             out[mode] = buf[pad]
         return out
 
-    def _dz_apply(self, D: sp.csr_matrix, S: np.ndarray) -> np.ndarray:
-        K, M1 = self.K, self.M + 1
-        flat = S.reshape(K * K, M1)
-        return (D @ flat.T).T.reshape(K, K, M1)
+    def _z_derivatives(self, S: np.ndarray):
+        """The state z-leading, (M+1, K, K), and its first and second
+        z-derivatives, in the operator's buffers.
+
+        Level i of a derivative is the sum over the band of D's row i times
+        the state's levels i-p..i+p, taken in increasing level from zero, as
+        a CSR product sums it; so the two agree bit for bit.  einsum without
+        `optimize` runs the sum as scaled adds of whole levels and never
+        calls BLAS.
+        """
+        np.copyto(self._state, np.moveaxis(S, -1, 0))
+        np.einsum("dis,iks->dik", self._bands, self._windows,
+                  out=self._derivs.reshape(2, self.M + 1, -1).view(np.float64))
+        return self._state, self._derivs[0], self._derivs[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         K, M, P = self.K, self.M, self.P
         S = x.reshape(K, K, M + 1)
-        SZ = self._dz_apply(self.Dz, S)
-        SZZ = self._dz_apply(self.Dzz, S)
-
-        def lead(A):  # interior levels 1..M-1, z leading
-            return np.moveaxis(A[:, :, 1:M], -1, 0)
+        T, SZ, SZZ = self._z_derivatives(S)
 
         ws = self._ws
         for rows in self._live:
             ws[:, rows, self._dead] = 0
         ws[:, self._dead, :] = 0
         lat, szz, sxz, syz, sz = ws[:-1].reshape(5, M - 1, P, P)
-        s, s_z, s_zz, trace = lead(S), lead(SZ), lead(SZZ), S[:, :, M]
+        # interior levels 1..M-1
+        s, s_z, s_zz, trace = T[1:M], SZ[1:M], SZZ[1:M], T[M]
         for pad, mode in self._quadrants:
             np.multiply(self.lat[mode], s[mode], out=lat[pad])
             szz[pad] = s_zz[mode]
@@ -355,11 +368,11 @@ class _Operator:
         out = np.empty((K, K, M + 1), dtype=complex)
         # row 0: Dirichlet on the flattened surface
         out[:, :, 0] = S[:, :, 0]
-        rows, row_m = lead(out), out[:, :, M]
+        rows, row_m = np.moveaxis(out[:, :, 1:M], -1, 0), out[:, :, M]
         for pad, mode in self._quadrants:
             rows[mode] = lat[pad]
             # row M: one-sided dz minus the impedance term
-            np.subtract(SZ[:, :, M][mode], ws[M - 1][pad], out=row_m[mode])
+            np.subtract(SZ[M][mode], ws[M - 1][pad], out=row_m[mode])
         return out.reshape(-1)
 
     def rhs(self) -> np.ndarray:
@@ -376,19 +389,78 @@ class _Operator:
         That operator is mode-diagonal: one banded (M+1)x(M+1) block per
         lateral mode, sharing the FD rows and differing only by the
         a^2 * (omega^2 - |alpha|^2) diagonal on the interior rows and -Z/rho
-        at row M.  The block-diagonal matrix is factored once by a sparse
-        LU in natural order; the blocks have half-bandwidth <= 5, so the
-        factors stay banded.
+        at row M.
         """
         K, M = self.K, self.M
         a2 = self.cfg.a ** 2
-        e0 = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, M + 1))
-        shared = sp.vstack([e0, a2 * self.Dzz[1:M], self.Dz[M]])
-        diag = np.zeros((K, K, M + 1), dtype=complex)
-        diag[:, :, 1:M] = a2 * self.lat[:, :, None]
-        diag[:, :, M] = -self.Z / self.cfg.rho
-        A0 = sp.kron(sp.identity(K * K), shared) + sp.diags(diag.reshape(-1))
-        return splu(A0.tocsc(), permc_spec="NATURAL").solve
+        shared = np.zeros((M + 1, M + 1))
+        shared[0, 0] = 1.0
+        shared[1:M] = a2 * self.Dzz[1:M]
+        shared[M] = self.Dz[M]
+        diag = np.zeros((M + 1, K, K), dtype=complex)
+        diag[1:M] = a2 * self.lat
+        diag[M] = -self.Z / self.cfg.rho
+        return _BandedLU(shared, diag.reshape(M + 1, K * K)).solve
+
+
+class _BandedLU:
+    """LU factors of B banded (n x n) blocks A_k = shared + diag(d_k) that
+    share every entry off the diagonal; diag is (n, B), column k holding d_k.
+
+    All blocks are factored at once, without pivoting, in band storage:
+    ab[i, p + j - i, k] holds entry (i, j) of block k, for half-bandwidth p.
+    Elimination keeps the band, so L (unit, below) and U (above) overwrite
+    it.  Each step of the factorization and of both substitutions is one
+    level i, vectorized over the blocks.  A pivot below 1e-12 times the
+    largest entry of its row in A_k raises NearSingularSystem before any
+    solve.  solve() takes and returns vectors laid out block by block,
+    (B, n) C-order flattened.
+    """
+
+    def __init__(self, shared: np.ndarray, diag: np.ndarray):
+        n, B = diag.shape
+        p = _half_bandwidth(shared)
+        ab = np.zeros((n + p, 2 * p + 1, B), dtype=complex)
+        ab[:n] = _band_rows(shared, p)[:, :, None]
+        ab[:n, p] += diag
+        row_max = np.max(np.abs(ab[:n]), axis=1)
+
+        # skewed views over the band: for pivot row j, lower[j, s - 1] is
+        # entry (j + s, j) and upper[j, s - 1] the entries (j + s, j + 1..j + p)
+        # of rows s = 1..p below it; the p zero pad rows absorb the overhang
+        # past row n - 1, so the steps near the end need no special case
+        it, R, C = ab.strides[2], ab.strides[0], ab.strides[1]
+        skew = np.lib.stride_tricks.as_strided
+        lower = skew(ab[1:, p - 1], (n, p, B), (R, R - C, it))
+        upper = skew(ab[1:, p:], (n, p, p, B), (R, R - C, C, it))
+        for j in range(n):
+            pivot = ab[j, p]
+            small = ~(np.abs(pivot) > 1e-12 * row_max[j])
+            if small.any():
+                k = int(np.argmax(small))
+                raise NearSingularSystem(
+                    f"flat-surface preconditioner: pivot {j} of block {k} "
+                    f"vanishes")
+            lj = lower[j]
+            lj /= pivot
+            upper[j] -= lj[:, None, :] * ab[j, p + 1:]
+        self.n, self.p, self.B = n, p, B
+        self._ab = ab[:n]
+        self._inv_pivots = 1 / ab[:n, p]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        n, p, ab = self.n, self.p, self._ab
+        # level i of the block-leading solution sits at row p + i, between
+        # p zero rows on either side
+        y = np.zeros((n + 2 * p, self.B), dtype=complex)
+        y[p:n + p] = b.reshape(self.B, n).T
+        for i in range(1, n):
+            y[p + i] -= np.einsum("sk,sk->k", ab[i, :p], y[i:p + i])
+        for i in range(n - 1, -1, -1):
+            y[p + i] -= np.einsum("sk,sk->k", ab[i, p + 1:],
+                                  y[p + i + 1:2 * p + i + 1])
+            y[p + i] *= self._inv_pivots[i]
+        return y[p:n + p].T.reshape(-1)
 
 
 # --- GMRES -------------------------------------------------------------------
@@ -406,11 +478,25 @@ def _norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i->", r, r)))
 
 
+def _givens(f: complex, g: complex):
+    """(c, s, r) with c real >= 0 and [[c, s], [-conj(s), c]] @ [f, g] =
+    [r, 0], in LAPACK zlartg's convention: r = (f/|f|) hypot(|f|, |g|),
+    (1, 0, f) for g = 0 and (0, conj(g)/|g|, |g|) for f = 0."""
+    if g == 0:
+        return 1.0, 0j, f
+    if f == 0:
+        r = abs(g)
+        return 0.0, g.conjugate() / r, complex(r)
+    af = abs(f)
+    d, u = math.hypot(af, abs(g)), f / af
+    return af / d, u * g.conjugate() / d, u * d
+
+
 def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     """Left-preconditioned restarted GMRES (Saad & Schultz 1986) from x = 0,
     step for step as scipy.sparse.linalg.gmres (scipy 1.17) runs it with
     atol=0, restart=min(50, iter_max) and ceil(iter_max / restart) cycles:
-    modified Gram-Schmidt, LAPACK Givens rotations, and the inner
+    modified Gram-Schmidt, zlartg's Givens rotations, and the inner
     tolerance control of scipy gh-8400.
 
     Returns (x, inner iterations, ||b - A x||), the iterations counted as
@@ -428,7 +514,6 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     eps = np.finfo(complex).eps
     restart = min(50, iter_max)
     cycles = -(-iter_max // restart)
-    lartg = get_lapack_funcs("lartg", dtype=complex)
 
     # gh-8400: the inner loop stops on the preconditioned residual, ptol
     ptol_max_factor = 1.0
@@ -469,7 +554,8 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
                 n0, n1 = h[col, k], h[col, k + 1]
                 h[col, k] = c * n0 + s * n1
                 h[col, k + 1] = -s.conj() * n0 + c * n1
-            c, s, mag = lartg(h[col, col], h[col, col + 1])
+            c, s, mag = _givens(complex(h[col, col]),
+                                complex(h[col, col + 1]))
             givens[col] = c, s
             h[col, col], h[col, col + 1] = mag, 0
             tmp = -np.conjugate(s) * S[col]
@@ -541,12 +627,8 @@ def solve_forward(profile: SurfaceProfile, cfg: PhysicalConfig,
     cf = coefficient_fields(profile, cfg, disc)
     op = _Operator(cfg, disc, cf)
     b = op.rhs()
-    # held until the function returns: freeing the LU factors before the
-    # residual check and back-substitution raised peak RSS by about 9 MB
-    # over repeated full-resolution solves
-    psolve = op.preconditioner()
-    x, iterations, rnorm = _gmres(op.apply, psolve, b, 0.05 * disc.iter_tol,
-                                  disc.iter_max)
+    x, iterations, rnorm = _gmres(op.apply, op.preconditioner(), b,
+                                  0.05 * disc.iter_tol, disc.iter_max)
 
     res = rnorm / _norm(b)
     if res > disc.iter_tol:

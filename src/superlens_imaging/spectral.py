@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
 from .errors import CutoffOutOfRange
 
@@ -76,9 +75,28 @@ def dft2(u: np.ndarray) -> SpectrumField:
     For even grid sizes the un-pairable Nyquist row/column is dropped.
     """
     I1, I2 = u.shape
+    scale = 1 / (I1 * I2)
+    if np.iscomplexobj(u):
+        F = np.fft.fft(u, axis=0)
+        F *= scale
+        np.fft.fft(F, axis=1, out=F)
+    else:
+        # real data: a real-input FFT along the rows, the column FFT on the
+        # n2 >= 0 half, and the rest by conjugate symmetry, which also makes
+        # the self-mirrored columns n2 = 0 (and I2/2) exactly Hermitian
+        h = I2 // 2 + 1
+        F = np.empty((I1, I2), dtype=complex)
+        half = F[:, :h]
+        np.fft.rfft(u, axis=1, out=half)
+        half *= scale
+        np.fft.fft(half, axis=0, out=half)
+        up = np.arange(1, (I1 + 1) // 2)[:, None]
+        cols = [0, I2 // 2][:2 - I2 % 2]
+        F[-up, cols] = F[up, cols].conj()
+        F[:, h:] = F[-np.arange(I1), I2 - h:0:-1].conj()
     # after fftshift index k holds mode k - I//2, so an even size puts its
     # Nyquist line first
-    F = sfft.fftshift(sfft.fft2(u, norm="forward"))
+    F = np.fft.fftshift(F)
     return SpectrumField(F[1 - I1 % 2:, 1 - I2 % 2:],
                          window_halfwidth(I1), window_halfwidth(I2))
 
@@ -106,12 +124,12 @@ def synthesize(coeffs: SpectrumField, N: int, grid_shape: tuple[int, int],
         block = 0.5 * (block[:, N:] + block[::-1, N::-1].conj())
     rows = np.zeros((I1, block.shape[1]), dtype=complex)
     rows[np.arange(-N, N + 1) % I1] = block
-    cols = sfft.ifft(rows, axis=0, norm="forward", overwrite_x=True)
+    cols = np.fft.ifft(rows, axis=0, norm="forward", out=rows)
     if take_real:
-        return sfft.irfft(cols, n=I2, axis=1, norm="forward")
+        return np.fft.irfft(cols, n=I2, axis=1, norm="forward")
     full = np.zeros((I1, I2), dtype=complex)
     full[:, np.arange(-N, N + 1) % I2] = cols
-    return sfft.ifft(full, axis=1, norm="forward", overwrite_x=True)
+    return np.fft.ifft(full, axis=1, norm="forward", out=full)
 
 
 def grid_l2_norm(u: np.ndarray) -> float:

@@ -17,6 +17,7 @@ import cmath
 
 import numpy as np
 import scipy.fft as sfft
+import scipy.sparse as sp
 
 from superlens_imaging.core import Mode, PhysicalConfig, mode_scalars, tau_of
 from superlens_imaging.profiles import SurfaceProfile, profile_spectrum
@@ -209,10 +210,11 @@ def residual_curve_masked_sums(U_delta: SpectrumField, cfg: PhysicalConfig,
 
 def allocating_matvec(op, x: np.ndarray) -> np.ndarray:
     """forward._Operator.apply as it was before the operator kept a
-    workspace: every call scatters the spectral terms into new zeroed
-    padded buffers and concatenates the pruned transforms' live rows and
-    columns.  Same arithmetic in the same order, so the two must agree
-    bit for bit."""
+    workspace: every call applies the z-derivatives as CSR products,
+    scatters the spectral terms into new zeroed padded buffers and
+    concatenates the pruned transforms' live rows and columns, all through
+    scipy.  Same arithmetic in the same order, so the two must agree bit
+    for bit."""
     K, M, P, N = op.K, op.M, op.P, op.N_f
 
     def to_phys(C):
@@ -233,7 +235,7 @@ def allocating_matvec(op, x: np.ndarray) -> np.ndarray:
 
     def dz_apply(D, S):
         flat = S.reshape(K * K, M + 1)
-        return (D @ flat.T).T.reshape(K, K, M + 1)
+        return (sp.csr_matrix(D) @ flat.T).T.reshape(K, K, M + 1)
 
     S = x.reshape(K, K, M + 1)
     SZ = dz_apply(op.Dz, S)

@@ -1,7 +1,8 @@
 """Command-line interface: exit codes, file outputs, round trips.
 
-All but one test drive main(argv) in-process; a single subprocess test
-covers the installed console script.
+All but two tests drive main(argv) in-process; one subprocess test
+covers the installed console script, and one checks in a fresh interpreter
+that importing the CLI imports no scipy module.
 """
 
 import contextlib
@@ -431,3 +432,13 @@ def test_console_entry_point():
                            "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_package_import_needs_no_scipy():
+    # scipy is a test dependency only: the package imports numpy alone
+    code = ("import sys, superlens_imaging.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[]"

@@ -1,20 +1,22 @@
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import gmres
+import scipy.sparse as sp
+from scipy.linalg import get_lapack_funcs
+from scipy.sparse.linalg import gmres, splu
 
 from oracles import allocating_matvec, synthesize_linear_data
-from superlens_imaging import forward
 from superlens_imaging.core import PhysicalConfig, mode_scalars
-from superlens_imaging.errors import (NoConvergence, NyquistViolation,
-                                      ProfileTooTall, ResonantMode)
-from superlens_imaging.forward import (Discretization, _gmres, _impedance,
-                                       _Operator, coefficient_fields,
-                                       deriv_matrix, fd_weights,
-                                       reflected_flux, solve_forward)
+from superlens_imaging.errors import (NearSingularSystem, NoConvergence,
+                                      NyquistViolation, ProfileTooTall,
+                                      ResonantMode)
+from superlens_imaging.forward import (Discretization, _BandedLU, _givens,
+                                       _gmres, _impedance, _Operator,
+                                       coefficient_fields, deriv_matrix,
+                                       fd_weights, reflected_flux,
+                                       solve_forward)
 from superlens_imaging.profiles import (band_limited_profile, builtin_glyph,
                                         image_profile, trig_profile)
 from superlens_imaging.tfe import solve_zeroth, u0_top
@@ -112,7 +114,8 @@ def test_pruned_lateral_transforms_match_full_fft(phys_table1):
     embedded = np.zeros((5, P, P), dtype=complex)
     embedded[:, idx[:, None], idx[None, :]] = C
     want = np.fft.ifft2(embedded) * P * P
-    got = op._to_phys(C)
+    got = embedded.copy()
+    op._ifft_live(got)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     U = rng.normal(size=(5, P, P)) + 1j * rng.normal(size=(5, P, P))
@@ -146,20 +149,19 @@ def test_apply_matches_allocating_matvec_bitwise(phys_table1, grid):
     assert np.array_equal(op.apply(x1), kept)
 
 
-def test_apply_does_not_rely_on_in_place_transforms(phys_table1,
-                                                    monkeypatch):
-    # a scipy.fft that returns new arrays: the results are copied back
-    op = _operator(phys_table1, FAST)
-    x = np.random.default_rng(4).normal(size=op.dim) + 0j
-    want = allocating_matvec(op, x)
-
-    sfft = forward.sfft
-    copying = SimpleNamespace(
-        fft=lambda a, **kw: sfft.fft(a.copy(), **kw),
-        ifft=lambda a, **kw: sfft.ifft(a.copy(), **kw))
-    monkeypatch.setattr(forward, "sfft", copying)
-    assert np.array_equal(op.apply(x), want)
-    assert np.array_equal(op.apply(x), want)
+@pytest.mark.parametrize("fd_order", [2, 4])
+def test_z_derivatives_match_csr_product_bitwise(phys_table1, fd_order):
+    # oracle: the CSR product the operator used to apply
+    op = _operator(phys_table1, replace(FAST, fd_order=fd_order))
+    rng = np.random.default_rng(fd_order)
+    S = (rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)).reshape(
+        op.K, op.K, op.M + 1)
+    T, SZ, SZZ = op._z_derivatives(S)
+    flat = S.reshape(-1, op.M + 1)
+    assert np.array_equal(T, np.moveaxis(S, -1, 0))
+    for got, D in ((SZ, op.Dz), (SZZ, op.Dzz)):
+        want = (sp.csr_matrix(D) @ flat.T).reshape(got.shape)
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("fd_order", [2, 4])
@@ -170,6 +172,70 @@ def test_preconditioner_inverts_flat_operator(phys_table1, fd_order):
     x = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
     back = op.preconditioner()(op.apply(x))
     assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
+
+
+_FLAT_MEDIA = {
+    "fd4": (lambda c: c, FAST),
+    "fd2": (lambda c: c, replace(FAST, fd_order=2)),
+    "no-slab": (lambda c: replace(c, rho=1 + 0j, kappa=1 + 0j), FAST),
+    "lossless": (lambda c: replace(c, rho=-1 + 0j, kappa=-1 + 0j), FAST),
+}
+
+
+@pytest.mark.parametrize("medium", list(_FLAT_MEDIA))
+def test_banded_lu_matches_splu(phys_table1, medium):
+    # oracle: scipy's sparse LU of the assembled block-diagonal flat
+    # operator, with the same shared rows and per-mode diagonal
+    adjust, disc = _FLAT_MEDIA[medium]
+    op = _operator(adjust(replace(phys_table1, epsilon=0.0)), disc)
+    K2, M = op.K * op.K, op.M
+    a2 = op.cfg.a ** 2
+    shared = sp.vstack([sp.csr_matrix(([1.0], ([0], [0])), shape=(1, M + 1)),
+                        a2 * sp.csr_matrix(op.Dzz[1:M]),
+                        sp.csr_matrix(op.Dz[M:])])
+    diag = np.zeros((K2, M + 1), dtype=complex)
+    diag[:, 1:M] = a2 * op.lat.reshape(K2, 1)
+    diag[:, M] = -op.Z.reshape(K2) / op.cfg.rho
+    A0 = sp.kron(sp.identity(K2), shared) + sp.diags(diag.reshape(-1))
+    b = [1, 1j] @ np.random.default_rng(5).normal(size=(2, op.dim))
+    want = splu(A0.tocsc()).solve(b)
+    got = op.preconditioner()(b)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_banded_lu_rejects_vanishing_pivot():
+    # block 1 is [[1, 1], [1, 1]]: its second pivot is exactly zero, while
+    # block 0 is regular
+    shared = np.ones((2, 2))
+    diag = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(NearSingularSystem, match="block 1"):
+        _BandedLU(shared, diag)
+    # diag's columns are the blocks' diagonals; b and x go block by block
+    diag[:, 1] = 1j
+    b = np.array([[3.0, 4.0], [5.0, 6.0]])
+    x = _BandedLU(shared, diag).solve(b.reshape(-1)).reshape(2, 2)
+    for k in range(2):
+        assert np.allclose(x[k], np.linalg.solve(shared + np.diag(diag[:, k]),
+                                                 b[k]), rtol=1e-14)
+
+
+def test_givens_matches_lapack_lartg():
+    # oracle: LAPACK's zlartg, as scipy exposes it
+    lartg = get_lapack_funcs("lartg", dtype=complex)
+    rng = np.random.default_rng(11)
+    z = (rng.normal(size=(200, 2, 2)) @ [1, 1j]) * 10.0 ** rng.uniform(
+        -3, 3, size=(200, 2))
+    pairs = [tuple(map(complex, fg)) for fg in z]
+    pairs += [(0j, 1 - 2j), (0j, 3j), (2 + 1j, 0j), (0j, 0j),
+              (1e-200 + 0j, 1 + 0j), (1e200 + 1e199j, 3e199 + 0j)]
+    for f, g in pairs:
+        c, s, r = _givens(f, g)
+        want = lartg(f, g)
+        for got, ref in zip((c, s, r), want):
+            assert abs(got - ref) <= 1e-15 * max(abs(ref), 1e-300)
+        assert isinstance(c, float) and c >= 0
+        assert abs(c * f + s * g - r) <= 1e-15 * abs(r) + 1e-300
+        assert abs(-s.conjugate() * f + c * g) <= 1e-15 * max(abs(f), abs(g))
 
 
 def _nonnormal_system(coupling, n=100):

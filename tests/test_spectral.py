@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -151,3 +152,20 @@ def test_dft2_even_sampling_convention():
     u = np.exp(2j * np.pi * X)
     U = dft2(u)
     assert U.coeff((1, 0)) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(99, 99), (49, 49), (33, 33), (98, 98),
+                                   (99, 64), (64, 99), (1, 1), (2, 3)])
+@pytest.mark.parametrize("real", [True, False])
+def test_dft2_matches_scipy_fft2_bitwise(shape, real):
+    # oracle: scipy's two-axis FFT, cut to the centered window
+    rng = np.random.default_rng(sum(shape))
+    u = rng.normal(size=shape)
+    if not real:
+        u = u + 1j * rng.normal(size=shape)
+    F = sfft.fftshift(sfft.fft2(u, norm="forward"))
+    want = F[1 - shape[0] % 2:, 1 - shape[1] % 2:]
+    got = dft2(u).values
+    assert np.array_equal(got, want)
+    if real:  # real data has an exactly Hermitian window
+        assert np.array_equal(got, got[::-1, ::-1].conj())
