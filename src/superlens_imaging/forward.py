@@ -224,6 +224,13 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
 
 # --- the discrete operator ---------------------------------------------------
 
+# interior z-levels per pass of the matvec pipeline.  At full resolution
+# (P = 49) five terms of eight padded slices take 1.5 MB and stay in a 4 MB
+# L2 cache between the stages; on a 2-vCPU VM with that cache, 6 and 10
+# levels ran as fast, 16 or all 63 at once were slower.
+_LEVEL_BLOCK = 8
+
+
 class _Operator:
     """Matrix-free application of the collocation system.
 
@@ -232,19 +239,22 @@ class _Operator:
     identity, rows 1..M-1 the transformed PDE, row M the impedance
     interface condition.
 
-    apply() works in one complex (5(M-1)+1, P, P) workspace that lives as
-    long as the operator: five blocks of M-1 slices for the PDE terms on
-    the interior levels, then one slice for the impedance trace.  Each
-    slice holds a padded lateral spectrum, mode (n1, n2) at row n1 mod P
-    and column n2 mod P.  So only rows and columns 0..N_f and P-N_f..P-1
-    are live; the pad band between them must be zero when the inverse
-    transforms run.  The previous call's transforms and products fill the
-    whole workspace, so every call re-zeroes the pad band before writing
-    the live entries.  The products overwrite the first M slices and are
-    transformed back there.  The z-derivatives work on a z-leading copy of
-    the state, (M+1, K, K), kept beside the workspace.  Each call returns a
-    fresh vector, but the buffers are shared, so one operator must not run
-    two apply() calls at once.
+    apply() takes each lateral spectrum to the field by an inverse transform
+    of length P along both axes, with mode n at index n + N_f: the corner
+    [:K, :K] of a P x P slice, the rest zero.  That gives the field times
+    e^{iN_f(x+y)}; the coefficient products are pointwise, so the forward
+    transform cancels the phase, and product modes wrap onto indices
+    K..P-1, clear of the corner.  The interior levels go through the whole
+    pipeline in blocks of at most _LEVEL_BLOCK: write the five PDE terms as
+    (K, K) spectra, transform them into the padded workspace, take the
+    coefficient products into the first term, transform it back and copy
+    its corner into the output rows.  The workspace, (5, _LEVEL_BLOCK, P, P)
+    complex (1.5 MB at full resolution), stays in cache across the stages;
+    it and the block's spectra live as long as the operator, and the
+    impedance trace reuses their first slices after the last block.  The
+    z-derivatives work on a z-leading copy of the state, (M+1, K, K), kept
+    beside them.  Each call returns a fresh vector, but the buffers are
+    shared, so one operator must not run two apply() calls at once.
     """
 
     def __init__(self, cfg: PhysicalConfig, disc: Discretization,
@@ -269,16 +279,9 @@ class _Operator:
 
         self.Z, self.zeta, self.eta_w = _impedance(n1g, n2g, cfg)
 
-        # padded rows (or columns) of the modes >= 0 and < 0, the spectral
-        # indices they come from, and the pad band between them
-        self._live = (slice(None, N + 1), slice(P - N, None))
-        modes = (slice(N, None), slice(None, N))
-        self._dead = slice(N + 1, P - N)
-        # (padded, spectral) index of the four quadrants of the mode block
-        self._quadrants = [((..., pr, pc), (..., mr, mc))
-                           for pr, mr in zip(self._live, modes)
-                           for pc, mc in zip(self._live, modes)]
-        self._ws = np.zeros((5 * (M - 1) + 1, P, P), dtype=complex)
+        block = min(_LEVEL_BLOCK, M - 1)
+        self._spec = np.empty((5, block, K, K), dtype=complex)
+        self._ws = np.empty((5, block, P, P), dtype=complex)
         # the z-leading state between p zero levels on either side, its
         # float64 windows of 2p+1 levels, and the two z-derivatives
         p = max(_half_bandwidth(self.Dz), _half_bandwidth(self.Dzz))
@@ -290,29 +293,22 @@ class _Operator:
             2 * p + 1, axis=0)
         self._derivs = np.empty((2, M + 1, K, K), dtype=complex)
 
-    # spectral (..., K, K) <-> physical (..., P, P), in place on a padded
-    # buffer.  Only the K live rows and columns of the padded spectrum are
-    # non-zero, so each direction transforms one axis on the live rows and
-    # the other on all P.
-    def _ifft_live(self, buf: np.ndarray) -> None:
-        for rows in self._live:
-            live = buf[..., rows, :]
-            np.fft.ifft(live, axis=-1, norm="forward", out=live)
+    # spectrum (..., K, K) <-> phase-shifted field (..., P, P).  The inverse
+    # transform zero-pads the spectrum along the last axis as it writes the
+    # first K rows of buf, and then runs over all P columns; the forward one
+    # runs over all columns, then over the K rows the corner needs.
+    def _to_field(self, spec: np.ndarray, buf: np.ndarray) -> None:
+        K = self.K
+        buf[..., K:, :] = 0
+        np.fft.ifft(spec, n=self.P, axis=-1, norm="forward",
+                    out=buf[..., :K, :])
         np.fft.ifft(buf, axis=-2, norm="forward", out=buf)
 
-    def _fft_live(self, buf: np.ndarray) -> None:
+    def _to_corner(self, buf: np.ndarray) -> np.ndarray:
         np.fft.fft(buf, axis=-2, norm="forward", out=buf)
-        for rows in self._live:
-            live = buf[..., rows, :]
-            np.fft.fft(live, axis=-1, norm="forward", out=live)
-
-    def _to_spec(self, U: np.ndarray) -> np.ndarray:
-        buf = np.array(U, dtype=complex)
-        self._fft_live(buf)
-        out = np.empty(buf.shape[:-2] + (self.K, self.K), dtype=complex)
-        for pad, mode in self._quadrants:
-            out[mode] = buf[pad]
-        return out
+        live = buf[..., :self.K, :]
+        np.fft.fft(live, axis=-1, norm="forward", out=live)
+        return live[..., :self.K]
 
     def _z_derivatives(self, S: np.ndarray):
         """The state z-leading, (M+1, K, K), and its first and second
@@ -330,56 +326,55 @@ class _Operator:
         return self._state, self._derivs[0], self._derivs[1]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        K, M, P = self.K, self.M, self.P
+        K, M = self.K, self.M
         S = x.reshape(K, K, M + 1)
         T, SZ, SZZ = self._z_derivatives(S)
-
-        ws = self._ws
-        for rows in self._live:
-            ws[:, rows, self._dead] = 0
-        ws[:, self._dead, :] = 0
-        lat, szz, sxz, syz, sz = ws[:-1].reshape(5, M - 1, P, P)
-        # interior levels 1..M-1
-        s, s_z, s_zz, trace = T[1:M], SZ[1:M], SZZ[1:M], T[M]
-        for pad, mode in self._quadrants:
-            np.multiply(self.lat[mode], s[mode], out=lat[pad])
-            szz[pad] = s_zz[mode]
-            np.multiply(self.iax[mode], s_z[mode], out=sxz[pad])
-            np.multiply(self.iay[mode], s_z[mode], out=syz[pad])
-            sz[pad] = s_z[mode]
-            np.multiply(self.Z[mode], trace[mode], out=ws[-1][pad])
-        self._ifft_live(ws)
-
-        # c1 lat + c2 szz - c3 sxz - c4 syz - c5 sz, summed left to right
-        # into the first block; the interface row goes to slice M-1, whose
-        # szz term is spent by then
-        cf = self.cf
-        inner = slice(1, M)
-        np.multiply(cf.c1, lat, out=lat)
-        for c, term, accumulate in ((cf.c2, szz, np.add),
-                                    (cf.c3, sxz, np.subtract),
-                                    (cf.c4, syz, np.subtract),
-                                    (cf.c5, sz, np.subtract)):
-            np.multiply(c[inner], term, out=term)
-            accumulate(lat, term, out=lat)
-        np.multiply(self.trace_coef, ws[-1], out=ws[M - 1])
-        self._fft_live(ws[:M])
-
         out = np.empty((K, K, M + 1), dtype=complex)
+        rows = np.moveaxis(out, -1, 0)
         # row 0: Dirichlet on the flattened surface
-        out[:, :, 0] = S[:, :, 0]
-        rows, row_m = np.moveaxis(out[:, :, 1:M], -1, 0), out[:, :, M]
-        for pad, mode in self._quadrants:
-            rows[mode] = lat[pad]
-            # row M: one-sided dz minus the impedance term
-            np.subtract(SZ[M][mode], ws[M - 1][pad], out=row_m[mode])
+        rows[0] = T[0]
+
+        # rows 1..M-1: c1 lat + c2 szz - c3 sxz - c4 syz - c5 sz, summed
+        # left to right into the first term, one block of levels at a time
+        cf, block = self.cf, len(self._ws[0])
+        for j0 in range(1, M, block):
+            j1 = min(j0 + block, M)
+            spec, ws = self._spec[:, :j1 - j0], self._ws[:, :j1 - j0]
+            s_z = SZ[j0:j1]
+            np.multiply(self.lat, T[j0:j1], out=spec[0])
+            spec[1] = SZZ[j0:j1]
+            np.multiply(self.iax, s_z, out=spec[2])
+            np.multiply(self.iay, s_z, out=spec[3])
+            spec[4] = s_z
+            self._to_field(spec, ws)
+            lat, szz, sxz, syz, sz = ws
+            np.multiply(cf.c1, lat, out=lat)
+            for c, term, accumulate in ((cf.c2, szz, np.add),
+                                        (cf.c3, sxz, np.subtract),
+                                        (cf.c4, syz, np.subtract),
+                                        (cf.c5, sz, np.subtract)):
+                np.multiply(c[j0:j1], term, out=term)
+                accumulate(lat, term, out=lat)
+            rows[j0:j1] = self._to_corner(lat)
+
+        # row M: one-sided dz minus the impedance term, in the first slices
+        # of the blocks' buffers
+        trace, field = self._spec[0, 0], self._ws[0, 0]
+        np.multiply(self.Z, T[M], out=trace)
+        self._to_field(trace, field)
+        np.multiply(self.trace_coef, field, out=field)
+        np.subtract(SZ[M], self._to_corner(field), out=rows[M])
         return out.reshape(-1)
 
     def rhs(self) -> np.ndarray:
-        r = np.zeros((self.K, self.K, self.M + 1), dtype=complex)
-        zeta0 = self.zeta[self.N_f, self.N_f]
-        r[:, :, self.M] = (zeta0 / self.cfg.rho) * self._to_spec(
-            self.cf.one_minus_f_over_a.astype(complex))
+        K, P, M = self.K, self.P, self.M
+        # the forcing (1 - f/a) zeta_0 / rho on row M, its field shifted by
+        # e^{iN_f(x+y)} so that its spectrum lands in the corner
+        shift = np.exp(2j * np.pi * (self.N_f * np.arange(P) % P) / P)
+        field = self.cf.one_minus_f_over_a * np.multiply.outer(shift, shift)
+        r = np.zeros((K, K, M + 1), dtype=complex)
+        r[:, :, M] = (self.zeta[self.N_f, self.N_f] / self.cfg.rho
+                      * self._to_corner(field))
         return r.reshape(-1)
 
     def preconditioner(self):

@@ -5,10 +5,10 @@ Each one reaches its answer by a different route from the closed forms in
 must equal, an ODE quadrature of the first-order problem, substitution of
 the flat-surface field back into its defining conditions, the analytic
 spectrum of profile 1, inverse-crime linear data, residual tails summed
-one cut-off at a time, and the forward operator's matvec with freshly
-allocated, zero-filled padded buffers on every call.  They live beside
-the tests, not in the package, so that the code under test does not ship
-its own checks.
+one cut-off at a time, and the forward operator assembled as a dense
+matrix from the convolution matrices of its coefficient fields.  They live
+beside the tests, not in the package, so that the code under test does not
+ship its own checks.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
-import scipy.fft as sfft
-import scipy.sparse as sp
 
 from superlens_imaging.core import Mode, PhysicalConfig, mode_scalars, tau_of
 from superlens_imaging.profiles import SurfaceProfile, profile_spectrum
@@ -208,65 +206,60 @@ def residual_curve_masked_sums(U_delta: SpectrumField, cfg: PhysicalConfig,
     return values
 
 
-def allocating_matvec(op, x: np.ndarray) -> np.ndarray:
-    """forward._Operator.apply as it was before the operator kept a
-    workspace: every call applies the z-derivatives as CSR products,
-    scatters the spectral terms into new zeroed padded buffers and
-    concatenates the pruned transforms' live rows and columns, all through
-    scipy.  Same arithmetic in the same order, so the two must agree bit
-    for bit."""
-    K, M, P, N = op.K, op.M, op.P, op.N_f
+def _convolution(fields: np.ndarray, N: int) -> np.ndarray:
+    """(..., K^2, K^2) matrices of multiplication by the (..., P, P) fields,
+    P = 4N + 1, on the modes ||n||_inf <= N in the operator's order: entry
+    (n, m) is the field's DFT coefficient at n - m, summed as an explicit
+    DFT.  The differences n - m run over -2N..2N, one period of P."""
+    P, K = fields.shape[-1], 2 * N + 1
+    W = np.exp(-2j * np.pi * np.outer(np.arange(-2 * N, 2 * N + 1),
+                                      np.arange(P)) / P) / P
+    hat = W @ fields @ W.T
+    d = np.arange(K)[:, None] - np.arange(K)[None, :] + 2 * N
+    conv = hat[..., d[:, None, :, None], d[None, :, None, :]]
+    return conv.reshape(fields.shape[:-2] + (K * K, K * K))
 
-    def to_phys(C):
-        rows = np.zeros(C.shape[:-1] + (P,), dtype=complex)
-        rows[..., :N + 1] = C[..., N:]
-        rows[..., P - N:] = C[..., :N]
-        rows = sfft.ifft(rows, axis=-1, norm="forward", overwrite_x=True)
-        full = np.zeros(C.shape[:-2] + (P, P), dtype=complex)
-        full[..., :N + 1, :] = rows[..., N:, :]
-        full[..., P - N:, :] = rows[..., :N, :]
-        return sfft.ifft(full, axis=-2, norm="forward", overwrite_x=True)
 
-    def to_spec(U):
-        F = sfft.fft(U, axis=-2, norm="forward")
-        cols = np.concatenate([F[..., -N:, :], F[..., :N + 1, :]], axis=-2)
-        F = sfft.fft(cols, axis=-1, norm="forward", overwrite_x=True)
-        return np.concatenate([F[..., -N:], F[..., :N + 1]], axis=-1)
+def _level_blocks(op):
+    """Row block j of the collocation matrix, level by level, as lateral
+    (K^2, K^2) matrices (L, A1, A2): row block j is L (x) e_j + A1 (x) Dz[j]
+    + A2 (x) Dzz[j], for e_j the j-th unit row.  The transformed equation
+    c1 lat + c2 d_zz - c3 i alpha_1 d_z - c4 i alpha_2 d_z - c5 d_z on the
+    interior levels, term by term; the Dirichlet identity on level 0; and
+    d_z minus (1 - f/a)/rho times Z on level M."""
+    K2, M, N, cf = op.K ** 2, op.M, op.N_f, op.cf
+    lat, iax, iay, Z = (v.reshape(-1) for v in (op.lat, op.iax, op.iay, op.Z))
+    eye, zero = np.eye(K2), np.zeros((K2, K2))
+    yield eye, zero, zero
+    c1_lat = _convolution(cf.c1, N) * lat
+    for j in range(1, M):
+        first = (_convolution(cf.c3[j], N) * iax
+                 + _convolution(cf.c4[j], N) * iay + _convolution(cf.c5[j], N))
+        yield c1_lat, -first, _convolution(cf.c2[j], N)
+    yield -_convolution(cf.one_minus_f_over_a / op.cfg.rho, N) * Z, eye, zero
 
-    def dz_apply(D, S):
-        flat = S.reshape(K * K, M + 1)
-        return (sp.csr_matrix(D) @ flat.T).T.reshape(K, K, M + 1)
 
-    S = x.reshape(K, K, M + 1)
-    SZ = dz_apply(op.Dz, S)
-    SZZ = dz_apply(op.Dzz, S)
+def dense_operator(op) -> np.ndarray:
+    """forward._Operator as a dense K^2(M+1)-square matrix, assembled from
+    the convolution matrices of the coefficient fields, the z-derivative
+    matrices, lat, i alpha and Z, term by term; rows and columns in the
+    state's (i1, i2, j) order."""
+    K2, M = op.K ** 2, op.M
+    A = np.zeros((K2, M + 1, K2, M + 1), dtype=complex)
+    for j, (L, A1, A2) in enumerate(_level_blocks(op)):
+        A[:, j] = (np.multiply.outer(A1, op.Dz[j])
+                   + np.multiply.outer(A2, op.Dzz[j]))
+        A[:, j, :, j] += L
+    return A.reshape(op.dim, op.dim)
 
-    def lead(A):
-        return np.moveaxis(A[:, :, 1:M], -1, 0)
 
-    spec = np.empty((5 * (M - 1) + 1, K, K), dtype=complex)
-    terms = spec[:-1].reshape(5, M - 1, K, K)
-    sz = lead(SZ)
-    terms[0] = op.lat * lead(S)
-    terms[1] = lead(SZZ)
-    terms[2] = op.iax * sz
-    terms[3] = op.iay * sz
-    terms[4] = sz
-    spec[-1] = op.Z * S[:, :, M]
-    phys = to_phys(spec)
-    lat_p, szz_p, sxz_p, syz_p, sz_p = phys[:-1].reshape(5, M - 1, P, P)
-
-    cf = op.cf
-    inner = slice(1, M)
-    prod = np.empty((M, P, P), dtype=complex)
-    prod[:-1] = (cf.c1 * lat_p + cf.c2[inner] * szz_p
-                 - cf.c3[inner] * sxz_p - cf.c4[inner] * syz_p
-                 - cf.c5[inner] * sz_p)
-    prod[-1] = (cf.one_minus_f_over_a / op.cfg.rho) * phys[-1]
-    back = to_spec(prod)
-
-    out = np.empty((K, K, M + 1), dtype=complex)
-    out[:, :, 0] = S[:, :, 0]
-    out[:, :, 1:M] = np.moveaxis(back[:-1], 0, -1)
-    out[:, :, M] = SZ[:, :, M] - back[-1]
-    return out.reshape(-1)
+def dense_matvec(op, x: np.ndarray) -> np.ndarray:
+    """dense_operator(op) @ x for each vector x[..., :], one level's row
+    block at a time, for grids whose full matrix would not fit in memory."""
+    K2, M = op.K ** 2, op.M
+    X = np.moveaxis(x.reshape(-1, K2, M + 1), 0, -1)  # (K^2, M+1, vectors)
+    out = np.empty_like(X)
+    for j, (L, A1, A2) in enumerate(_level_blocks(op)):
+        out[:, j] = (L @ X[:, j] + A1 @ np.tensordot(op.Dz[j], X, (0, 1))
+                     + A2 @ np.tensordot(op.Dzz[j], X, (0, 1)))
+    return np.moveaxis(out, -1, 0).reshape(x.shape)

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import gmres, splu
 
-from oracles import allocating_matvec, synthesize_linear_data
+from oracles import dense_matvec, dense_operator, synthesize_linear_data
 from superlens_imaging.core import PhysicalConfig, mode_scalars
 from superlens_imaging.errors import (NearSingularSystem, NoConvergence,
                                       NyquistViolation, ProfileTooTall,
@@ -106,46 +106,51 @@ def _operator(cfg, disc):
 
 
 def test_pruned_lateral_transforms_match_full_fft(phys_table1):
+    # the corner transforms against full two-axis FFTs of the centered
+    # spectrum, with the field shifted by e^{iN_f(x+y)}
     op = _operator(phys_table1, FAST)
     K, P, N = FAST.K, FAST.P, FAST.N_f
     rng = np.random.default_rng(7)
     idx = np.arange(-N, N + 1) % P
+    shift = np.exp(2j * np.pi * N * np.arange(P) / P)
+    phase = np.multiply.outer(shift, shift)
     C = rng.normal(size=(5, K, K)) + 1j * rng.normal(size=(5, K, K))
     embedded = np.zeros((5, P, P), dtype=complex)
     embedded[:, idx[:, None], idx[None, :]] = C
-    want = np.fft.ifft2(embedded) * P * P
-    got = embedded.copy()
-    op._ifft_live(got)
+    want = phase * np.fft.ifft2(embedded) * P * P
+    got = np.full((5, P, P), np.nan, dtype=complex)  # no stale entry may leak
+    op._to_field(C, got)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     U = rng.normal(size=(5, P, P)) + 1j * rng.normal(size=(5, P, P))
     want = (np.fft.fft2(U) / (P * P))[:, idx[:, None], idx[None, :]]
-    got = op._to_spec(U)
+    got = op._to_corner(phase * U)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 _WORKSPACE_GRIDS = {
-    "fast-fd4": FAST,
+    "fast-fd4": FAST,                                 # 31 levels: 3 blocks + 7
     "fast-fd2": replace(FAST, fd_order=2),
     "pad-band-2": Discretization(I=9, N_f=1, M=16),  # P=5, K=3
+    "one-block": Discretization(I=9, N_f=2, M=8),    # 7 levels: under a block
 }
 
 
 @pytest.mark.parametrize("grid", list(_WORKSPACE_GRIDS))
-def test_apply_matches_allocating_matvec_bitwise(phys_table1, grid):
+def test_apply_matches_dense_assembly(phys_table1, grid):
     # x1, x2, x1: a pad entry left over from an earlier call would show in
-    # the repeat; the first result must not change when the workspace is
-    # reused, so it cannot be a view of it
+    # the repeat; the first result must not change when the buffers are
+    # reused, so it cannot be a view of them
     op = _operator(phys_table1, _WORKSPACE_GRIDS[grid])
     rng = np.random.default_rng(3)
-    x1, x2 = (rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
-              for _ in range(2))
+    x1, x2 = [1, 1j] @ rng.normal(size=(2, 2, op.dim))
     first = op.apply(x1)
     kept = first.copy()
-    assert np.array_equal(first, allocating_matvec(op, x1))
-    assert np.array_equal(op.apply(x2), allocating_matvec(op, x2))
+    wants = dense_matvec(op, np.stack([x1, x2]))
+    for got, want in zip((first, op.apply(x2)), wants):
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
     assert np.array_equal(first, kept)
-    assert not np.shares_memory(first, op._ws)
+    assert not any(np.shares_memory(first, buf) for buf in (op._spec, op._ws))
     assert np.array_equal(op.apply(x1), kept)
 
 
@@ -325,15 +330,12 @@ def test_solve_makes_one_matvec_per_iteration_and_cycle(
 
 
 def test_dense_and_iterative_agree(phys_table1):
-    # oracle: assemble the collocation matrix column by column and solve it
-    # directly
+    # oracle: the collocation matrix assembled densely from the coefficient
+    # fields, checked against the operator and then solved directly
     op = _operator(phys_table1, TINY)
-    A = np.empty((op.dim, op.dim), dtype=complex)
-    e = np.zeros(op.dim, dtype=complex)
-    for k in range(op.dim):
-        e[k] = 1.0
-        A[:, k] = op.apply(e)
-        e[k] = 0.0
+    A = dense_operator(op)
+    x = [1, 1j] @ np.random.default_rng(9).normal(size=(2, op.dim))
+    assert np.linalg.norm(op.apply(x) - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
     want = np.linalg.solve(A, op.rhs())
     sol = solve_forward(trig_profile(), phys_table1, TINY)
     got = sol.spectral_interior.reshape(-1)
