@@ -104,9 +104,9 @@ def cmd_forward(args) -> int:
     profile = effective_profile(cfg)
     out = _outdir(cfg)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     sol = solve_forward(profile, phys, disc)
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
 
     clean = add_noise(sol.top_grid, NoiseSpec(sigma=0.0, seed=cfg.seed))
     save_measurement_csv(clean, out / "top_field.csv")

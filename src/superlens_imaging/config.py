@@ -100,11 +100,17 @@ class ExperimentConfig:
                               epsilon=self.epsilon)
 
     def to_discretization(self) -> Discretization:
+        # the one solver there is; the key stays so configs name it
+        if self.solver != "preconditioned-iterative":
+            raise ValueError("solver must be 'preconditioned-iterative'")
         return Discretization(I=self.I, N_f=self.N_f, M=self.M,
-                              fd_order=self.fd_order, solver=self.solver,
+                              fd_order=self.fd_order,
                               iter_tol=self.iter_tol, iter_max=self.iter_max)
 
     def to_profile(self) -> SurfaceProfile:
+        if (self.period1, self.period2) != (1.0, 1.0):
+            raise ValueError("the surface profiles are defined on the unit "
+                             "cell: period1 and period2 must be 1")
         if self.profile in PROFILE_BUILDERS:
             return PROFILE_BUILDERS[self.profile]()
         if self.profile == "image":
@@ -129,18 +135,12 @@ class ExperimentConfig:
         return d
 
 
-_PARSERS = {
-    "wavelength": _parse_float, "period1": _parse_float,
-    "period2": _parse_float, "a": _parse_float, "b": _parse_float,
-    "epsilon": _parse_float,
-    "rho": _parse_complex, "kappa": _parse_complex,
-    "profile": lambda s: s.strip(), "image_path": lambda s: s.strip(),
-    "image_threshold": _parse_float,
-    "I": int, "N_f": int, "M": int, "fd_order": int,
-    "solver": lambda s: s.strip(), "iter_tol": _parse_float, "iter_max": int,
-    "sigma": _parse_float, "seed": int, "target_snr": _parse_optional_float,
-    "c": _parse_float, "N_window": int, "out": lambda s: s.strip(),
-}
+#: one parser per field annotation; a key is declared once, as its field,
+#: and a field whose type has no parser here fails at import
+_BY_TYPE = {"float": _parse_float, "complex": _parse_complex, "int": int,
+            "str": str.strip, "float | None": _parse_optional_float}
+_PARSERS = {f.name: _BY_TYPE[f.type] for f in fields(ExperimentConfig)
+            if f.name != "defaulted"}
 
 FAST_OVERRIDES = {"I": 33, "N_f": 8, "M": 32}
 
@@ -193,8 +193,7 @@ def build_config(config_file: str | None = None,
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         _parse_pairs({key.strip(): value.strip()}, base, provided)
-    all_keys = {f.name for f in fields(ExperimentConfig)} - {"defaulted"}
-    base["defaulted"] = tuple(sorted(all_keys - provided))
+    base["defaulted"] = tuple(sorted(_PARSERS.keys() - provided))
     try:
         return ExperimentConfig(**base)
     except TypeError as exc:

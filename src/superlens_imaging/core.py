@@ -29,6 +29,8 @@ Mode = tuple[int, int]
 
 #: relative tolerance below which a vertical wavenumber counts as resonant
 RESONANCE_RTOL = 1e-12
+#: relative level below which the two terms of a slab expression cancel
+CANCEL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -141,3 +143,20 @@ def gamma_eta_grid(n1, n2, cfg: PhysicalConfig):
     gam = branch_sqrt_arr(cfg.omega**2 - asq)
     eta = branch_sqrt_arr((cfg.rho / cfg.kappa) * cfg.omega**2 - asq)
     return gam, eta, _vanishes(gam, cfg) | _vanishes(eta, cfg)
+
+
+def slab_terms(gam, eta, cfg: PhysicalConfig):
+    """(phi_n, psi_n, e^{i eta_n h}, e^{-i eta_n h}) with
+    phi_n = eta_n/rho + gamma_n and psi_n = eta_n/rho - gamma_n: the terms
+    every closed form of the slab's 4x4 system is built from."""
+    phi = eta / cfg.rho + gam
+    psi = eta / cfg.rho - gam
+    return phi, psi, np.exp(1j * eta * cfg.h), np.exp(-1j * eta * cfg.h)
+
+
+def cancelling_sum(t1, t2):
+    """t1 + t2, plus the mask of entries where the two terms cancel below
+    CANCEL_RTOL of their summed magnitudes."""
+    total = t1 + t2
+    scale = np.maximum(np.abs(t1) + np.abs(t2), 1e-300)
+    return total, np.abs(total) < CANCEL_RTOL * scale

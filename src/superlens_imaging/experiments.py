@@ -152,7 +152,7 @@ def invert_measurement(meas: Measurement, phys, cfg: ExperimentConfig,
     """
     rc, curve, choice = _invert(meas, phys, cfg.N_window, cfg.c)
     _write_csv(out_dir / "residual_curve.csv", ["N", "residual", "threshold"],
-               [[n, v, choice.threshold] for n, v in zip(curve.ns, curve.values)])
+               [[n, v, choice.threshold] for n, v in enumerate(curve.values)])
 
     scale = {}
     if truth is not None:
@@ -194,13 +194,13 @@ def run_row(cfg: ExperimentConfig, out_dir: Path, solve_cache: dict) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     key = (cfg.profile, cfg.image_path, cfg.image_threshold, phys, disc)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if key in solve_cache:
         sol = solve_cache[key]
         solve_seconds = 0.0
     else:
         sol = solve_forward(profile, phys, disc)
-        solve_seconds = time.time() - t0
+        solve_seconds = time.perf_counter() - t0
         solve_cache[key] = sol
 
     truth = cfg.epsilon * profile.sample_grid(cfg.I, cfg.I)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PhysicalConfig, alpha_grid, gamma_eta_grid, mode_grid,
-                   tau_of)
+from .core import (PhysicalConfig, alpha_grid, cancelling_sum, gamma_eta_grid,
+                   mode_grid, slab_terms, tau_of)
 from .errors import (DegenerateSlab, NearSingularSystem, NoConvergence,
                      NyquistViolation, ProfileTooTall, ResonantMode)
 from .profiles import SurfaceProfile, band_limited_profile
@@ -40,7 +40,6 @@ class Discretization:
     N_f: int = 12
     M: int = 64
     fd_order: int = 4
-    solver: str = "preconditioned-iterative"
     iter_tol: float = 1e-10
     iter_max: int = 200
 
@@ -54,8 +53,6 @@ class Discretization:
             raise ValueError("M >= 8 required")
         if self.fd_order not in (2, 4):
             raise ValueError("fd_order must be 2 or 4")
-        if self.solver != "preconditioned-iterative":
-            raise ValueError("solver must be 'preconditioned-iterative'")
         if not (0 < self.iter_tol <= 1e-4):
             raise ValueError("iter_tol must lie in (0, 1e-4]")
         if self.iter_max < 1:
@@ -207,13 +204,8 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
 
     if resonant.any():
         raise ResonantMode(f"resonant mode {first(resonant)} in solver window")
-    phi = eta / cfg.rho + gam
-    psi = eta / cfg.rho - gam
-    ep, em = np.exp(1j * eta * cfg.h), np.exp(-1j * eta * cfg.h)
-    t1, t2 = psi * ep, phi * em
-    den = t1 + t2
-    scale = np.maximum(np.abs(t1) + np.abs(t2), 1e-300)
-    degenerate = np.abs(den) < 1e-12 * scale
+    phi, psi, ep, em = slab_terms(gam, eta, cfg)
+    den, degenerate = cancelling_sum(psi * ep, phi * em)
     if degenerate.any():
         raise DegenerateSlab(
             f"slab elimination denominator cancels at mode {first(degenerate)}")

@@ -29,38 +29,21 @@ from .tfe import scaling_factor_grid, u0_top
 BEYOND_FACTOR = 3
 
 
-@dataclass(frozen=True)
-class ReconCoefficients:
-    """Per-mode surface coefficients over the data's Nyquist window.
-
-    values holds s_n * (U_n - u0_b * [n == 0]); unusable marks modes whose
-    scaling factor is resonant/degenerate — they are zeroed here and stay
-    excluded from every synthesis.
-    """
-    values: SpectrumField
-    u0_b: complex
-    unusable: np.ndarray
-
-    @property
-    def W(self) -> int:
-        return self.values.W
-
-
-def recon_coefficients(U_delta: SpectrumField, cfg: PhysicalConfig) -> ReconCoefficients:
+def recon_coefficients(U_delta: SpectrumField, cfg: PhysicalConfig) -> SpectrumField:
+    """Per-mode surface coefficients s_n * (U_n - u0(b) * [n == 0]) over the
+    data's Nyquist window.  Modes whose scaling factor is resonant or
+    degenerate are zeroed, so every synthesis excludes them."""
     W1, W2 = U_delta.W1, U_delta.W2
     W = min(W1, W2)
     s_grid, bad = scaling_factor_grid(cfg, W)
-    u0_b = u0_top(cfg)
     d = U_delta.values[W1 - W:W1 + W + 1, W2 - W:W2 + W + 1].copy()
-    d[W, W] -= u0_b
-    vals = np.where(bad, 0j, s_grid * d)
-    return ReconCoefficients(values=SpectrumField(vals, W, W), u0_b=u0_b,
-                             unusable=bad)
+    d[W, W] -= u0_top(cfg)
+    return SpectrumField(np.where(bad, 0j, s_grid * d), W, W)
 
 
-def reconstruct(rc: ReconCoefficients, N: int, grid_shape: tuple[int, int]) -> np.ndarray:
+def reconstruct(rc: SpectrumField, N: int, grid_shape: tuple[int, int]) -> np.ndarray:
     """Real surface-height samples from the modes with ||n||_inf <= N."""
-    return synthesize(rc.values, N, grid_shape, take_real=True)
+    return synthesize(rc, N, grid_shape, take_real=True)
 
 
 @dataclass(frozen=True)
@@ -69,9 +52,8 @@ class ResidualCurve:
 
     The tail is over Nyquist-window modes with ||n||_inf > N — the part of
     the series computable from the samples — hence non-increasing in N and
-    exactly 0 once N reaches the window edge.
+    exactly 0 once N reaches the window edge; values[N] is the tail at N.
     """
-    ns: list[int]
     values: list[float]
 
 
@@ -87,8 +69,7 @@ def residual_curve(U_delta: SpectrumField, cfg: PhysicalConfig,
     per_ring = np.bincount(U_delta.ring().ravel(), weights=sq.ravel(),
                            minlength=N_window + 2)
     tails = np.cumsum(per_ring[::-1])[::-1]
-    return ResidualCurve(ns=list(range(N_window + 1)),
-                         values=np.sqrt(tails[1:N_window + 2]).tolist())
+    return ResidualCurve(values=np.sqrt(tails[1:N_window + 2]).tolist())
 
 
 @dataclass(frozen=True)
@@ -110,10 +91,10 @@ def choose_cutoff(curve: ResidualCurve, noise_norm: float, c: float = 1.0) -> Cu
     if noise_norm < 0:
         raise ValueError("noise_norm >= 0 required")
     thr = c * noise_norm
-    for n, v in zip(curve.ns, curve.values):
+    for n, v in enumerate(curve.values):
         if v < thr:
             return CutoffChoice(N=n, satisfied=True, residual=v, threshold=thr)
-    return CutoffChoice(N=curve.ns[-1], satisfied=False,
+    return CutoffChoice(N=len(curve.values) - 1, satisfied=False,
                         residual=curve.values[-1], threshold=thr)
 
 
@@ -134,7 +115,6 @@ class ErrorDecomposition:
     norm_E2: float
     norm_E3: float
     beyond_window_norm: float
-    N: int
 
 
 def error_decomposition(truth: SurfaceProfile, clean_top: SpectrumField,
@@ -195,4 +175,4 @@ def error_decomposition(truth: SurfaceProfile, clean_top: SpectrumField,
     return ErrorDecomposition(
         E1=E1, E2=E2, E3=E3,
         norm_E1=grid_l2_norm(E1), norm_E2=grid_l2_norm(E2),
-        norm_E3=grid_l2_norm(E3), beyond_window_norm=float(beyond), N=N)
+        norm_E3=grid_l2_norm(E3), beyond_window_norm=float(beyond))

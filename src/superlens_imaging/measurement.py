@@ -38,13 +38,7 @@ class Measurement:
     when sigma = 0)."""
     u_delta: np.ndarray
     delta: np.ndarray
-    sigma: float
-    seed: int
     snr: float
-
-    @property
-    def clean(self) -> np.ndarray:
-        return self.u_delta - self.delta
 
 
 def complex_gaussian(shape: tuple[int, ...], sigma: float, seed: int) -> np.ndarray:
@@ -72,10 +66,9 @@ def add_noise(u: np.ndarray, spec: NoiseSpec) -> Measurement:
     u = np.asarray(u, dtype=complex)
     if spec.sigma == 0.0:
         return Measurement(u_delta=u.copy(), delta=np.zeros_like(u),
-                           sigma=0.0, seed=spec.seed, snr=math.inf)
+                           snr=math.inf)
     delta = complex_gaussian(u.shape, spec.sigma, spec.seed)
-    return Measurement(u_delta=u + delta, delta=delta, sigma=spec.sigma,
-                       seed=spec.seed, snr=snr_of(u, delta))
+    return Measurement(u_delta=u + delta, delta=delta, snr=snr_of(u, delta))
 
 
 def rescale_to_snr(u: np.ndarray, m: Measurement, target_snr: float) -> Measurement:
@@ -93,8 +86,7 @@ def rescale_to_snr(u: np.ndarray, m: Measurement, target_snr: float) -> Measurem
         raise ZeroNoise("cannot rescale an identically zero noise grid")
     scale = grid_l2_norm(u) / (math.sqrt(target_snr) * nd)
     delta = m.delta * scale
-    return Measurement(u_delta=u + delta, delta=delta, sigma=m.sigma * scale,
-                       seed=m.seed, snr=snr_of(u, delta))
+    return Measurement(u_delta=u + delta, delta=delta, snr=snr_of(u, delta))
 
 
 @dataclass(frozen=True)
@@ -108,7 +100,6 @@ class NoiseDftStats:
     std_re: np.ndarray
     std_im: np.ndarray
     cov: np.ndarray
-    trials: int
     expected_std: float
 
 
@@ -139,8 +130,7 @@ def noise_dft_stats(spec: NoiseSpec, I: int, trials: int) -> NoiseDftStats:
     cov = (s_cross - n * m_re * m_im) / (n - 1)
     return NoiseDftStats(std_re=np.sqrt(np.maximum(var_re, 0.0)),
                          std_im=np.sqrt(np.maximum(var_im, 0.0)),
-                         cov=cov, trials=trials,
-                         expected_std=spec.sigma / I)
+                         cov=cov, expected_std=spec.sigma / I)
 
 
 # --- serialization -----------------------------------------------------------
@@ -165,9 +155,8 @@ def save_measurement_csv(m: Measurement, path: str | Path) -> None:
 def load_measurement_csv(path: str | Path) -> Measurement:
     """Inverse of save_measurement_csv.
 
-    Only the grids survive the round trip: sigma comes back as NaN and the
-    seed as -1 (the CSV does not carry them), and snr is recomputed from
-    the grids (+inf for a zero noise grid).  Malformed data — short rows,
+    The grids round-trip bitwise and snr is recomputed from them (+inf
+    for a zero noise grid).  Malformed data — short rows,
     non-finite values, negative, duplicated or missing grid points — raise
     ValueError.
     """
@@ -211,5 +200,4 @@ def load_measurement_csv(path: str | Path) -> Measurement:
         snr = snr_of(u_delta - delta, delta)
     except ZeroNoise:
         snr = math.inf
-    return Measurement(u_delta=u_delta, delta=delta, sigma=float("nan"),
-                       seed=-1, snr=snr)
+    return Measurement(u_delta=u_delta, delta=delta, snr=snr)

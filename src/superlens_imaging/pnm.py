@@ -96,10 +96,10 @@ def read_pgm(path: str | Path) -> np.ndarray:
         raise UsageError(f"{path}: expected plain PGM (magic P2)")
     try:
         W, H, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-        pixels = np.array([int(t) for t in tokens[4:4 + W * H]], dtype=float)
+        pixels = np.array([int(t) for t in tokens[4:]], dtype=float)
     except (ValueError, IndexError):
         raise UsageError(f"{path}: malformed plain PGM") from None
-    if pixels.size != W * H or maxval <= 0:
+    if W <= 0 or H <= 0 or pixels.size != W * H or maxval <= 0:
         raise UsageError(f"{path}: malformed plain PGM")
     return (pixels / maxval).reshape(H, W)
 

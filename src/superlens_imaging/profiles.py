@@ -21,7 +21,7 @@ instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,13 +32,10 @@ from .spectral import SpectrumField, dft2
 
 @dataclass
 class SurfaceProfile:
-    kind: str
+    """g on the unit cell [0, 1)^2, periodic in x and y."""
     sample: Callable[[np.ndarray, np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray, np.ndarray], tuple] | None = None
     laplacian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    period1: float = 1.0
-    period2: float = 1.0
-    meta: dict = field(default_factory=dict)
     #: Fourier coefficients of a band-limited profile, when they are known
     spectrum: SpectrumField | None = None
 
@@ -55,8 +52,8 @@ class SurfaceProfile:
             full = np.zeros((I1, I2), dtype=complex)
             np.add.at(full, (n1 % I1, n2 % I2), self.spectrum.values)
             return (np.fft.ifft2(full) * (I1 * I2)).real
-        x = np.arange(I1)[:, None] * (self.period1 / I1)
-        y = np.arange(I2)[None, :] * (self.period2 / I2)
+        x = np.arange(I1)[:, None] * (1.0 / I1)
+        y = np.arange(I2)[None, :] * (1.0 / I2)
         return self.sample(*np.broadcast_arrays(x, y))
 
 
@@ -80,7 +77,6 @@ def _d2p(t):
 
 def trig_profile() -> SurfaceProfile:
     return SurfaceProfile(
-        kind="trig-poly",
         sample=lambda x, y: _p(x % 1.0) + _p(y % 1.0),
         grad=lambda x, y: (_dp(x % 1.0), np.zeros_like(x) + _dp(y % 1.0)),
         laplacian=lambda x, y: _d2p(x % 1.0) + _d2p(y % 1.0),
@@ -162,8 +158,7 @@ def peaks_profile() -> SurfaceProfile:
         s, t = _map(x, y)
         return 64.0 * _peaks_terms(s, t)[3]
 
-    return SurfaceProfile(kind="analytic-peaks", sample=sample,
-                          grad=grad, laplacian=laplacian)
+    return SurfaceProfile(sample=sample, grad=grad, laplacian=laplacian)
 
 
 # --- profile 3: thresholded image indicator --------------------------------
@@ -234,8 +229,7 @@ def image_profile(pixels: np.ndarray, threshold: float = 0.5) -> SurfaceProfile:
         row = np.minimum(((1.0 - yf) * H).astype(int), H - 1)
         return mask[row, col]
 
-    return SurfaceProfile(kind="image-indicator", sample=sample,
-                          meta={"shape": (H, Wd), "threshold": threshold})
+    return SurfaceProfile(sample=sample)
 
 
 PROFILE_BUILDERS = {
@@ -270,15 +264,14 @@ def band_limited_profile(profile: SurfaceProfile, N_max: int,
     """
     spec = profile_spectrum(profile, N_max, quad_I=quad_I)
     C = spec.values
-    n = np.arange(-N_max, N_max + 1)
-    a1 = 2.0 * np.pi * n / profile.period1
-    a2 = 2.0 * np.pi * n / profile.period2
+    # the unit-cell wavenumbers 2 pi n along either axis
+    a = 2.0 * np.pi * np.arange(-N_max, N_max + 1)
 
     def _basis(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        T1 = np.exp(1j * x[..., None] * a1)
-        T2 = np.exp(1j * y[..., None] * a2)
+        T1 = np.exp(1j * x[..., None] * a)
+        T2 = np.exp(1j * y[..., None] * a)
         return T1, T2
 
     def sample(x, y):
@@ -287,18 +280,14 @@ def band_limited_profile(profile: SurfaceProfile, N_max: int,
 
     def grad(x, y):
         T1, T2 = _basis(x, y)
-        gx = np.real(np.einsum("...k,...l,kl->...", T1, T2, 1j * a1[:, None] * C))
-        gy = np.real(np.einsum("...k,...l,kl->...", T1, T2, 1j * a2[None, :] * C))
+        gx = np.real(np.einsum("...k,...l,kl->...", T1, T2, 1j * a[:, None] * C))
+        gy = np.real(np.einsum("...k,...l,kl->...", T1, T2, 1j * a[None, :] * C))
         return gx, gy
 
     def laplacian(x, y):
         T1, T2 = _basis(x, y)
-        lap = -(a1[:, None] ** 2 + a2[None, :] ** 2) * C
+        lap = -(a[:, None] ** 2 + a[None, :] ** 2) * C
         return np.real(np.einsum("...k,...l,kl->...", T1, T2, lap))
 
-    return SurfaceProfile(kind=f"{profile.kind}-bandlimited-{N_max}",
-                          sample=sample, grad=grad, laplacian=laplacian,
-                          period1=profile.period1, period2=profile.period2,
-                          meta={"N_max": N_max, "quad_I": quad_I,
-                                "source": profile.kind},
+    return SurfaceProfile(sample=sample, grad=grad, laplacian=laplacian,
                           spectrum=spec)

@@ -21,28 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Mode, PhysicalConfig, alpha_grid, gamma_eta_grid,
-                   mode_grid, mode_scalars, tau_of)
+from .core import (Mode, PhysicalConfig, alpha_grid, cancelling_sum,
+                   gamma_eta_grid, mode_grid, mode_scalars, slab_terms, tau_of)
 from .errors import NearSingularSystem
 
 ZERO: Mode = (0, 0)
-
-#: relative cancellation level at which the layer determinant is rejected
-SINGULAR_RTOL = 1e-12
 
 
 def _sigma(gam, eta, cfg: PhysicalConfig):
     """The layer determinant over arrays of (gamma_n, eta_n), in the
     cancellation-aware two-term closed form, plus the mask of entries
-    whose two terms cancel below SINGULAR_RTOL."""
-    phi = eta / cfg.rho + gam
-    psi = eta / cfg.rho - gam
-    ep, em = np.exp(1j * eta * cfg.h), np.exp(-1j * eta * cfg.h)
+    whose two terms cancel (core.cancelling_sum)."""
+    phi, psi, ep, em = slab_terms(gam, eta, cfg)
     t1 = np.exp(-1j * gam * cfg.a) * (em * phi**2 - ep * psi**2)
     t2 = np.exp(1j * gam * cfg.a) * (ep - em) * phi * psi
-    sig = t1 + t2
-    scale = np.maximum(np.abs(t1) + np.abs(t2), 1e-300)
-    return sig, np.abs(sig) < SINGULAR_RTOL * scale
+    return cancelling_sum(t1, t2)
 
 
 def sigma_n(n: Mode, cfg: PhysicalConfig) -> complex:

@@ -278,11 +278,17 @@ def _rejects(argv, forward_dir, out):
     (["noise-stats", "--grid", "9", "--sigma", "1e999"], 1, "--sigma"),
     (["noise-stats", "--grid", "9", "--sigma", "x1"], 1, "--sigma"),
     (["noise-stats", "--grid", "9", "--sigma=-0.5"], 2, "sigma"),
+    (["forward", *FAST, "--set", "period1=2"], 2, "period2 must be 1"),
+    (["experiment", "1", "--fast", "--set", "period2=0.5"], 2,
+     "period2 must be 1"),
+    (["invert", *FAST, "--set", "period1=2", "--set", "period2=2",
+      "--data", "DATA"], 2, "period2 must be 1"),
 ], ids=["forward-epsilon-nan", "invert-epsilon-nan", "forward-rho-nan",
        "invert-c-nan", "invert-c-inf", "forward-sigma-nan", "invert-c-negative",
        "experiment-seed-negative", "invert-zero-truth", "noise-stats-sigma-nan",
        "noise-stats-sigma-inf", "noise-stats-sigma-overflow",
-       "noise-stats-sigma-junk", "noise-stats-sigma-negative"])
+       "noise-stats-sigma-junk", "noise-stats-sigma-negative",
+       "forward-period-2", "experiment-period-half", "invert-period-2"])
 def test_bad_value_writes_nothing(forward_dir, tmp_path, argv, expect,
                                   message):
     code, err = _rejects(argv, forward_dir, tmp_path / "out")
@@ -372,6 +378,12 @@ def test_sweep_sn_default_media(tmp_path):
     names = {p.name for p in tmp_path.iterdir()}
     assert {f"sweep_sn_{k}.csv" for k in (1, 2, 3)} <= names
     assert len(DEFAULT_MEDIA) == 3
+
+
+def test_sweep_sn_keeps_any_period(tmp_path):
+    # sweep-sn builds no surface, so the profiles' unit cell does not apply
+    assert main(["sweep-sn", "--set", "period1=2", "--n-max", "3",
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_sweep_sn_bad_media(tmp_path):

@@ -48,7 +48,7 @@ def test_effective_profile_band_limits_glyph():
     eff = effective_profile(cfg)
     assert not raw.has_derivatives       # glyph is piecewise constant
     assert eff.has_derivatives           # smoothing restores them
-    assert eff.meta["N_max"] == cfg.N_f
+    assert eff.spectrum.W == cfg.N_f     # truncated at the solver band
     # band-limiting keeps the bulk of the shape
     xs = np.linspace(0, 1, 17, endpoint=False)
     raw_s = np.array([[raw.sample(x, y) for y in xs] for x in xs])

@@ -8,6 +8,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import gmres, splu
 
 from oracles import dense_matvec, dense_operator, synthesize_linear_data
+from superlens_imaging.config import ExperimentConfig
 from superlens_imaging.core import PhysicalConfig, mode_scalars
 from superlens_imaging.errors import (NearSingularSystem, NoConvergence,
                                       NyquistViolation, ProfileTooTall,
@@ -45,9 +46,10 @@ def test_discretization_properties():
     dict(iter_max=0),
 ])
 def test_discretization_validation(kwargs):
+    # through the config conversion, which owns the solver key
     err = NyquistViolation if "I" in kwargs else ValueError
     with pytest.raises(err):
-        Discretization(**kwargs)
+        ExperimentConfig(**kwargs).to_discretization()
 
 
 def test_fd_weights_central_stencils():

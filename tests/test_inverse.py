@@ -17,7 +17,7 @@ from superlens_imaging.profiles import (band_limited_profile,
                                         profile_spectrum, trig_profile)
 from superlens_imaging.spectral import (SpectrumField, dft2, grid_l2_norm,
                                         synthesize)
-from superlens_imaging.tfe import u0_top
+from superlens_imaging.tfe import scaling_factor_grid, u0_top
 
 OMEGA = 2 * math.pi / 1.1
 
@@ -50,9 +50,8 @@ def test_recon_coefficients_center_subtracts_flat_field():
     cfg = _cfg()
     u = _linear_grid(cfg)
     rc = recon_coefficients(dft2(u), cfg)
-    assert rc.u0_b == pytest.approx(u0_top(cfg))
     g = profile_spectrum(trig_profile(), 3)
-    assert rc.values.coeff((0, 0)) == pytest.approx(
+    assert rc.coeff((0, 0)) == pytest.approx(
         cfg.epsilon * g.coeff((0, 0)), rel=1e-10, abs=1e-15)
 
 
@@ -61,7 +60,7 @@ def test_residual_curve_non_increasing_and_vanishing():
     u = _linear_grid(cfg)
     m = add_noise(u, NoiseSpec(sigma=0.005, seed=2))
     curve = residual_curve(dft2(m.u_delta), cfg, N_window=12)
-    assert curve.ns == list(range(13))
+    assert len(curve.values) == 13
     assert all(a >= b - 1e-15 for a, b in zip(curve.values, curve.values[1:]))
     # the tail beyond the data window is empty by construction
     full = residual_curve(dft2(m.u_delta), cfg, N_window=49)
@@ -108,7 +107,7 @@ def test_choose_cutoff_picks_smallest_qualifying_n():
     choice = choose_cutoff(curve, noise)
     assert choice.satisfied
     assert choice.residual < choice.threshold == pytest.approx(noise)
-    for n, v in zip(curve.ns, curve.values):
+    for n, v in enumerate(curve.values):
         if n < choice.N:
             assert v >= choice.threshold
 
@@ -148,10 +147,11 @@ def test_unusable_modes_are_zeroed():
     # (1,0) and (0,1) sit exactly on the resonance circle at omega = 2*pi
     u = np.ones((21, 21), dtype=complex)
     rc = recon_coefficients(dft2(u), cfg)
-    assert rc.unusable[rc.W + 1, rc.W] and rc.unusable[rc.W, rc.W - 1]
-    assert rc.values.coeff((1, 0)) == 0j
-    assert rc.values.coeff((0, -1)) == 0j
-    assert not rc.unusable[rc.W, rc.W]
+    _, unusable = scaling_factor_grid(cfg, rc.W)
+    assert unusable[rc.W + 1, rc.W] and unusable[rc.W, rc.W - 1]
+    assert rc.coeff((1, 0)) == 0j
+    assert rc.coeff((0, -1)) == 0j
+    assert not unusable[rc.W, rc.W]
 
 
 def _decomposed(sigma=0.005, seed=3, N=3, eps=1e-3):
@@ -169,7 +169,7 @@ def test_error_decomposition_identity():
     # N=2 sits inside the surface band so the cutoff term is nonzero
     cfg, prof, m, dec = _decomposed(N=2)
     rc = recon_coefficients(dft2(m.u_delta), cfg)
-    f_N = reconstruct(rc, dec.N, m.u_delta.shape)
+    f_N = reconstruct(rc, 2, m.u_delta.shape)
     truth_win = synthesize(
         profile_spectrum(prof, (m.u_delta.shape[0] - 1) // 2),
         (m.u_delta.shape[0] - 1) // 2, m.u_delta.shape, take_real=True)

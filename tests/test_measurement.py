@@ -49,9 +49,10 @@ def test_complex_gaussian_moments():
 def test_add_noise_round_trip_fields(seed):
     u = _clean(8)
     m = add_noise(u, NoiseSpec(sigma=0.1, seed=seed))
-    assert np.allclose(m.clean, u, rtol=0, atol=1e-12)
+    assert np.allclose(m.u_delta - m.delta, u, rtol=0, atol=1e-12)
     assert m.u_delta.shape == u.shape
-    assert m.sigma == 0.1 and m.seed == seed
+    # the noise is the draw of the spec's sigma and seed
+    assert np.array_equal(m.delta, complex_gaussian(u.shape, 0.1, seed))
     assert m.snr == pytest.approx(
         grid_l2_norm(u) ** 2 / grid_l2_norm(m.delta) ** 2)
 
@@ -81,8 +82,7 @@ def test_rescale_to_snr_exact(target):
 
 def test_rescale_zero_noise_raises():
     u = _clean(5)
-    m = Measurement(u_delta=u, delta=np.zeros_like(u), sigma=0.0, seed=0,
-                    snr=math.inf)
+    m = Measurement(u_delta=u, delta=np.zeros_like(u), snr=math.inf)
     with pytest.raises(ZeroNoise):
         rescale_to_snr(u, m, 5.0)
 
@@ -121,8 +121,6 @@ def test_csv_round_trip_bitwise(tmp_path):
     assert np.array_equal(back.u_delta, m.u_delta)
     assert np.array_equal(back.delta, m.delta)
     assert back.snr == pytest.approx(m.snr, rel=1e-12)
-    # sigma/seed are not serialized; the loader marks them unknown
-    assert math.isnan(back.sigma) and back.seed == -1
 
 
 def _csv_writer_reference(m, path):
@@ -148,7 +146,7 @@ def _awkward_measurement():
     u.imag[1] = odd[::-1]
     d.real[2] = odd
     d.imag[3] = odd[1:] + odd[:1]
-    return Measurement(u_delta=u, delta=d, sigma=1e-3, seed=0, snr=1.0)
+    return Measurement(u_delta=u, delta=d, snr=1.0)
 
 
 def test_csv_bytes_match_csv_writer(tmp_path):

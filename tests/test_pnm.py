@@ -30,6 +30,8 @@ def test_pgm_comments_and_whitespace(tmp_path):
     "P2\n2 2\n255\n1 2 3\n",          # truncated pixel list
     "P2\n2 2\n0\n1 2 3 4\n",          # zero maxval
     "hello\n",
+    "P2\n-2 -2\n255\n0 255 255 0\n",  # negative size, W*H still 4
+    "P2\n2 1\n255\n0 255 7\n",        # a pixel beyond W*H
 ])
 def test_read_pgm_rejects_malformed(tmp_path, text):
     p = tmp_path / "bad.pgm"

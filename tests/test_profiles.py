@@ -154,8 +154,8 @@ def test_band_limited_spectrum_is_idempotent():
 
 
 def _pointwise_grid(p, I1, I2):
-    x = np.arange(I1)[:, None] * (p.period1 / I1)
-    y = np.arange(I2)[None, :] * (p.period2 / I2)
+    x = np.arange(I1)[:, None] * (1.0 / I1)
+    y = np.arange(I2)[None, :] * (1.0 / I2)
     return p.sample(*np.broadcast_arrays(x, y))
 
 
