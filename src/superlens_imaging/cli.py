@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .config import (ExperimentConfig, _parse_complex, _parse_float,
                      build_config)
+from .core import mode_grid
 from .errors import SuperlensError, UsageError
 from .experiments import (EXPERIMENTS, _write_csv, _write_json, check_window,
                           effective_profile, invert_measurement,
@@ -37,7 +38,7 @@ from .measurement import (NoiseSpec, add_noise, load_measurement_csv,
                           noise_dft_stats, save_measurement_csv)
 from .pnm import save_field_ppm
 from .spectral import grid_l2_norm, window_halfwidth
-from .tfe import scaling_sweep, u0_top
+from .tfe import SWEEP_COLUMNS, scaling_sweep, u0_top
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,8 +87,8 @@ def _config_from(args) -> ExperimentConfig:
     return cfg
 
 
-def _outdir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out)
+def _outdir(path: str) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -102,11 +103,11 @@ def cmd_forward(args) -> int:
     cfg = _config_from(args)
     phys, disc = cfg.to_physical(), cfg.to_discretization()
     profile = effective_profile(cfg)
-    out = _outdir(cfg)
 
     t0 = time.perf_counter()
     sol = solve_forward(profile, phys, disc)
     dt = time.perf_counter() - t0
+    out = _outdir(cfg.out)
 
     clean = add_noise(sol.top_grid, NoiseSpec(sigma=0.0, seed=cfg.seed))
     save_measurement_csv(clean, out / "top_field.csv")
@@ -150,7 +151,7 @@ def cmd_invert(args) -> int:
         if grid_l2_norm(truth) == 0.0:
             raise UsageError("the true surface is identically zero, so no "
                              "relative error exists; pass --no-truth")
-    out = _outdir(cfg)
+    out = _outdir(cfg.out)
     inverted = invert_measurement(m, phys, cfg, out, truth)
 
     summary = {
@@ -172,7 +173,7 @@ def cmd_invert(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = _config_from(args)
-    result = run_experiment(args.id, cfg, out_root=Path(cfg.out))
+    result = run_experiment(args.id, cfg)
     for row in result["rows"]:
         snr = row["realized_snr"]
         snr_s = f"{snr:.2f}" if snr is not None else "inf"
@@ -187,8 +188,7 @@ def cmd_experiment(args) -> int:
 
 DEFAULT_MEDIA = ["-1+0.01i:-1+0.01i", "-1+0.001i:-1+0.001i", "1:1"]
 
-SWEEP_HEADER = ["n1", "n2", "abs_alpha", "re_s", "im_s", "abs_s",
-                "log10_abs_s", "resonant", "rho", "kappa"]
+SWEEP_HEADER = [*SWEEP_COLUMNS, "rho", "kappa"]
 
 
 def cmd_sweep_sn(args) -> int:
@@ -202,16 +202,14 @@ def cmd_sweep_sn(args) -> int:
             raise UsageError(f"--media expects RHO:KAPPA, got {spec_str!r}")
         media.append(replace(cfg.to_physical(), rho=_parse_complex(rho_s),
                              kappa=_parse_complex(kappa_s)))
-    out = _outdir(cfg)
+    out = _outdir(cfg.out)
     index = []
     for k, phys in enumerate(media, 1):
         rho, kappa = phys.rho, phys.kappa
-        rows = scaling_sweep(phys, args.n_max)
         path = out / f"sweep_sn_{k}.csv"
         _write_csv(path, SWEEP_HEADER,
-                   [[r["n1"], r["n2"], r["abs_alpha"], r["re_s"], r["im_s"],
-                     r["abs_s"], r["log10_abs_s"], r["resonant"],
-                     str(rho), str(kappa)] for r in rows])
+                   [(*r, str(rho), str(kappa))
+                    for r in scaling_sweep(phys, args.n_max)])
         index.append({"file": path.name, "rho": str(rho),
                       "kappa": str(kappa), "n_max": args.n_max})
         print(f"sweep-sn: rho={rho} kappa={kappa} -> {path}")
@@ -225,18 +223,11 @@ def cmd_sweep_sn(args) -> int:
 def cmd_noise_stats(args) -> int:
     stats = noise_dft_stats(NoiseSpec(sigma=args.sigma, seed=args.seed),
                             args.grid, args.trials)
-    w = window_halfwidth(args.grid)
-    ns = np.arange(-w, w + 1)
-    rows = []
-    for i1, n1 in enumerate(ns):
-        for i2, n2 in enumerate(ns):
-            rows.append([int(n1), int(n2),
-                         float(stats.std_re[i1, i2]),
-                         float(stats.std_im[i1, i2]),
-                         float(stats.cov[i1, i2]),
-                         stats.expected_std])
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    cols = [*mode_grid(window_halfwidth(args.grid)), stats.std_re,
+            stats.std_im, stats.cov]
+    rows = [(*r, stats.expected_std)
+            for r in zip(*(c.ravel().tolist() for c in cols))]
+    out = _outdir(args.out or "out")
     path = out / "noise_stats.csv"
     _write_csv(path, ["n1", "n2", "std_re", "std_im", "cov", "expected_std"],
                rows)

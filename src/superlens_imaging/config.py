@@ -15,7 +15,8 @@ from pathlib import Path
 from .core import PhysicalConfig
 from .errors import UsageError
 from .forward import Discretization
-from .profiles import (PROFILE_BUILDERS, SurfaceProfile, image_profile)
+from .profiles import (PROFILE_BUILDERS, SurfaceProfile, check_unit_cell,
+                       image_profile)
 
 TWO_PI = 6.283185307179586476925287
 
@@ -108,9 +109,7 @@ class ExperimentConfig:
                               iter_tol=self.iter_tol, iter_max=self.iter_max)
 
     def to_profile(self) -> SurfaceProfile:
-        if (self.period1, self.period2) != (1.0, 1.0):
-            raise ValueError("the surface profiles are defined on the unit "
-                             "cell: period1 and period2 must be 1")
+        check_unit_cell(self.period1, self.period2)
         if self.profile in PROFILE_BUILDERS:
             return PROFILE_BUILDERS[self.profile]()
         if self.profile == "image":

@@ -186,13 +186,12 @@ def invert_measurement(meas: Measurement, phys, cfg: ExperimentConfig,
     return summary
 
 
-def run_row(cfg: ExperimentConfig, out_dir: Path, solve_cache: dict) -> dict:
-    """Full pipeline for one operating point; returns the summary dict
-    (also written to out_dir/summary.json).  Forward solves are looked up
-    in and added to solve_cache."""
-    phys, disc, profile = _row_inputs(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def run_row(cfg: ExperimentConfig, inputs, out_dir: Path,
+            solve_cache: dict) -> dict:
+    """Full pipeline for one operating point, given its _row_inputs;
+    returns the summary dict (also written to out_dir/summary.json).
+    Forward solves are looked up in and added to solve_cache."""
+    phys, disc, profile = inputs
     key = (cfg.profile, cfg.image_path, cfg.image_threshold, phys, disc)
     t0 = time.perf_counter()
     if key in solve_cache:
@@ -202,6 +201,7 @@ def run_row(cfg: ExperimentConfig, out_dir: Path, solve_cache: dict) -> dict:
         sol = solve_forward(profile, phys, disc)
         solve_seconds = time.perf_counter() - t0
         solve_cache[key] = sol
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     truth = cfg.epsilon * profile.sample_grid(cfg.I, cfg.I)
     truth_norm = grid_l2_norm(truth)
@@ -248,16 +248,15 @@ def run_row(cfg: ExperimentConfig, out_dir: Path, solve_cache: dict) -> dict:
     return summary
 
 
-def run_experiment(exp_id: str, base: ExperimentConfig,
-                   out_root: Path | None = None) -> dict:
-    """Run every row of one experiment.  Row presets override the base
-    config for the parameters that define the experiment (surface, medium,
-    noise); everything else — grids, seeds, output root — follows base."""
+def run_experiment(exp_id: str, base: ExperimentConfig) -> dict:
+    """Run every row of one experiment under base.out.  Row presets
+    override the base config for the parameters that define the experiment
+    (surface, medium, noise); everything else — grids, seeds, output root —
+    follows base."""
     if exp_id not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {exp_id!r}; choose 1, 2, or 3")
     preset = EXPERIMENTS[exp_id]
-    root = Path(out_root) if out_root is not None else Path(base.out)
-    exp_dir = root / f"exp{exp_id}"
+    exp_dir = Path(base.out) / f"exp{exp_id}"
     row_cfgs = []
     for i, row in enumerate(preset["rows"]):
         params = {k: v for k, v in row.items() if k != "label"}
@@ -265,13 +264,12 @@ def run_experiment(exp_id: str, base: ExperimentConfig,
         cfg = replace(base, **merged, seed=base.seed + 10 * i,
                       defaulted=tuple(k for k in base.defaulted
                                       if k not in merged))
-        _row_inputs(cfg)
-        row_cfgs.append((row, merged, cfg))
+        row_cfgs.append((row, merged, cfg, _row_inputs(cfg)))
     cache: dict = {}
     rows_out = []
-    for i, (row, merged, cfg) in enumerate(row_cfgs):
+    for i, (row, merged, cfg, inputs) in enumerate(row_cfgs):
         row_dir = exp_dir / f"row{i + 1}_{row['label']}"
-        summary = run_row(cfg, row_dir, solve_cache=cache)
+        summary = run_row(cfg, inputs, row_dir, solve_cache=cache)
         summary["label"] = row["label"]
         summary["preset_overrides"] = {
             k: (str(v) if isinstance(v, complex) else v)

@@ -30,7 +30,7 @@ from .core import (PhysicalConfig, alpha_grid, cancelling_sum, gamma_eta_grid,
                    mode_grid, slab_terms, tau_of)
 from .errors import (DegenerateSlab, NearSingularSystem, NoConvergence,
                      NyquistViolation, ProfileTooTall, ResonantMode)
-from .profiles import SurfaceProfile, band_limited_profile
+from .profiles import SurfaceProfile, band_limited_profile, check_unit_cell
 from .spectral import SpectrumField, synthesize
 
 
@@ -154,12 +154,11 @@ def _surface_fields(profile: SurfaceProfile, cfg: PhysicalConfig,
     A profile without analytic derivatives is replaced by its truncated
     Fourier series at the solver cut-off, as effective_profile does.
     """
+    check_unit_cell(cfg.period1, cfg.period2)
     if not profile.has_derivatives:
         profile = band_limited_profile(profile, disc.N_f, quad_I=disc.P)
-    P = disc.P
-    xs = np.arange(P) / P * cfg.period1
-    ys = np.arange(P) / P * cfg.period2
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    xs = np.arange(disc.P) / disc.P
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
     g = profile.sample(X, Y)
     gx, gy = profile.grad(X, Y)
     glap = profile.laplacian(X, Y)

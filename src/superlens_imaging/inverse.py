@@ -33,10 +33,9 @@ def recon_coefficients(U_delta: SpectrumField, cfg: PhysicalConfig) -> SpectrumF
     """Per-mode surface coefficients s_n * (U_n - u0(b) * [n == 0]) over the
     data's Nyquist window.  Modes whose scaling factor is resonant or
     degenerate are zeroed, so every synthesis excludes them."""
-    W1, W2 = U_delta.W1, U_delta.W2
-    W = min(W1, W2)
+    W = U_delta.W
     s_grid, bad = scaling_factor_grid(cfg, W)
-    d = U_delta.values[W1 - W:W1 + W + 1, W2 - W:W2 + W + 1].copy()
+    d = U_delta.truncated(W).values
     d[W, W] -= u0_top(cfg)
     return SpectrumField(np.where(bad, 0j, s_grid * d), W, W)
 
@@ -128,31 +127,20 @@ def error_decomposition(truth: SurfaceProfile, clean_top: SpectrumField,
     through the exact diagonal identity u1_n(b) = g_n / s_n.
     """
     I1, I2 = meas.delta.shape
-    W1, W2 = clean_top.W1, clean_top.W2
-    W = min(W1, W2)
+    W = clean_top.W
     if not (0 <= N <= W):
         raise CutoffOutOfRange(f"N={N} outside data window 0..{W}")
-
     s_grid, bad = scaling_factor_grid(cfg, W)
-    u0_b = u0_top(cfg)
+    f_vals = cfg.epsilon * dft2(truth.sample_grid(I1, I2)).truncated(W).values
 
-    g_samples = truth.sample_grid(I1, I2)
-    f_spec = dft2(g_samples)
-    fW1, fW2 = f_spec.W1, f_spec.W2
-    f_vals = cfg.epsilon * f_spec.values[fW1 - W:fW1 + W + 1, fW2 - W:fW2 + W + 1]
-
-    U = clean_top.values[W1 - W:W1 + W + 1, W2 - W:W2 + W + 1].copy()
-    U[W, W] -= u0_b
-
-    # E1: s_n * r_n = s_n (U_n - u0 delta_n0) - f_n on usable modes
-    e1_coeffs = np.where(bad, 0j, s_grid * U - f_vals)
+    # E1: s_n * r_n = s_n (U_n - u0 delta_n0) - f_n on usable modes; on
+    # the others both terms are 0
+    e1_coeffs = (recon_coefficients(clean_top, cfg).values
+                 - np.where(bad, 0j, f_vals))
     E1 = synthesize(SpectrumField(e1_coeffs, W, W), N, (I1, I2), take_real=True)
 
     # E2: s_n * noise coefficients
-    d_spec = dft2(meas.delta)
-    dW1, dW2 = d_spec.W1, d_spec.W2
-    d_vals = d_spec.values[dW1 - W:dW1 + W + 1, dW2 - W:dW2 + W + 1]
-    e2_coeffs = np.where(bad, 0j, s_grid * d_vals)
+    e2_coeffs = np.where(bad, 0j, s_grid * dft2(meas.delta).truncated(W).values)
     E2 = synthesize(SpectrumField(e2_coeffs, W, W), N, (I1, I2), take_real=True)
 
     # E3: the in-window truth content the cutoff discards (negative sign:

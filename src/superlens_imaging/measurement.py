@@ -29,6 +29,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not 0 <= self.sigma < math.inf:  # NaN fails too
             raise ValueError("sigma must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,13 @@ class SurfaceProfile:
         return self.sample(*np.broadcast_arrays(x, y))
 
 
+def check_unit_cell(period1: float, period2: float) -> None:
+    """Profiles live on the unit cell, so a surface needs unit periods."""
+    if (period1, period2) != (1.0, 1.0):
+        raise ValueError("the surface profiles are defined on the unit "
+                         "cell: period1 and period2 must be 1")
+
+
 # --- profile 1: separable trigonometric polynomial ------------------------
 
 def _p(t):

@@ -130,32 +130,26 @@ def scaling_factor(n: Mode, cfg: PhysicalConfig) -> complex:
 
 # --- scaling-factor sweeps --------------------------------------------------
 
-def scaling_sweep(cfg: PhysicalConfig, N_max: int):
-    """|s_n| over the mode window, as a list of row dicts.
+SWEEP_COLUMNS = ["n1", "n2", "abs_alpha", "re_s", "im_s", "abs_s",
+                 "log10_abs_s", "resonant"]
 
-    Resonant modes are kept in the output with a flag so sweeps never
+
+def scaling_sweep(cfg: PhysicalConfig, N_max: int) -> list[tuple]:
+    """|s_n| over the mode window: one SWEEP_COLUMNS row per mode, n1 major.
+
+    Resonant modes are kept, with NaN values and flag 1, so sweeps never
     silently drop part of the window.
     """
     n1g, n2g = mode_grid(N_max)
-    s_vals, bad = _scaling(n1g, n2g, cfg)
-    s_vals = np.where(bad, np.nan + 0j, s_vals)
+    s, bad = _scaling(n1g, n2g, cfg)
+    s = np.where(bad, np.nan + 0j, s)
     ax, ay, _ = alpha_grid(n1g, n2g, cfg)
-    abs_alpha = np.hypot(ax, ay)
-    rows = []
-    for i1 in range(n1g.shape[0]):
-        for i2 in range(n1g.shape[1]):
-            sv = s_vals[i1, i2]
-            rows.append({
-                "n1": int(n1g[i1, i2]),
-                "n2": int(n2g[i1, i2]),
-                "abs_alpha": float(abs_alpha[i1, i2]),
-                "re_s": float(np.real(sv)),
-                "im_s": float(np.imag(sv)),
-                "abs_s": float(np.abs(sv)),
-                "log10_abs_s": float(np.log10(np.abs(sv))) if np.isfinite(sv) and sv != 0 else float("nan"),
-                "resonant": int(bool(bad[i1, i2])),
-            })
-    return rows
+    abs_s = np.abs(s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_s = np.where(np.isfinite(s) & (s != 0), np.log10(abs_s), np.nan)
+    cols = [n1g, n2g, np.hypot(ax, ay), s.real, s.imag, abs_s, log_s,
+            bad.astype(int)]
+    return list(zip(*(c.ravel().tolist() for c in cols)))
 
 
 @functools.lru_cache(maxsize=16)

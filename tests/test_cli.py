@@ -6,10 +6,12 @@ that importing the CLI imports no scipy module.
 """
 
 import contextlib
+import csv
 import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superlens_imaging.cli import DEFAULT_MEDIA, build_parser, main
+from superlens_imaging.config import build_config
 from superlens_imaging.measurement import CSV_HEADER, load_measurement_csv
+from superlens_imaging.tfe import scaling_factor
 
 FAST = ["--fast", "--set", "seed=0"]
 
@@ -283,12 +287,23 @@ def _rejects(argv, forward_dir, out):
      "period2 must be 1"),
     (["invert", *FAST, "--set", "period1=2", "--set", "period2=2",
       "--data", "DATA"], 2, "period2 must be 1"),
+    (["noise-stats", "--grid", "9", "--seed", "-1"], 2,
+     "seed must be nonnegative"),
+    # a first solve that fails leaves no output directory behind
+    (["forward", *FAST, "--set", "epsilon=0.2"], 2, "reaches the slab"),
+    (["forward", *FAST, "--set", "wavelength=1.0"], 2, "resonant mode"),
+    (["forward", *FAST, "--set", "epsilon=0.02", "--set", "iter_max=1"], 3,
+     "above tolerance"),
+    (["experiment", "1", "--fast", "--set", "wavelength=1.0"], 2,
+     "resonant mode"),
 ], ids=["forward-epsilon-nan", "invert-epsilon-nan", "forward-rho-nan",
        "invert-c-nan", "invert-c-inf", "forward-sigma-nan", "invert-c-negative",
        "experiment-seed-negative", "invert-zero-truth", "noise-stats-sigma-nan",
        "noise-stats-sigma-inf", "noise-stats-sigma-overflow",
        "noise-stats-sigma-junk", "noise-stats-sigma-negative",
-       "forward-period-2", "experiment-period-half", "invert-period-2"])
+       "forward-period-2", "experiment-period-half", "invert-period-2",
+       "noise-stats-seed-negative", "forward-too-tall", "forward-resonant",
+       "forward-no-convergence", "experiment-resonant"])
 def test_bad_value_writes_nothing(forward_dir, tmp_path, argv, expect,
                                   message):
     code, err = _rejects(argv, forward_dir, tmp_path / "out")
@@ -386,6 +401,30 @@ def test_sweep_sn_keeps_any_period(tmp_path):
                  "--out", str(tmp_path)]) == 0
 
 
+def test_sweep_sn_resonant_rows(tmp_path):
+    # wavelength 1 puts the (+-1, 0) and (0, +-1) modes on the Rayleigh
+    # circle; their rows stay in the table, flagged, with NaN values
+    assert main(["sweep-sn", "--set", "wavelength=1.0", "--n-max", "2",
+                 "--out", str(tmp_path)]) == 0
+    phys = build_config(overrides=["wavelength=1.0"]).to_physical()
+    for k in (1, 2, 3):
+        with open(tmp_path / f"sweep_sn_{k}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 25
+        for row in rows:
+            n = (int(row["n1"]), int(row["n2"]))
+            if n in {(1, 0), (-1, 0), (0, 1), (0, -1)}:
+                assert row["resonant"] == "1"
+                for key in ("re_s", "abs_s", "log10_abs_s"):
+                    assert row[key] == "nan", (n, key)
+                continue
+            assert row["resonant"] == "0"
+            medium = replace(phys, rho=complex(row["rho"]),
+                             kappa=complex(row["kappa"]))
+            assert float(row["abs_s"]) == pytest.approx(
+                abs(scaling_factor(n, medium)), rel=1e-13, abs=0)
+
+
 def test_sweep_sn_bad_media(tmp_path):
     assert main(["sweep-sn", "--media=-1+0.01i", "--out",
                  str(tmp_path)]) == 1
@@ -412,6 +451,17 @@ def test_noise_stats(tmp_path, capsys):
         vals = row.split(",")
         assert float(vals[5]) == pytest.approx(expected)
         assert float(vals[2]) == pytest.approx(expected, rel=0.4)
+
+
+def test_noise_stats_rows_row_major(tmp_path):
+    assert main(["noise-stats", "--grid", "9", "--trials", "100",
+                 "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "noise_stats.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # integer mode indices, n1 the slower one
+    assert [(r["n1"], r["n2"]) for r in rows] == [
+        (str(n1), str(n2)) for n1 in range(-4, 5) for n2 in range(-4, 5)]
+    assert {float(r["expected_std"]) for r in rows} == {0.01 / 9}
 
 
 # --- experiment (fast smoke; full runs live in the acceptance suite) -----------

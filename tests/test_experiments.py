@@ -59,8 +59,8 @@ def test_effective_profile_band_limits_glyph():
 @pytest.fixture(scope="module")
 def exp1_fast(tmp_path_factory):
     out = tmp_path_factory.mktemp("exp1")
-    base = build_config(fast=True)
-    return run_experiment("1", base, out_root=out), out
+    base = build_config(overrides=[f"out={out}"], fast=True)
+    return run_experiment("1", base), out
 
 
 def test_exp1_row_selection(exp1_fast):
@@ -176,7 +176,8 @@ def test_invert_reproduces_row_inversion(exp1_fast, tmp_path, capsys):
 
 def test_unknown_experiment_rejected(tmp_path):
     with pytest.raises(UsageError):
-        run_experiment("4", build_config(fast=True), out_root=tmp_path)
+        run_experiment("4", build_config(overrides=[f"out={tmp_path}"],
+                                         fast=True))
 
 
 def test_profile_builders_cover_presets():

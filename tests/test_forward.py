@@ -355,6 +355,15 @@ def test_profile_too_tall(phys_table1):
         solve_forward(trig_profile(), replace(phys_table1, epsilon=0.2), FAST)
 
 
+@pytest.mark.parametrize("periods", [(0.5, 0.5), (1.0, 2.0)])
+def test_non_unit_period_rejected(phys_table1, periods):
+    # the profiles are functions on the unit cell: sampling one over another
+    # period would solve a different surface
+    cfg = replace(phys_table1, period1=periods[0], period2=periods[1])
+    with pytest.raises(ValueError, match="period1 and period2 must be 1"):
+        solve_forward(trig_profile(), cfg, FAST)
+
+
 def test_solution_shapes(sol_table1, disc_default):
     I, K, M = disc_default.I, disc_default.K, disc_default.M
     assert sol_table1.spectral_interior.shape == (K, K, M + 1)

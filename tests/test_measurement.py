@@ -107,6 +107,11 @@ def test_noise_spec_rejects_bad_sigma(sigma):
         NoiseSpec(sigma=sigma)
 
 
+def test_noise_spec_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        NoiseSpec(sigma=0.0, seed=-1)
+
+
 def test_noise_dft_stats_rejects_few_trials():
     with pytest.raises(ValueError):
         noise_dft_stats(NoiseSpec(sigma=0.1, seed=0), 9, trials=10)

@@ -10,9 +10,10 @@ from oracles import (eval_dz, first_order_ode_oracle, transfer_matrix,
                      trig_profile_spectrum, zeroth_residuals)
 from superlens_imaging.core import PhysicalConfig, mode_scalars
 from superlens_imaging.errors import NearSingularSystem, ResonantMode
-from superlens_imaging.tfe import (first_order_top, scaling_factor,
-                                   scaling_factor_grid, scaling_sweep,
-                                   sigma_n, solve_zeroth, u0_top)
+from superlens_imaging.tfe import (SWEEP_COLUMNS, first_order_top,
+                                   scaling_factor, scaling_factor_grid,
+                                   scaling_sweep, sigma_n, solve_zeroth,
+                                   u0_top)
 
 OMEGA = 2 * math.pi / 1.1
 
@@ -206,11 +207,12 @@ def test_scaling_sweep_rows_and_resonance_flag():
                          rho=-1 + 0.01j, kappa=-1 + 0.01j)
     rows = scaling_sweep(cfg, 2)
     assert len(rows) == 25
-    flagged = {(r["n1"], r["n2"]) for r in rows if r["resonant"]}
+    col = {name: k for k, name in enumerate(SWEEP_COLUMNS)}
+    flagged = {(r[0], r[1]) for r in rows if r[col["resonant"]]}
     assert (1, 0) in flagged and (0, -1) in flagged
-    by_mode = {(r["n1"], r["n2"]): r for r in rows}
-    assert math.isnan(by_mode[(1, 0)]["abs_s"])
-    assert math.isfinite(by_mode[(2, 1)]["log10_abs_s"])
+    by_mode = {(r[0], r[1]): r for r in rows}
+    assert math.isnan(by_mode[(1, 0)][col["abs_s"]])
+    assert math.isfinite(by_mode[(2, 1)][col["log10_abs_s"]])
 
 
 def test_scaling_factor_grid_matches_scalar(phys_table1):
