@@ -3,17 +3,20 @@
 
     python3 scripts/bench_pair.py --parent HEAD --pairs 10 --out bench.json
 
-The parent commit is exported with ``git archive`` into a temporary
-directory that is removed on exit.  The change is this checkout's working
-tree.  Each pair runs ``perfbench/run.py --trace 0`` once in each tree,
-each run in a fresh process, and flips which tree goes first from one pair
-to the next.
+The parent commit and the change, this checkout's working tree, are both
+exported with ``git archive`` into a temporary directory that is removed on
+exit, so the two sides differ only in their files.  The working tree,
+untracked files that are not ignored included, is written as a tree through
+a scratch index; the real index and working tree stay untouched.  Each pair
+runs ``perfbench/run.py --trace 0`` once in each tree, each run in a fresh
+process, and flips which tree goes first from one pair to the next.
 
-The output holds ``perfbench.harness.environment()``, both commits, the
-last-line result of every run and, for each workload, seed and end-to-end
-metric, both trees' medians and quartiles, the number of pairs the change
-won, and whether the gap between the medians (positive when the change is
-better) exceeds the parent's interquartile range.  ``--trace 1`` adds one
+The output holds ``perfbench.harness.environment()``, both commits with the
+hashes of the trees that ran, the last-line result of every run and, for
+each workload, seed and end-to-end metric, both trees' medians and
+quartiles, the number of pairs the change won, and whether the gap between
+the medians (positive when the change is better) exceeds the parent's
+interquartile range.  ``--trace 1`` adds one
 traced run per tree, workload and seed, so the per-layer metrics sit
 beside the end-to-end ones.  Exits 1 when a run fails to produce a result.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -40,26 +44,37 @@ class RunFailed(Exception):
     pass
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+def _git(*args: str, env: dict | None = None) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, env=env,
                           capture_output=True, text=True).stdout.strip()
+
+
+def _extract(tree: str, into: Path) -> None:
+    """The files of `tree` under `into`."""
+    into.mkdir()
+    archive = subprocess.run(["git", "archive", tree], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
 
 
 def _export(rev: str, into: Path) -> dict:
     """The committed files of `rev` under `into`; returns its description."""
     commit = _git("rev-parse", "--verify", f"{rev}^{{commit}}")
-    into.mkdir()
-    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
-                             capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
-    return {"rev": rev, "commit": commit, "tree": "exported"}
+    tree = _git("rev-parse", f"{commit}^{{tree}}")
+    _extract(tree, into)
+    return {"rev": rev, "commit": commit, "tree": tree}
 
 
-def _working_tree() -> dict:
-    dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
+def _export_working_tree(into: Path) -> dict:
+    """The working tree under `into`, written as a tree through a scratch
+    index next to it; returns its description."""
+    env = {**os.environ, "GIT_INDEX_FILE": str(into.parent / "index")}
+    _git("read-tree", "HEAD", env=env)
+    _git("add", "-A", env=env)
+    tree = _git("write-tree", env=env)
+    _extract(tree, into)
     return {"rev": "working tree", "commit": _git("rev-parse", "HEAD"),
-            "tree": "working tree with uncommitted changes" if dirty
-            else "working tree"}
+            "tree": tree}
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float,
@@ -137,9 +152,9 @@ def main(argv=None) -> int:
         ap.error("--seconds and --seeds must be >= 0")
 
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
-        trees = {"parent": Path(tmp) / "parent", "change": ROOT}
+        trees = {t: Path(tmp) / t for t in ("parent", "change")}
         commits = {"parent": _export(args.parent, trees["parent"]),
-                   "change": _working_tree()}
+                   "change": _export_working_tree(trees["change"])}
 
         runs, summary, traced = [], {}, {}
         try:

@@ -202,14 +202,14 @@ def cmd_sweep_sn(args) -> int:
             raise UsageError(f"--media expects RHO:KAPPA, got {spec_str!r}")
         media.append(replace(cfg.to_physical(), rho=_parse_complex(rho_s),
                              kappa=_parse_complex(kappa_s)))
+    sweeps = [scaling_sweep(phys, args.n_max) for phys in media]
     out = _outdir(cfg.out)
     index = []
-    for k, phys in enumerate(media, 1):
+    for k, (phys, sweep) in enumerate(zip(media, sweeps), 1):
         rho, kappa = phys.rho, phys.kappa
         path = out / f"sweep_sn_{k}.csv"
         _write_csv(path, SWEEP_HEADER,
-                   [(*r, str(rho), str(kappa))
-                    for r in scaling_sweep(phys, args.n_max)])
+                   [(*r, str(rho), str(kappa)) for r in sweep])
         index.append({"file": path.name, "rho": str(rho),
                       "kappa": str(kappa), "n_max": args.n_max})
         print(f"sweep-sn: rho={rho} kappa={kappa} -> {path}")

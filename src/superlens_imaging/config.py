@@ -79,6 +79,8 @@ class ExperimentConfig:
     def __post_init__(self):
         # the keys no module-level config checks; the rest are checked
         # where they are converted (to_physical, to_discretization)
+        if not self.wavelength > 0:
+            raise ValueError("wavelength must be positive")
         if not self.c > 0:
             raise ValueError("c must be positive")
         if self.seed < 0:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
@@ -51,6 +52,8 @@ class PhysicalConfig:
             raise ValueError("physical parameters must be finite")
         if not self.omega > 0:
             raise ValueError("omega must be positive")
+        if not float_info.min <= self.omega * self.omega <= float_info.max:
+            raise ValueError("omega^2 must be a finite, normal float")
         if not (self.period1 > 0 and self.period2 > 0):
             raise ValueError("periods must be positive")
         if not 0 < self.a < self.b:
@@ -78,7 +81,6 @@ def tau_of(cfg: PhysicalConfig) -> complex:
 @dataclass(frozen=True)
 class Scalars:
     """Bundle of the per-mode quantities the layer algebra needs."""
-    alpha: tuple[float, float]
     alpha_sq: float
     gamma: complex
     eta: complex
@@ -90,9 +92,8 @@ def mode_scalars(n: Mode, cfg: PhysicalConfig) -> Scalars:
     g, e, _ = gamma_eta_grid(n[0], n[1], cfg)
     g = _nonresonant("gamma", complex(g), n, cfg)
     e = _nonresonant("eta", complex(e), n, cfg)
-    ax, ay, asq = alpha_grid(n[0], n[1], cfg)
+    asq = alpha_grid(n[0], n[1], cfg)[2]
     return Scalars(
-        alpha=(float(ax), float(ay)),
         alpha_sq=float(asq),
         gamma=g,
         eta=e,

@@ -160,8 +160,7 @@ def _surface_fields(profile: SurfaceProfile, cfg: PhysicalConfig,
     xs = np.arange(disc.P) / disc.P
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     g = profile.sample(X, Y)
-    gx, gy = profile.grad(X, Y)
-    glap = profile.laplacian(X, Y)
+    gx, gy, glap = profile.derivatives(X, Y)
     e = cfg.epsilon
     return e * g, e * gx, e * gy, e * glap
 

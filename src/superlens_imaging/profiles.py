@@ -13,10 +13,10 @@ Three built-ins of increasing difficulty:
      fights the Gibbs phenomenon.
 
 Samplers wrap coordinates before evaluating, so periodicity is exact by
-construction.  Profiles 1 and 2 also expose analytic first derivatives and
-Laplacians (the forward solver's variable coefficients need them); the
-image profile does not — consumers differentiate its truncated spectrum
-instead.
+construction.  Profiles 1 and 2 also expose ``derivatives``, one callable
+giving the analytic first derivatives and Laplacian together (the forward
+solver's variable coefficients need them); the image profile does not —
+consumers differentiate its truncated spectrum instead.
 """
 
 from __future__ import annotations
@@ -34,14 +34,14 @@ from .spectral import SpectrumField, dft2
 class SurfaceProfile:
     """g on the unit cell [0, 1)^2, periodic in x and y."""
     sample: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray, np.ndarray], tuple] | None = None
-    laplacian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    #: (g_x, g_y, Laplacian g) at the same points, for smooth profiles
+    derivatives: Callable[[np.ndarray, np.ndarray], tuple] | None = None
     #: Fourier coefficients of a band-limited profile, when they are known
     spectrum: SpectrumField | None = None
 
     @property
     def has_derivatives(self) -> bool:
-        return self.grad is not None and self.laplacian is not None
+        return self.derivatives is not None
 
     def sample_grid(self, I1: int, I2: int) -> np.ndarray:
         if self.spectrum is not None:
@@ -85,8 +85,8 @@ def _d2p(t):
 def trig_profile() -> SurfaceProfile:
     return SurfaceProfile(
         sample=lambda x, y: _p(x % 1.0) + _p(y % 1.0),
-        grad=lambda x, y: (_dp(x % 1.0), np.zeros_like(x) + _dp(y % 1.0)),
-        laplacian=lambda x, y: _d2p(x % 1.0) + _d2p(y % 1.0),
+        derivatives=lambda x, y: (_dp(x % 1.0), np.zeros_like(x) + _dp(y % 1.0),
+                                  _d2p(x % 1.0) + _d2p(y % 1.0)),
     )
 
 
@@ -95,47 +95,30 @@ def trig_profile() -> SurfaceProfile:
 def _peaks_terms(s, t):
     """Value, (d/ds, d/dt), and (d2/ds2 + d2/dt2) of q(s, t).
 
-    Each term is P(s,t) e^{G(s,t)} with polynomial P and quadratic G, so
-    derivatives follow the product rule:
+    Each term is P(s,t) e^{G(s,t)} with polynomial P and quadratic G, listed
+    as (P, P_s, P_t, P_ss, P_tt, G_s, G_t, e^G) with G_ss = G_tt = -2 and
+    0.0 for a part it lacks, so the product rule is written once:
         F_s  = (P_s + P G_s) e^G
         F_ss = (P_ss + 2 P_s G_s + P (G_ss + G_s^2)) e^G
     """
-    val = np.zeros_like(s)
-    ds = np.zeros_like(s)
-    dt = np.zeros_like(s)
-    lap = np.zeros_like(s)
-
-    # 0.3 (1-s)^2 exp(-s^2 - (t+1)^2)
-    P = 0.3 * (1 - s) ** 2
-    Ps, Pss = -0.6 * (1 - s), 0.6
-    Gs, Gt = -2 * s, -2 * (t + 1)
-    E = np.exp(-s * s - (t + 1) ** 2)
-    val += P * E
-    ds += (Ps + P * Gs) * E
-    dt += P * Gt * E
-    lap += (Pss + 2 * Ps * Gs + P * (-2 + Gs * Gs) + P * (-2 + Gt * Gt)) * E
-
-    # -(0.2 s - s^3 - t^5) exp(-s^2 - t^2)
-    P = -(0.2 * s - s**3 - t**5)
-    Ps, Pss = -(0.2 - 3 * s * s), 6 * s
-    Pt, Ptt = 5 * t**4, 20 * t**3
-    Gs, Gt = -2 * s, -2 * t
-    E = np.exp(-s * s - t * t)
-    val += P * E
-    ds += (Ps + P * Gs) * E
-    dt += (Pt + P * Gt) * E
-    lap += (Pss + 2 * Ps * Gs + P * (-2 + Gs * Gs)
-            + Ptt + 2 * Pt * Gt + P * (-2 + Gt * Gt)) * E
-
-    # -0.03 exp(-(s+1)^2 - t^2)
-    P = -0.03
-    Gs, Gt = -2 * (s + 1), -2 * t
-    E = np.exp(-((s + 1) ** 2) - t * t)
-    val += P * E
-    ds += P * Gs * E
-    dt += P * Gt * E
-    lap += (P * (-2 + Gs * Gs) + P * (-2 + Gt * Gt)) * E
-
+    terms = (
+        # 0.3 (1-s)^2 exp(-s^2 - (t+1)^2)
+        (0.3 * (1 - s) ** 2, -0.6 * (1 - s), 0.0, 0.6, 0.0,
+         -2 * s, -2 * (t + 1), np.exp(-s * s - (t + 1) ** 2)),
+        # -(0.2 s - s^3 - t^5) exp(-s^2 - t^2)
+        (-(0.2 * s - s**3 - t**5), -(0.2 - 3 * s * s), 5 * t**4, 6 * s,
+         20 * t**3, -2 * s, -2 * t, np.exp(-s * s - t * t)),
+        # -0.03 exp(-(s+1)^2 - t^2)
+        (-0.03, 0.0, 0.0, 0.0, 0.0,
+         -2 * (s + 1), -2 * t, np.exp(-((s + 1) ** 2) - t * t)),
+    )
+    val = ds = dt = lap = 0.0
+    for P, Ps, Pt, Pss, Ptt, Gs, Gt, E in terms:
+        val += P * E
+        ds += (Ps + P * Gs) * E
+        dt += (Pt + P * Gt) * E
+        lap += (Pss + 2 * Ps * Gs + P * (-2 + Gs * Gs)
+                + Ptt + 2 * Pt * Gt + P * (-2 + Gt * Gt)) * E
     return val, ds, dt, lap
 
 
@@ -153,19 +136,13 @@ def peaks_profile() -> SurfaceProfile:
         return 8.0 * (x % 1.0) - 4.0, 8.0 * (y % 1.0) - 4.0
 
     def sample(x, y):
-        s, t = _map(x, y)
-        return _peaks_value(s, t)
+        return _peaks_value(*_map(x, y))
 
-    def grad(x, y):
-        s, t = _map(x, y)
-        _, ds, dt, _ = _peaks_terms(s, t)
-        return 8.0 * ds, 8.0 * dt
+    def derivatives(x, y):
+        _, ds, dt, lap = _peaks_terms(*_map(x, y))
+        return 8.0 * ds, 8.0 * dt, 64.0 * lap
 
-    def laplacian(x, y):
-        s, t = _map(x, y)
-        return 64.0 * _peaks_terms(s, t)[3]
-
-    return SurfaceProfile(sample=sample, grad=grad, laplacian=laplacian)
+    return SurfaceProfile(sample=sample, derivatives=derivatives)
 
 
 # --- profile 3: thresholded image indicator --------------------------------
@@ -267,7 +244,7 @@ def band_limited_profile(profile: SurfaceProfile, N_max: int,
     analytic derivatives — it is the surface the band-limited solver (and
     the inverse problem) actually sees when handed a non-smooth profile.
     Its ``sample_grid`` is one inverse FFT of the stored spectrum;
-    ``sample``, ``grad`` and ``laplacian`` sum the series pointwise.
+    ``sample`` and ``derivatives`` sum the series pointwise.
     """
     spec = profile_spectrum(profile, N_max, quad_I=quad_I)
     C = spec.values
@@ -285,16 +262,12 @@ def band_limited_profile(profile: SurfaceProfile, N_max: int,
         T1, T2 = _basis(x, y)
         return np.real(np.einsum("...k,...l,kl->...", T1, T2, C))
 
-    def grad(x, y):
+    def derivatives(x, y):
         T1, T2 = _basis(x, y)
         gx = np.real(np.einsum("...k,...l,kl->...", T1, T2, 1j * a[:, None] * C))
         gy = np.real(np.einsum("...k,...l,kl->...", T1, T2, 1j * a[None, :] * C))
-        return gx, gy
-
-    def laplacian(x, y):
-        T1, T2 = _basis(x, y)
         lap = -(a[:, None] ** 2 + a[None, :] ** 2) * C
-        return np.real(np.einsum("...k,...l,kl->...", T1, T2, lap))
+        return gx, gy, np.real(np.einsum("...k,...l,kl->...", T1, T2, lap))
 
-    return SurfaceProfile(sample=sample, grad=grad, laplacian=laplacian,
+    return SurfaceProfile(sample=sample, derivatives=derivatives,
                           spectrum=spec)

@@ -142,7 +142,7 @@ def scaling_sweep(cfg: PhysicalConfig, N_max: int) -> list[tuple]:
     """
     n1g, n2g = mode_grid(N_max)
     s, bad = _scaling(n1g, n2g, cfg)
-    s = np.where(bad, np.nan + 0j, s)
+    s = np.where(bad, complex(np.nan, np.nan), s)
     ax, ay, _ = alpha_grid(n1g, n2g, cfg)
     abs_s = np.abs(s)
     with np.errstate(divide="ignore", invalid="ignore"):

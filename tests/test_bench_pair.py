@@ -1,5 +1,5 @@
 """Smoke test of scripts/bench_pair.py: one pair of zero-second inversion
-runs, HEAD exported as the parent against this working tree."""
+runs, HEAD exported as the parent against an export of this working tree."""
 
 import json
 import os
@@ -15,11 +15,17 @@ SCRIPT = ROOT / "scripts" / "bench_pair.py"
 END_TO_END = {"setup_s", "wall_s", "cpu_s", "peak_rss_mb"}
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout
+
+
 @pytest.mark.skipif(shutil.which("git") is None
                     or not (ROOT / ".git").exists(),
                     reason="needs git and a git checkout")
 def test_bench_pair_smoke(tmp_path):
     out = tmp_path / "bench.json"
+    status = _git("status", "--porcelain")
     subprocess.run([sys.executable, str(SCRIPT), "--parent", "HEAD",
                     "--pairs", "1", "--seconds", "0",
                     "--workloads", "inversion", "--seeds", "0",
@@ -48,3 +54,16 @@ def test_bench_pair_smoke(tmp_path):
     assert {run["parent"]["attempted"], run["change"]["attempted"]} == {3}
     # the exported tree is gone
     assert not list(tmp_path.glob("bench-pair-*"))
+    # the change ran from an export whose tree holds every tracked or
+    # unignored untracked file as it is on disk, and the checkout's index
+    # and working tree are as they were
+    assert _git("status", "--porcelain") == status
+    assert doc["parent"]["tree"] == _git("rev-parse", "HEAD^{tree}").strip()
+    on_disk = sorted(f for f in _git("ls-files", "--cached", "--others",
+                                     "--exclude-standard", "-z").split("\0")
+                     if f and (ROOT / f).is_file())
+    exported = dict(line.split("\t")[::-1] for line in _git(
+        "ls-tree", "-r", "-z", doc["change"]["tree"]).split("\0") if line)
+    assert sorted(exported) == on_disk
+    assert ([exported[f].split()[2] for f in on_disk]
+            == _git("hash-object", "--", *on_disk).split())

@@ -296,6 +296,21 @@ def _rejects(argv, forward_dir, out):
      "above tolerance"),
     (["experiment", "1", "--fast", "--set", "wavelength=1.0"], 2,
      "resonant mode"),
+    # a wavelength whose omega^2 is zero, subnormal or overflows
+    (["forward", *FAST, "--set", "wavelength=0"], 2,
+     "wavelength must be positive"),
+    (["sweep-sn", "--set", "wavelength=0"], 2, "wavelength must be positive"),
+    (["invert", *FAST, "--no-truth", "--set", "wavelength=0", "--data",
+      "DATA"], 2, "wavelength must be positive"),
+    (["forward", *FAST, "--set", "wavelength=1e-200"], 2, "omega^2"),
+    (["forward", *FAST, "--set", "wavelength=1e160"], 2, "omega^2"),
+    # sweep-sn sweeps every medium before it writes any file; numpy warns
+    # of the overflow in e^{i eta h} before tau's exponent fails
+    pytest.param(["sweep-sn", "--set", "b=1e308"], 2, "math domain error",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    (["sweep-sn", "--media=1:1",
+      "--media=-0.9793632765511591-1.4713041475491506i:1", "--n-max", "2"],
+     3, "layer determinant cancels at mode (0, 0)"),
 ], ids=["forward-epsilon-nan", "invert-epsilon-nan", "forward-rho-nan",
        "invert-c-nan", "invert-c-inf", "forward-sigma-nan", "invert-c-negative",
        "experiment-seed-negative", "invert-zero-truth", "noise-stats-sigma-nan",
@@ -303,7 +318,11 @@ def _rejects(argv, forward_dir, out):
        "noise-stats-sigma-junk", "noise-stats-sigma-negative",
        "forward-period-2", "experiment-period-half", "invert-period-2",
        "noise-stats-seed-negative", "forward-too-tall", "forward-resonant",
-       "forward-no-convergence", "experiment-resonant"])
+       "forward-no-convergence", "experiment-resonant",
+       "forward-wavelength-0", "sweep-sn-wavelength-0",
+       "invert-wavelength-0", "forward-omega-sq-overflow",
+       "forward-omega-sq-subnormal", "sweep-sn-b-huge",
+       "sweep-sn-second-medium-cancels"])
 def test_bad_value_writes_nothing(forward_dir, tmp_path, argv, expect,
                                   message):
     code, err = _rejects(argv, forward_dir, tmp_path / "out")
@@ -415,7 +434,7 @@ def test_sweep_sn_resonant_rows(tmp_path):
             n = (int(row["n1"]), int(row["n2"]))
             if n in {(1, 0), (-1, 0), (0, 1), (0, -1)}:
                 assert row["resonant"] == "1"
-                for key in ("re_s", "abs_s", "log10_abs_s"):
+                for key in ("re_s", "im_s", "abs_s", "log10_abs_s"):
                     assert row[key] == "nan", (n, key)
                 continue
             assert row["resonant"] == "0"

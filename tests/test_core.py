@@ -162,6 +162,8 @@ def test_gamma_eta_grid_flags_resonance():
     dict(kappa=complex(-1.0, math.inf)),
     dict(omega=math.inf),
     dict(b=math.inf),
+    dict(omega=1e200),
+    dict(omega=1e-160),
 ])
 def test_config_validation(kwargs):
     base = dict(omega=5.0)
