@@ -58,6 +58,8 @@ class PhysicalConfig:
             raise ValueError("periods must be positive")
         if not 0 < self.a < self.b:
             raise ValueError("need 0 < a < b")
+        if not cmath.isfinite(self.omega * self.b):
+            raise ValueError("b is too large: omega*b overflows")
         if not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
         if self.rho == 0 or self.kappa == 0:

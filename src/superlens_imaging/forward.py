@@ -133,17 +133,20 @@ def _half_bandwidth(D: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class CoefficientFields:
-    """The five flattening coefficients on the solver tensor grid.
-
-    c1 is z-independent and strictly positive (the transform requires
-    f < a); c2..c5 are stored as full (M+1, P, P) blocks with z varying
-    along the first axis.  one_minus_f_over_a feeds the interface row.
+    """The five flattening coefficients on the solver grid: c1 = (a - f)^2,
+    z-independent and positive (the transform requires f < a), and c2..c5
+    as the z-profile az_j = a - z_j (M+1 levels) times P x P lateral fields,
+    c2 = a^2 + az^2 g2, c3 = 2 az g3, c4 = 2 az g4 and c5 = az g5, for
+    g2 = |grad f|^2, g3 = (a - f) f_x, g4 = (a - f) f_y and
+    g5 = 2 |grad f|^2 + (a - f) Lap f.  one_minus_f_over_a feeds the
+    interface row.
     """
     c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
-    c4: np.ndarray
-    c5: np.ndarray
+    az: np.ndarray
+    g2: np.ndarray
+    g3: np.ndarray
+    g4: np.ndarray
+    g5: np.ndarray
     one_minus_f_over_a: np.ndarray
 
 
@@ -172,15 +175,11 @@ def coefficient_fields(profile: SurfaceProfile, cfg: PhysicalConfig,
     if np.max(np.abs(f)) >= a:
         raise ProfileTooTall(
             f"surface amplitude {np.max(np.abs(f)):.3g} reaches the slab at a={a}")
-    zs = np.arange(disc.M + 1) * (a / disc.M)
-    az = (a - zs)[:, None, None]
     gradsq = fx**2 + fy**2
-    c1 = (a - f) ** 2
-    c2 = a**2 + az**2 * gradsq[None, :, :]
-    c3 = 2 * az * ((a - f) * fx)[None, :, :]
-    c4 = 2 * az * ((a - f) * fy)[None, :, :]
-    c5 = az * (2 * gradsq + (a - f) * flap)[None, :, :]
-    return CoefficientFields(c1=c1, c2=c2, c3=c3, c4=c4, c5=c5,
+    return CoefficientFields(c1=(a - f) ** 2,
+                             az=a - np.arange(disc.M + 1) * (a / disc.M),
+                             g2=gradsq, g3=(a - f) * fx, g4=(a - f) * fy,
+                             g5=2 * gradsq + (a - f) * flap,
                              one_minus_f_over_a=1.0 - f / a)
 
 
@@ -236,36 +235,37 @@ class _Operator:
     transform cancels the phase, and product modes wrap onto indices
     K..P-1, clear of the corner.  The interior levels go through the whole
     pipeline in blocks of at most _LEVEL_BLOCK: write the five PDE terms as
-    (K, K) spectra, transform them into the padded workspace, take the
-    coefficient products into the first term, transform it back and copy
-    its corner into the output rows.  The workspace, (5, _LEVEL_BLOCK, P, P)
-    complex (1.5 MB at full resolution), stays in cache across the stages;
-    it and the block's spectra live as long as the operator, and the
-    impedance trace reuses their first slices after the last block.  The
-    z-derivatives work on a z-leading copy of the state, (M+1, K, K), kept
-    beside them.  Each call returns a fresh vector, but the buffers are
-    shared, so one operator must not run two apply() calls at once.
+    (K, K) spectra with their z-factors (lat T, az^2 T_zz, 2i alpha az T_z,
+    az T_z), transform them into the padded workspace, multiply them by c1
+    and g2..g5 and sum them into the first term, transform it back, and
+    write its corner plus a^2 T_zz, the constant part of c2 T_zz, into the
+    output rows.  The workspace, (5, _LEVEL_BLOCK, P, P) complex (1.5 MB at
+    full resolution), stays in cache across the stages; it and the block's
+    spectra live as long as the operator, and the impedance trace reuses
+    their first slices after the last block.  The z-derivatives work on a
+    z-leading copy of the state, (M+1, K, K), kept beside them.  No buffer
+    is M+1 levels of P x P: at a full-resolution solve's peak, the 33 MB
+    Krylov basis and 6 MB LU band dwarf them.  Each call returns a fresh
+    vector, but the buffers are shared, so one operator must not run two
+    apply() calls at once.
     """
 
     def __init__(self, cfg: PhysicalConfig, disc: Discretization,
                  cf: CoefficientFields):
         K, P, M, N = disc.K, disc.P, disc.M, disc.N_f
-        self.K, self.P, self.M = K, P, M
-        self.N_f = N
-        self.cfg = cfg
-        self.cf = cf
+        self.K, self.P, self.M, self.N_f = K, P, M, N
+        self.cfg, self.cf = cfg, cf
         self.dim = K * K * (M + 1)
 
         n1g, n2g = mode_grid(N)
         ax, ay, asq = alpha_grid(n1g, n2g, cfg)
-        self.iax, self.iay = 1j * ax, 1j * ay
+        self.two_iax, self.two_iay = 2j * ax, 2j * ay
         self.lat = cfg.omega**2 - asq  # (omega^2 - |alpha|^2) per mode
         # the slab impedance seen through (1 - f/a)
         self.trace_coef = cf.one_minus_f_over_a / cfg.rho
 
-        hz = cfg.a / M
-        self.Dz = deriv_matrix(M, hz, 1, disc.fd_order)
-        self.Dzz = deriv_matrix(M, hz, 2, disc.fd_order)
+        self.Dz, self.Dzz = (deriv_matrix(M, cfg.a / M, d, disc.fd_order)
+                             for d in (1, 2))
 
         self.Z, self.zeta, self.eta_w = _impedance(n1g, n2g, cfg)
 
@@ -324,28 +324,29 @@ class _Operator:
         # row 0: Dirichlet on the flattened surface
         rows[0] = T[0]
 
-        # rows 1..M-1: c1 lat + c2 szz - c3 sxz - c4 syz - c5 sz, summed
-        # left to right into the first term, one block of levels at a time
+        # rows 1..M-1: c1 lat + c2 szz - c3 sxz - c4 syz - c5 sz, the field
+        # terms summed left to right per block of levels, a^2 szz spectrally
         cf, block = self.cf, len(self._ws[0])
         for j0 in range(1, M, block):
             j1 = min(j0 + block, M)
             spec, ws = self._spec[:, :j1 - j0], self._ws[:, :j1 - j0]
-            s_z = SZ[j0:j1]
+            az = cf.az[j0:j1, None, None]
             np.multiply(self.lat, T[j0:j1], out=spec[0])
-            spec[1] = SZZ[j0:j1]
-            np.multiply(self.iax, s_z, out=spec[2])
-            np.multiply(self.iay, s_z, out=spec[3])
-            spec[4] = s_z
+            np.multiply(az * az, SZZ[j0:j1], out=spec[1])
+            np.multiply(az, SZ[j0:j1], out=spec[4])
+            np.multiply(self.two_iax, spec[4], out=spec[2])
+            np.multiply(self.two_iay, spec[4], out=spec[3])
             self._to_field(spec, ws)
             lat, szz, sxz, syz, sz = ws
             np.multiply(cf.c1, lat, out=lat)
-            for c, term, accumulate in ((cf.c2, szz, np.add),
-                                        (cf.c3, sxz, np.subtract),
-                                        (cf.c4, syz, np.subtract),
-                                        (cf.c5, sz, np.subtract)):
-                np.multiply(c[j0:j1], term, out=term)
+            for g, term, accumulate in ((cf.g2, szz, np.add),
+                                        (cf.g3, sxz, np.subtract),
+                                        (cf.g4, syz, np.subtract),
+                                        (cf.g5, sz, np.subtract)):
+                np.multiply(g, term, out=term)
                 accumulate(lat, term, out=lat)
-            rows[j0:j1] = self._to_corner(lat)
+            np.multiply(self.cfg.a ** 2, SZZ[j0:j1], out=rows[j0:j1])
+            rows[j0:j1] += self._to_corner(lat)
 
         # row M: one-sided dz minus the impedance term, in the first slices
         # of the blocks' buffers
@@ -398,8 +399,8 @@ class _BandedLU:
     it.  Each step of the factorization and of both substitutions is one
     level i, vectorized over the blocks.  A pivot below 1e-12 times the
     largest entry of its row in A_k raises NearSingularSystem before any
-    solve.  solve() takes and returns vectors laid out block by block,
-    (B, n) C-order flattened.
+    solve; the diagonal then holds 1/pivot.  solve(b, out=None) works on
+    vectors laid out block by block, (B, n) C-order flattened.
     """
 
     def __init__(self, shared: np.ndarray, diag: np.ndarray):
@@ -431,9 +432,9 @@ class _BandedLU:
             upper[j] -= lj[:, None, :] * ab[j, p + 1:]
         self.n, self.p, self.B = n, p, B
         self._ab = ab[:n]
-        self._inv_pivots = 1 / ab[:n, p]
+        np.divide(1, ab[:n, p], out=ab[:n, p])
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, out=None) -> np.ndarray:
         n, p, ab = self.n, self.p, self._ab
         # level i of the block-leading solution sits at row p + i, between
         # p zero rows on either side
@@ -444,8 +445,10 @@ class _BandedLU:
         for i in range(n - 1, -1, -1):
             y[p + i] -= np.einsum("sk,sk->k", ab[i, p + 1:],
                                   y[p + i + 1:2 * p + i + 1])
-            y[p + i] *= self._inv_pivots[i]
-        return y[p:n + p].T.reshape(-1)
+            y[p + i] *= ab[i, p]
+        out = np.empty(self.B * n, dtype=complex) if out is None else out
+        out.reshape(self.B, n)[...] = y[p:n + p].T
+        return out
 
 
 # --- GMRES -------------------------------------------------------------------
@@ -484,11 +487,12 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     modified Gram-Schmidt, zlartg's Givens rotations, and the inner
     tolerance control of scipy gh-8400.
 
-    Returns (x, inner iterations, ||b - A x||), the iterations counted as
-    scipy's `pr_norm` callback counts them and the residual norm as the
-    last cycle computed it.  Stops after the cycle in which
-    ||b - A x|| <= rtol ||b||, on breakdown, or when the cycles run out;
-    the caller checks the residual.
+    psolve(v, out=row) puts the preconditioned v in a Krylov row.  Returns
+    (x, inner iterations, ||b - A x||), the iterations counted as scipy's
+    `pr_norm` callback counts them and the residual norm as the last cycle
+    computed it.  Stops after the cycle in which ||b - A x|| <= rtol ||b||,
+    on breakdown, or when the cycles run out; the caller checks the
+    residual.
     """
     n = b.size
     x = np.zeros(n, dtype=complex)
@@ -508,10 +512,11 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     v = np.empty((restart + 1, n), dtype=complex)
     h = np.zeros((restart, restart + 1), dtype=complex)
     givens = np.zeros((restart, 2), dtype=complex)
+    scratch = np.empty(n, dtype=complex)  # Gram-Schmidt and x-update temporary
     iterations = 0
-    r = b.copy()
+    r = b
     for _ in range(cycles):
-        v[0] = psolve(r)
+        psolve(r, out=v[0])
         tmp = _norm(v[0])
         v[0] *= 1 / tmp
         S = np.zeros(restart + 1, dtype=complex)
@@ -519,20 +524,19 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
 
         breakdown = False
         for col in range(restart):
-            w = psolve(matvec(v[col]))
+            w = psolve(matvec(v[col]), out=v[col + 1])
             h0 = _norm(w)
             for k in range(col + 1):
-                tmp = np.einsum("i,i->", v[k].conj(), w)
+                tmp = np.einsum("i,i->", np.conjugate(v[k], out=scratch), w)
                 h[col, k] = tmp
-                w -= tmp * v[k]
+                w -= np.multiply(tmp, v[k], out=scratch)
             h1 = _norm(w)
             h[col, col + 1] = h1
-            v[col + 1] = w
             if h1 <= eps * h0:  # the Krylov space is invariant
                 h[col, col + 1] = 0
                 breakdown = True
             else:
-                v[col + 1] *= 1 / h1
+                w *= 1 / h1
 
             for k in range(col):
                 c, s = givens[k]
@@ -560,7 +564,7 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
                 y[:k] -= y[k] * h[k, :k]
         if y[0] != 0:
             y[0] /= h[0, 0]
-        x += np.einsum("k,kn->n", y, v[:col + 1])
+        x += np.einsum("k,kn->n", y, v[:col + 1], out=scratch)
 
         r = b - matvec(x)
         rnorm = _norm(r)

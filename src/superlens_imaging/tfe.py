@@ -60,12 +60,6 @@ class ZerothOrder:
     def D(self) -> complex:
         return -self.C
 
-    def eval(self, z):
-        z = np.asarray(z, dtype=float)
-        s0 = mode_scalars(ZERO, self.cfg)
-        below = self.C * np.exp(1j * s0.gamma * z) + self.D * np.exp(-1j * s0.gamma * z)
-        slab = self.A * np.exp(1j * s0.eta * z) + self.B * np.exp(-1j * s0.eta * z)
-        return np.where(z < self.cfg.a, below, slab)
 
 def solve_zeroth(cfg: PhysicalConfig) -> ZerothOrder:
     """Cramer solution of the zero-mode 4x4 system (forcing tau in the top

@@ -2,8 +2,9 @@
 
 Each one reaches its answer by a different route from the closed forms in
 ``superlens_imaging``: the 4x4 transfer matrix whose determinant sigma_n
-must equal, an ODE quadrature of the first-order problem, substitution of
-the flat-surface field back into its defining conditions, the analytic
+must equal, an ODE quadrature of the first-order problem, the flat-surface
+field and its z-derivative evaluated from its four coefficients and
+substituted back into its defining conditions, the analytic
 spectrum of profile 1, inverse-crime linear data, residual tails summed
 one cut-off at a time, and the forward operator assembled as a dense
 matrix from the convolution matrices of its coefficient fields.  They live
@@ -17,7 +18,8 @@ import cmath
 
 import numpy as np
 
-from superlens_imaging.core import Mode, PhysicalConfig, mode_scalars, tau_of
+from superlens_imaging.core import (Mode, PhysicalConfig, alpha_grid,
+                                   mode_grid, mode_scalars, tau_of)
 from superlens_imaging.profiles import SurfaceProfile, profile_spectrum
 from superlens_imaging.spectral import SpectrumField
 from superlens_imaging.tfe import (ZERO, ZerothOrder, first_order_top,
@@ -40,6 +42,17 @@ def transfer_matrix(n: Mode, cfg: PhysicalConfig) -> np.ndarray:
          -1j * g * cmath.exp(1j * g * a), 1j * g * cmath.exp(-1j * g * a)],
         [0, 0, 1, 1],
     ], dtype=complex)
+
+
+def eval_field(z0: ZerothOrder, z):
+    """The flat-surface field at the heights z: C e^{i gamma z} + D
+    e^{-i gamma z} below z = a, A e^{i eta z} + B e^{-i eta z} from there."""
+    z = np.asarray(z, dtype=float)
+    s0 = mode_scalars(ZERO, z0.cfg)
+    below = (z0.C * np.exp(1j * s0.gamma * z)
+             + z0.D * np.exp(-1j * s0.gamma * z))
+    slab = z0.A * np.exp(1j * s0.eta * z) + z0.B * np.exp(-1j * s0.eta * z)
+    return np.where(z < z0.cfg.a, below, slab)
 
 
 def eval_dz(z0: ZerothOrder, z, side: str = "auto"):
@@ -126,7 +139,7 @@ def zeroth_residuals(cfg: PhysicalConfig) -> dict[str, float]:
     robin = abs(du_b / cfg.rho - (1j * g * u_b + tau))
 
     u_a_slab = z0.A * cmath.exp(1j * e * a) + z0.B * cmath.exp(-1j * e * a)
-    u_a_below = complex(z0.eval(a * (1 - 1e-16)))
+    u_a_below = complex(eval_field(z0, a * (1 - 1e-16)))
     continuity = abs(u_a_slab - u_a_below)
 
     du_a_slab = complex(eval_dz(z0, a, side="slab"))
@@ -136,15 +149,15 @@ def zeroth_residuals(cfg: PhysicalConfig) -> dict[str, float]:
     dirichlet = abs(z0.C + z0.D)
 
     # Helmholtz residuals at midpoints: curvature taken analytically from
-    # the stored coefficients, value from eval() — zero only when the two
-    # code paths agree on the branch representation
+    # the stored coefficients, value from eval_field() — zero only when the
+    # two code paths agree on the branch representation
     zm_b, zm_s = 0.5 * a, 0.5 * (a + b)
     d2_below = -g * g * (z0.C * cmath.exp(1j * g * zm_b) +
                          z0.D * cmath.exp(-1j * g * zm_b))
-    helm_below = abs(d2_below + g * g * complex(z0.eval(zm_b)))
+    helm_below = abs(d2_below + g * g * complex(eval_field(z0, zm_b)))
     d2_slab = -e * e * (z0.A * cmath.exp(1j * e * zm_s) +
                         z0.B * cmath.exp(-1j * e * zm_s))
-    helm_slab = abs(d2_slab + e * e * complex(z0.eval(zm_s)))
+    helm_slab = abs(d2_slab + e * e * complex(eval_field(z0, zm_s)))
 
     return {
         "robin_top": robin,
@@ -226,16 +239,24 @@ def _level_blocks(op):
     + A2 (x) Dzz[j], for e_j the j-th unit row.  The transformed equation
     c1 lat + c2 d_zz - c3 i alpha_1 d_z - c4 i alpha_2 d_z - c5 d_z on the
     interior levels, term by term; the Dirichlet identity on level 0; and
-    d_z minus (1 - f/a)/rho times Z on level M."""
+    d_z minus (1 - f/a)/rho times Z on level M.  c2..c5 are rebuilt on each
+    level as P x P fields from the z-profile and lateral fields they
+    factor into, c2 = a^2 + az^2 g2, c3 = 2 az g3, c4 = 2 az g4 and
+    c5 = az g5, and alpha comes from the mode grid."""
     K2, M, N, cf = op.K ** 2, op.M, op.N_f, op.cf
-    lat, iax, iay, Z = (v.reshape(-1) for v in (op.lat, op.iax, op.iay, op.Z))
+    ax, ay, _ = alpha_grid(*mode_grid(N), op.cfg)
+    iax, iay = 1j * ax.reshape(-1), 1j * ay.reshape(-1)
+    lat, Z = op.lat.reshape(-1), op.Z.reshape(-1)
     eye, zero = np.eye(K2), np.zeros((K2, K2))
     yield eye, zero, zero
     c1_lat = _convolution(cf.c1, N) * lat
     for j in range(1, M):
-        first = (_convolution(cf.c3[j], N) * iax
-                 + _convolution(cf.c4[j], N) * iay + _convolution(cf.c5[j], N))
-        yield c1_lat, -first, _convolution(cf.c2[j], N)
+        az = cf.az[j]
+        c2, c3 = op.cfg.a ** 2 + az**2 * cf.g2, 2 * az * cf.g3
+        c4, c5 = 2 * az * cf.g4, az * cf.g5
+        first = (_convolution(c3, N) * iax
+                 + _convolution(c4, N) * iay + _convolution(c5, N))
+        yield c1_lat, -first, _convolution(c2, N)
     yield -_convolution(cf.one_minus_f_over_a / op.cfg.rho, N) * Z, eye, zero
 
 

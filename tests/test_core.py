@@ -164,6 +164,7 @@ def test_gamma_eta_grid_flags_resonance():
     dict(b=math.inf),
     dict(omega=1e200),
     dict(omega=1e-160),
+    dict(b=1e308),                 # omega*b overflows
 ])
 def test_config_validation(kwargs):
     base = dict(omega=5.0)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,12 +7,14 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import gmres, splu
 
-from oracles import dense_matvec, dense_operator, synthesize_linear_data
-from superlens_imaging.config import ExperimentConfig
+from oracles import (dense_matvec, dense_operator, eval_field,
+                     synthesize_linear_data)
+from superlens_imaging.config import ExperimentConfig, build_config
 from superlens_imaging.core import PhysicalConfig, mode_scalars
 from superlens_imaging.errors import (NearSingularSystem, NoConvergence,
                                       NyquistViolation, ProfileTooTall,
                                       ResonantMode)
+from superlens_imaging.experiments import effective_profile
 from superlens_imaging.forward import (Discretization, _BandedLU, _givens,
                                        _gmres, _impedance, _Operator,
                                        coefficient_fields, deriv_matrix,
@@ -105,6 +107,17 @@ def test_second_order_stencils_less_accurate(phys_table1):
 
 def _operator(cfg, disc):
     return _Operator(cfg, disc, coefficient_fields(trig_profile(), cfg, disc))
+
+
+def test_coefficient_fields_hold_no_level_array(phys_table1):
+    # c2..c5 factor into the z-profile az and one P x P field each
+    disc = Discretization()
+    cf = coefficient_fields(trig_profile(), phys_table1, disc)
+    zs = np.arange(disc.M + 1) * (phys_table1.a / disc.M)
+    assert np.array_equal(cf.az, phys_table1.a - zs)
+    for field in fields(cf):
+        if field.name != "az":
+            assert getattr(cf, field.name).shape == (disc.P, disc.P)
 
 
 def test_pruned_lateral_transforms_match_full_fft(phys_table1):
@@ -226,6 +239,18 @@ def test_banded_lu_rejects_vanishing_pivot():
                                                  b[k]), rtol=1e-14)
 
 
+def test_banded_lu_solves_into_out(phys_table1):
+    # GMRES lands each preconditioned vector straight in its Krylov row
+    op = _operator(phys_table1, FAST)
+    solve = op.preconditioner()
+    b = [1, 1j] @ np.random.default_rng(2).normal(size=(2, op.dim))
+    rows = np.full((2, op.dim), np.nan, dtype=complex)
+    row = rows[1]
+    assert solve(b, out=row) is row
+    assert np.array_equal(row, solve(b))
+    assert np.isnan(rows[0]).all()
+
+
 def test_givens_matches_lapack_lartg():
     # oracle: LAPACK's zlartg, as scipy exposes it
     lartg = get_lapack_funcs("lartg", dtype=complex)
@@ -268,8 +293,9 @@ def test_gmres_matches_scipy(coupling, rtol, iter_max, expect):
     # oracle: scipy's restarted GMRES with the settings _gmres documents
     A, b = _nonnormal_system(coupling)
     dinv = 1 / np.diag(A)
-    x, iterations, rnorm = _gmres(lambda v: A @ v, lambda v: dinv * v, b,
-                                  rtol, iter_max)
+    x, iterations, rnorm = _gmres(lambda v: A @ v,
+                                  lambda v, out=None: np.multiply(dinv, v, out=out),
+                                  b, rtol, iter_max)
 
     restart = min(50, iter_max)
     calls = []
@@ -313,9 +339,9 @@ def test_solve_makes_one_matvec_per_iteration_and_cycle(
     def counting_preconditioner(self):
         solve = preconditioner(self)
 
-        def counted(v):
+        def counted(v, out=None):
             counts["psolve"] += 1
-            return solve(v)
+            return solve(v, out=out)
         return counted
 
     monkeypatch.setattr(_Operator, "apply", counting_apply)
@@ -342,6 +368,30 @@ def test_dense_and_iterative_agree(phys_table1):
     sol = solve_forward(trig_profile(), phys_table1, TINY)
     got = sol.spectral_interior.reshape(-1)
     assert np.linalg.norm(got - want) < 10 * TINY.iter_tol * np.linalg.norm(want)
+
+
+# the four forward-solve benchmark points on the --fast grid, and the GMRES
+# iterations each takes; the benchmark smoke test asserts their sum
+_FAST_POINTS = {
+    "trig-eps1e-3": (dict(profile="1", rho=-1 + 0.01j, kappa=-1 + 0.01j,
+                          epsilon=1e-3), 6),
+    "bumps-loss1e-3": (dict(profile="2", rho=-1 + 0.001j,
+                            kappa=-1 + 0.001j, epsilon=1e-3), 6),
+    "glyph-eps1e-3": (dict(profile="3", rho=-1 + 0.001j, kappa=-1 + 0.001j,
+                           epsilon=1e-3), 7),
+    "glyph-eps1e-2": (dict(profile="3", rho=-1 + 0.001j, kappa=-1 + 0.001j,
+                           epsilon=1e-2), 16),
+}
+
+
+@pytest.mark.parametrize("point", list(_FAST_POINTS))
+def test_fast_benchmark_points_iteration_counts(point):
+    params, iterations = _FAST_POINTS[point]
+    cfg = replace(build_config(fast=True), **params)
+    sol = solve_forward(effective_profile(cfg), cfg.to_physical(),
+                        cfg.to_discretization())
+    assert sol.iterations == iterations
+    assert sol.residual <= cfg.iter_tol
 
 
 def test_no_convergence_raises(phys_table1):
@@ -435,7 +485,7 @@ def test_slab_impedance_consistent_with_zeroth_order(phys_table1):
     om, a, rho = phys_table1.omega, phys_table1.a, phys_table1.rho
     E = (zeta / rho) / (om * np.cos(om * a) - (Z / rho) * np.sin(om * a))
     z0 = solve_zeroth(phys_table1)
-    got = complex(z0.eval(np.array(a - 1e-12)))
+    got = complex(eval_field(z0, np.array(a - 1e-12)))
     assert E * np.sin(om * (a - 1e-12)) == pytest.approx(got, rel=1e-9)
 
 
