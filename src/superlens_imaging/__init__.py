@@ -11,9 +11,9 @@ expansion, per-mode scaling factors, and a discrepancy-principle cutoff.
 from .config import ExperimentConfig, build_config
 from .core import PhysicalConfig, mode_scalars
 from .errors import (BadThreshold, CutoffOutOfRange, DegenerateSlab,
-                     EmptyImage, NearSingularSystem, NoConvergence,
-                     NyquistViolation, ProfileTooTall, ResonantMode,
-                     SuperlensError, UsageError, ZeroNoise)
+                     EmptyImage, GridTooLarge, NearSingularSystem,
+                     NoConvergence, NyquistViolation, ProfileTooTall,
+                     ResonantMode, SuperlensError, UsageError, ZeroNoise)
 from .forward import Discretization, ForwardSolution, solve_forward
 from .inverse import (choose_cutoff, error_decomposition,
                       recon_coefficients, reconstruct, residual_curve)
@@ -30,7 +30,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadThreshold", "CutoffOutOfRange", "DegenerateSlab", "Discretization",
-    "EmptyImage", "ExperimentConfig", "ForwardSolution", "Measurement",
+    "EmptyImage", "ExperimentConfig", "ForwardSolution", "GridTooLarge",
+    "Measurement",
     "NearSingularSystem", "NoConvergence", "NoiseSpec", "NyquistViolation",
     "PhysicalConfig", "ProfileTooTall", "ResonantMode", "SpectrumField",
     "SuperlensError", "SurfaceProfile", "UsageError", "ZeroNoise",

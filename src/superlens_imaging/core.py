@@ -83,7 +83,6 @@ def tau_of(cfg: PhysicalConfig) -> complex:
 @dataclass(frozen=True)
 class Scalars:
     """Bundle of the per-mode quantities the layer algebra needs."""
-    alpha_sq: float
     gamma: complex
     eta: complex
     phi: complex
@@ -94,9 +93,7 @@ def mode_scalars(n: Mode, cfg: PhysicalConfig) -> Scalars:
     g, e, _ = gamma_eta_grid(n[0], n[1], cfg)
     g = _nonresonant("gamma", complex(g), n, cfg)
     e = _nonresonant("eta", complex(e), n, cfg)
-    asq = alpha_grid(n[0], n[1], cfg)[2]
     return Scalars(
-        alpha_sq=float(asq),
         gamma=g,
         eta=e,
         phi=e / cfg.rho + g,

@@ -14,6 +14,11 @@ class UsageError(SuperlensError):
     exit_code = 1
 
 
+class GridTooLarge(UsageError):
+    """The discretization's arrays do not fit in the memory there is."""
+    exit_code = 1
+
+
 # --- invariant violations (detectable from the inputs) ------------------
 
 class ResonantMode(SuperlensError):

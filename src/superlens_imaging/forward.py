@@ -28,8 +28,9 @@ import numpy as np
 
 from .core import (PhysicalConfig, alpha_grid, cancelling_sum, gamma_eta_grid,
                    mode_grid, slab_terms, tau_of)
-from .errors import (DegenerateSlab, NearSingularSystem, NoConvergence,
-                     NyquistViolation, ProfileTooTall, ResonantMode)
+from .errors import (DegenerateSlab, GridTooLarge, NearSingularSystem,
+                     NoConvergence, NyquistViolation, ProfileTooTall,
+                     ResonantMode)
 from .profiles import SurfaceProfile, band_limited_profile, check_unit_cell
 from .spectral import SpectrumField, synthesize
 
@@ -242,12 +243,16 @@ class _Operator:
     output rows.  The workspace, (5, _LEVEL_BLOCK, P, P) complex (1.5 MB at
     full resolution), stays in cache across the stages; it and the block's
     spectra live as long as the operator, and the impedance trace reuses
-    their first slices after the last block.  The z-derivatives work on a
-    z-leading copy of the state, (M+1, K, K), kept beside them.  No buffer
-    is M+1 levels of P x P: at a full-resolution solve's peak, the 33 MB
-    Krylov basis and 6 MB LU band dwarf them.  Each call returns a fresh
-    vector, but the buffers are shared, so one operator must not run two
-    apply() calls at once.
+    their first slices after the last block.  The block's z-derivatives,
+    (2, _LEVEL_BLOCK, K, K), come from a z-leading copy of the state,
+    (M+1, K, K) between zero pad levels, kept beside them; row M's one-sided
+    dz takes the first level of that buffer.  At full resolution the
+    operator owns 2.3 MB of buffers plus the 0.75 MB state copy.  At a
+    full-resolution solve's peak they sit beside the 33 MB Krylov basis,
+    the 3.2 MB LU envelope, GMRES's three 650 KB vectors and one 650 KB
+    preconditioner temporary.  apply(x, out=None) writes into out when
+    given, else into a fresh vector; the buffers are shared, so one
+    operator must not run two apply() calls at once.
     """
 
     def __init__(self, cfg: PhysicalConfig, disc: Discretization,
@@ -273,7 +278,7 @@ class _Operator:
         self._spec = np.empty((5, block, K, K), dtype=complex)
         self._ws = np.empty((5, block, P, P), dtype=complex)
         # the z-leading state between p zero levels on either side, its
-        # float64 windows of 2p+1 levels, and the two z-derivatives
+        # float64 windows of 2p+1 levels, and a block's two z-derivatives
         p = max(_half_bandwidth(self.Dz), _half_bandwidth(self.Dzz))
         self._bands = np.stack([_band_rows(D, p) for D in (self.Dz, self.Dzz)])
         padded = np.zeros((M + 1 + 2 * p, K, K), dtype=complex)
@@ -281,7 +286,7 @@ class _Operator:
         self._windows = np.lib.stride_tricks.sliding_window_view(
             padded.reshape(M + 1 + 2 * p, -1).view(np.float64),
             2 * p + 1, axis=0)
-        self._derivs = np.empty((2, M + 1, K, K), dtype=complex)
+        self._derivs = np.empty((2, block, K, K), dtype=complex)
 
     # spectrum (..., K, K) <-> phase-shifted field (..., P, P).  The inverse
     # transform zero-pads the spectrum along the last axis as it writes the
@@ -300,9 +305,9 @@ class _Operator:
         np.fft.fft(live, axis=-1, norm="forward", out=live)
         return live[..., :self.K]
 
-    def _z_derivatives(self, S: np.ndarray):
-        """The state z-leading, (M+1, K, K), and its first and second
-        z-derivatives, in the operator's buffers.
+    def _z_derivatives(self, j0: int, j1: int) -> np.ndarray:
+        """The first and second z-derivatives of the state in _state at
+        levels j0..j1-1, (2, j1-j0, K, K), in the operator's buffer.
 
         Level i of a derivative is the sum over the band of D's row i times
         the state's levels i-p..i+p, taken in increasing level from zero, as
@@ -310,17 +315,17 @@ class _Operator:
         `optimize` runs the sum as scaled adds of whole levels and never
         calls BLAS.
         """
-        np.copyto(self._state, np.moveaxis(S, -1, 0))
-        np.einsum("dis,iks->dik", self._bands, self._windows,
-                  out=self._derivs.reshape(2, self.M + 1, -1).view(np.float64))
-        return self._state, self._derivs[0], self._derivs[1]
+        d = self._derivs[:, :j1 - j0]
+        np.einsum("dis,iks->dik", self._bands[:, j0:j1], self._windows[j0:j1],
+                  out=d.reshape(2, j1 - j0, -1).view(np.float64))
+        return d
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out=None) -> np.ndarray:
         K, M = self.K, self.M
-        S = x.reshape(K, K, M + 1)
-        T, SZ, SZZ = self._z_derivatives(S)
-        out = np.empty((K, K, M + 1), dtype=complex)
-        rows = np.moveaxis(out, -1, 0)
+        T = self._state
+        np.copyto(T, np.moveaxis(x.reshape(K, K, M + 1), -1, 0))
+        out = np.empty(self.dim, dtype=complex) if out is None else out
+        rows = np.moveaxis(out.reshape(K, K, M + 1), -1, 0)
         # row 0: Dirichlet on the flattened surface
         rows[0] = T[0]
 
@@ -330,10 +335,11 @@ class _Operator:
         for j0 in range(1, M, block):
             j1 = min(j0 + block, M)
             spec, ws = self._spec[:, :j1 - j0], self._ws[:, :j1 - j0]
+            SZ, SZZ = self._z_derivatives(j0, j1)
             az = cf.az[j0:j1, None, None]
             np.multiply(self.lat, T[j0:j1], out=spec[0])
-            np.multiply(az * az, SZZ[j0:j1], out=spec[1])
-            np.multiply(az, SZ[j0:j1], out=spec[4])
+            np.multiply(az * az, SZZ, out=spec[1])
+            np.multiply(az, SZ, out=spec[4])
             np.multiply(self.two_iax, spec[4], out=spec[2])
             np.multiply(self.two_iay, spec[4], out=spec[3])
             self._to_field(spec, ws)
@@ -345,7 +351,7 @@ class _Operator:
                                         (cf.g5, sz, np.subtract)):
                 np.multiply(g, term, out=term)
                 accumulate(lat, term, out=lat)
-            np.multiply(self.cfg.a ** 2, SZZ[j0:j1], out=rows[j0:j1])
+            np.multiply(self.cfg.a ** 2, SZZ, out=rows[j0:j1])
             rows[j0:j1] += self._to_corner(lat)
 
         # row M: one-sided dz minus the impedance term, in the first slices
@@ -354,8 +360,9 @@ class _Operator:
         np.multiply(self.Z, T[M], out=trace)
         self._to_field(trace, field)
         np.multiply(self.trace_coef, field, out=field)
-        np.subtract(SZ[M], self._to_corner(field), out=rows[M])
-        return out.reshape(-1)
+        np.subtract(self._z_derivatives(M, M + 1)[0, 0],
+                    self._to_corner(field), out=rows[M])
+        return out
 
     def rhs(self) -> np.ndarray:
         K, P, M = self.K, self.P, self.M
@@ -393,61 +400,76 @@ class _BandedLU:
     """LU factors of B banded (n x n) blocks A_k = shared + diag(d_k) that
     share every entry off the diagonal; diag is (n, B), column k holding d_k.
 
-    All blocks are factored at once, without pivoting, in band storage:
-    ab[i, p + j - i, k] holds entry (i, j) of block k, for half-bandwidth p.
-    Elimination keeps the band, so L (unit, below) and U (above) overwrite
-    it.  Each step of the factorization and of both substitutions is one
-    level i, vectorized over the blocks.  A pivot below 1e-12 times the
-    largest entry of its row in A_k raises NearSingularSystem before any
-    solve; the diagonal then holds 1/pivot.  solve(b, out=None) works on
-    vectors laid out block by block, (B, n) C-order flattened.
+    All blocks are factored at once, without pivoting, in envelope storage:
+    row i keeps its entries from column lo_i, its first nonzero in A, to
+    hi_i, its last nonzero once the rows lo_i..i-1 have been eliminated from
+    it.  Elimination without pivoting fills nothing outside that envelope,
+    so L (unit, left of the diagonal) and U overwrite it.  At full
+    resolution (n = 65, B = 625) the rows hold 324 of the 585 entries of the
+    half-bandwidth-4 band: 3.24 MB of factors, the largest array a solve
+    holds after the 33 MB Krylov basis.  Each step of the factorization and
+    of both substitutions is one row, vectorized over the blocks; the band
+    entries the envelope leaves out are exact zeros, so a band-storage LU
+    gives the same factors and solves bit for bit.  A pivot below 1e-12
+    times the largest entry of its row in A_k raises NearSingularSystem
+    before any solve; the diagonal then holds 1/pivot.  solve(b, out=None)
+    works on vectors laid out block by block, (B, n) C-order flattened, in
+    one (n, B) temporary.
     """
 
     def __init__(self, shared: np.ndarray, diag: np.ndarray):
         n, B = diag.shape
-        p = _half_bandwidth(shared)
-        ab = np.zeros((n + p, 2 * p + 1, B), dtype=complex)
-        ab[:n] = _band_rows(shared, p)[:, :, None]
-        ab[:n, p] += diag
-        row_max = np.max(np.abs(ab[:n]), axis=1)
+        pattern = (shared != 0) | np.eye(n, dtype=bool)
+        lo = np.argmax(pattern, axis=1)
+        hi = n - 1 - np.argmax(pattern[:, ::-1], axis=1)
+        # eliminating rows lo_i..i-1 from row i fills it out to their ends
+        for i in range(n):
+            hi[i] = np.max(hi[lo[i]:i + 1])
+        start = np.concatenate(([0], np.cumsum(hi - lo + 1)))
+        self._env = np.empty((start[-1], B), dtype=complex)
+        rows = [self._env[start[i]:start[i + 1]] for i in range(n)]
+        for i, row in enumerate(rows):
+            row[...] = shared[i, lo[i]:hi[i] + 1, None]
+            row[i - lo[i]] += diag[i]
+        row_max = [np.max(np.abs(row), axis=0) for row in rows]
 
-        # skewed views over the band: for pivot row j, lower[j, s - 1] is
-        # entry (j + s, j) and upper[j, s - 1] the entries (j + s, j + 1..j + p)
-        # of rows s = 1..p below it; the p zero pad rows absorb the overhang
-        # past row n - 1, so the steps near the end need no special case
-        it, R, C = ab.strides[2], ab.strides[0], ab.strides[1]
-        skew = np.lib.stride_tricks.as_strided
-        lower = skew(ab[1:, p - 1], (n, p, B), (R, R - C, it))
-        upper = skew(ab[1:, p:], (n, p, p, B), (R, R - C, C, it))
-        for j in range(n):
-            pivot = ab[j, p]
-            small = ~(np.abs(pivot) > 1e-12 * row_max[j])
+        # row by row: subtract l_ij times row j of U for j = lo_i..i-1, each
+        # entry taking its updates in increasing j, as a column-by-column
+        # elimination applies them
+        for i, row in enumerate(rows):
+            for j in range(lo[i], i):
+                lij = row[j - lo[i]]
+                lij /= rows[j][j - lo[j]]
+                row[j + 1 - lo[i]:hi[j] + 1 - lo[i]] -= (
+                    lij * rows[j][j + 1 - lo[j]:])
+            small = ~(np.abs(row[i - lo[i]]) > 1e-12 * row_max[i])
             if small.any():
                 k = int(np.argmax(small))
                 raise NearSingularSystem(
-                    f"flat-surface preconditioner: pivot {j} of block {k} "
+                    f"flat-surface preconditioner: pivot {i} of block {k} "
                     f"vanishes")
-            lj = lower[j]
-            lj /= pivot
-            upper[j] -= lj[:, None, :] * ab[j, p + 1:]
-        self.n, self.p, self.B = n, p, B
-        self._ab = ab[:n]
-        np.divide(1, ab[:n, p], out=ab[:n, p])
+        for i, row in enumerate(rows):
+            np.divide(1, row[i - lo[i]], out=row[i - lo[i]])
+        self.n, self.B = n, B
+        # (level, its L row, first column) for the rows with an L part, and
+        # from the last row up (level, its U row right of the diagonal, last
+        # column, 1/pivot)
+        self._lower = [(i, row[:i - lo[i]], lo[i])
+                       for i, row in enumerate(rows) if lo[i] < i]
+        self._upper = [(i, row[i - lo[i] + 1:], hi[i], row[i - lo[i]])
+                       for i, row in enumerate(rows)][::-1]
 
     def solve(self, b: np.ndarray, out=None) -> np.ndarray:
-        n, p, ab = self.n, self.p, self._ab
-        # level i of the block-leading solution sits at row p + i, between
-        # p zero rows on either side
-        y = np.zeros((n + 2 * p, self.B), dtype=complex)
-        y[p:n + p] = b.reshape(self.B, n).T
-        for i in range(1, n):
-            y[p + i] -= np.einsum("sk,sk->k", ab[i, :p], y[i:p + i])
-        for i in range(n - 1, -1, -1):
-            y[p + i] -= np.einsum("sk,sk->k", ab[i, p + 1:],
-                                  y[p + i + 1:2 * p + i + 1])
-            y[p + i] *= ab[i, p]
-        out = np.empty(self.B * n, dtype=complex) if out is None else out
-        out.reshape(self.B, n)[...] = y[p:n + p].T
+        # the solution block-leading, level i in row i
+        y = b.reshape(self.B, self.n).T.astype(complex, order="C")
+        for i, lower, j0 in self._lower:
+            y[i] -= np.einsum("sk,sk->k", lower, y[j0:i])
+        for i, upper, j1, inv_pivot in self._upper:
+            if j1 > i:
+                y[i] -= np.einsum("sk,sk->k", upper, y[i + 1:j1 + 1])
+            y[i] *= inv_pivot
+        out = np.empty(self.B * self.n, dtype=complex) if out is None else out
+        out.reshape(self.B, self.n)[...] = y.T
         return out
 
 
@@ -487,12 +509,14 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     modified Gram-Schmidt, zlartg's Givens rotations, and the inner
     tolerance control of scipy gh-8400.
 
-    psolve(v, out=row) puts the preconditioned v in a Krylov row.  Returns
-    (x, inner iterations, ||b - A x||), the iterations counted as scipy's
-    `pr_norm` callback counts them and the residual norm as the last cycle
-    computed it.  Stops after the cycle in which ||b - A x|| <= rtol ||b||,
-    on breakdown, or when the cycles run out; the caller checks the
-    residual.
+    matvec(v, out=buf) puts A v in buf, and psolve(v, out=row) puts the
+    preconditioned v in a Krylov row, so an iteration allocates no vector.
+    Returns (x, inner iterations, ||b - A x||), the iterations counted as
+    scipy's `pr_norm` callback counts them and the residual norm as the last
+    cycle computed it.  Stops after the cycle in which ||b - A x|| <= rtol
+    ||b||, on breakdown, or when the cycles run out; the caller checks the
+    residual.  Besides x and b it holds the restart + 1 Krylov vectors (33 MB
+    at full resolution, the largest array of a solve) and one scratch vector.
     """
     n = b.size
     x = np.zeros(n, dtype=complex)
@@ -512,7 +536,9 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     v = np.empty((restart + 1, n), dtype=complex)
     h = np.zeros((restart, restart + 1), dtype=complex)
     givens = np.zeros((restart, 2), dtype=complex)
-    scratch = np.empty(n, dtype=complex)  # Gram-Schmidt and x-update temporary
+    # the matvec, Gram-Schmidt and x-update temporary, and the residual
+    # b - A x from a cycle's end until the next cycle's psolve reads it
+    scratch = np.empty(n, dtype=complex)
     iterations = 0
     r = b
     for _ in range(cycles):
@@ -524,7 +550,7 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
 
         breakdown = False
         for col in range(restart):
-            w = psolve(matvec(v[col]), out=v[col + 1])
+            w = psolve(matvec(v[col], out=scratch), out=v[col + 1])
             h0 = _norm(w)
             for k in range(col + 1):
                 tmp = np.einsum("i,i->", np.conjugate(v[k], out=scratch), w)
@@ -566,7 +592,7 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
             y[0] /= h[0, 0]
         x += np.einsum("k,kn->n", y, v[:col + 1], out=scratch)
 
-        r = b - matvec(x)
+        r = np.subtract(b, matvec(x, out=scratch), out=scratch)
         rnorm = _norm(r)
         if rnorm <= atol or breakdown:
             break
@@ -582,10 +608,8 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
 
 @dataclass(frozen=True)
 class ForwardSolution:
-    """spectral_interior: mode coefficients (K, K, M+1) of the field on the
-    flattened levels; top: coefficients u_n(b) on the solver window;
-    top_grid: u(x_i, b) on the I x I grid."""
-    spectral_interior: np.ndarray
+    """top: coefficients u_n(b) on the solver window; top_grid: u(x_i, b)
+    on the I x I grid."""
     top: SpectrumField
     top_grid: np.ndarray
     iterations: int
@@ -612,25 +636,30 @@ def solve_forward(profile: SurfaceProfile, cfg: PhysicalConfig,
     GMRES preconditioned by the exact flat-surface inverse; the reported
     residual is the true relative residual of the unpreconditioned system,
     ||b - A x|| / ||b|| as GMRES computed it at the end of its last cycle.
+    A grid whose arrays do not fit in memory raises GridTooLarge.
     """
-    cf = coefficient_fields(profile, cfg, disc)
-    op = _Operator(cfg, disc, cf)
-    b = op.rhs()
-    x, iterations, rnorm = _gmres(op.apply, op.preconditioner(), b,
-                                  0.05 * disc.iter_tol, disc.iter_max)
+    try:
+        cf = coefficient_fields(profile, cfg, disc)
+        op = _Operator(cfg, disc, cf)
+        b = op.rhs()
+        x, iterations, rnorm = _gmres(op.apply, op.preconditioner(), b,
+                                      0.05 * disc.iter_tol, disc.iter_max)
 
-    res = rnorm / _norm(b)
-    if res > disc.iter_tol:
-        raise NoConvergence(
-            f"relative residual {res:.3e} above tolerance {disc.iter_tol:.1e} "
-            f"after {iterations} iterations")
+        res = rnorm / _norm(b)
+        if res > disc.iter_tol:
+            raise NoConvergence(
+                f"relative residual {res:.3e} above tolerance "
+                f"{disc.iter_tol:.1e} after {iterations} iterations")
 
-    S = x.reshape(op.K, op.K, disc.M + 1)
-    top = _back_substitute(op, S, cfg, disc)
-    top_grid = synthesize(top, disc.N_f, (disc.I, disc.I))
-    return ForwardSolution(spectral_interior=S, top=top,
-                           top_grid=top_grid, iterations=iterations,
-                           residual=res)
+        S = x.reshape(op.K, op.K, disc.M + 1)
+        top = _back_substitute(op, S, cfg, disc)
+        top_grid = synthesize(top, disc.N_f, (disc.I, disc.I))
+    except MemoryError as exc:
+        raise GridTooLarge(
+            f"the grid I={disc.I}, N_f={disc.N_f}, M={disc.M} does not fit "
+            f"in memory") from exc
+    return ForwardSolution(top=top, top_grid=top_grid,
+                           iterations=iterations, residual=res)
 
 
 def reflected_flux(top: SpectrumField, cfg: PhysicalConfig) -> float:

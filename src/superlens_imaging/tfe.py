@@ -50,15 +50,10 @@ def sigma_n(n: Mode, cfg: PhysicalConfig) -> complex:
 @dataclass(frozen=True)
 class ZerothOrder:
     """Flat-surface field: A e^{i eta z} + B e^{-i eta z} inside the slab,
-    C e^{i gamma z} + D e^{-i gamma z} below it, with D = -C."""
+    C (e^{i gamma z} - e^{-i gamma z}) below it, which vanishes at z = 0."""
     A: complex
     B: complex
     C: complex
-    cfg: PhysicalConfig
-
-    @property
-    def D(self) -> complex:
-        return -self.C
 
 
 def solve_zeroth(cfg: PhysicalConfig) -> ZerothOrder:
@@ -74,7 +69,7 @@ def solve_zeroth(cfg: PhysicalConfig) -> ZerothOrder:
     B = (1j * cmath.exp(1j * e * a) * tau / sig) * (
         s.phi * cmath.exp(-1j * g * a) - s.psi * cmath.exp(1j * g * a))
     C = -2j * e * tau / (cfg.rho * sig)
-    return ZerothOrder(A=A, B=B, C=C, cfg=cfg)
+    return ZerothOrder(A=A, B=B, C=C)
 
 
 @functools.lru_cache(maxsize=16)

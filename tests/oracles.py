@@ -6,8 +6,9 @@ must equal, an ODE quadrature of the first-order problem, the flat-surface
 field and its z-derivative evaluated from its four coefficients and
 substituted back into its defining conditions, the analytic
 spectrum of profile 1, inverse-crime linear data, residual tails summed
-one cut-off at a time, and the forward operator assembled as a dense
-matrix from the convolution matrices of its coefficient fields.  They live
+one cut-off at a time, the forward operator assembled as a dense matrix
+from the convolution matrices of its coefficient fields, and the
+flat-surface LU in full band storage.  They live
 beside the tests, not in the package, so that the code under test does not
 ship its own checks.
 """
@@ -20,6 +21,10 @@ import numpy as np
 
 from superlens_imaging.core import (Mode, PhysicalConfig, alpha_grid,
                                    mode_grid, mode_scalars, tau_of)
+from superlens_imaging.errors import NearSingularSystem
+from superlens_imaging.forward import (Discretization, _band_rows,
+                                       _gmres, _half_bandwidth, _Operator,
+                                       coefficient_fields)
 from superlens_imaging.profiles import SurfaceProfile, profile_spectrum
 from superlens_imaging.spectral import SpectrumField
 from superlens_imaging.tfe import (ZERO, ZerothOrder, first_order_top,
@@ -44,31 +49,32 @@ def transfer_matrix(n: Mode, cfg: PhysicalConfig) -> np.ndarray:
     ], dtype=complex)
 
 
-def eval_field(z0: ZerothOrder, z):
-    """The flat-surface field at the heights z: C e^{i gamma z} + D
-    e^{-i gamma z} below z = a, A e^{i eta z} + B e^{-i eta z} from there."""
+def eval_field(z0: ZerothOrder, cfg: PhysicalConfig, z):
+    """The flat-surface field of cfg at the heights z: C e^{i gamma z} + D
+    e^{-i gamma z} below z = a, with D = -C, and A e^{i eta z} + B
+    e^{-i eta z} from there."""
     z = np.asarray(z, dtype=float)
-    s0 = mode_scalars(ZERO, z0.cfg)
+    s0 = mode_scalars(ZERO, cfg)
     below = (z0.C * np.exp(1j * s0.gamma * z)
-             + z0.D * np.exp(-1j * s0.gamma * z))
+             - z0.C * np.exp(-1j * s0.gamma * z))
     slab = z0.A * np.exp(1j * s0.eta * z) + z0.B * np.exp(-1j * s0.eta * z)
-    return np.where(z < z0.cfg.a, below, slab)
+    return np.where(z < cfg.a, below, slab)
 
 
-def eval_dz(z0: ZerothOrder, z, side: str = "auto"):
+def eval_dz(z0: ZerothOrder, cfg: PhysicalConfig, z, side: str = "auto"):
     """d/dz of the flat-surface field; ``side`` breaks the tie exactly at
     z = a."""
     z = np.asarray(z, dtype=float)
-    s0 = mode_scalars(ZERO, z0.cfg)
+    s0 = mode_scalars(ZERO, cfg)
     below = 1j * s0.gamma * (
-        z0.C * np.exp(1j * s0.gamma * z) - z0.D * np.exp(-1j * s0.gamma * z))
+        z0.C * np.exp(1j * s0.gamma * z) + z0.C * np.exp(-1j * s0.gamma * z))
     slab = 1j * s0.eta * (
         z0.A * np.exp(1j * s0.eta * z) - z0.B * np.exp(-1j * s0.eta * z))
     if side == "below":
         return below
     if side == "slab":
         return slab
-    return np.where(z < z0.cfg.a, below, slab)
+    return np.where(z < cfg.a, below, slab)
 
 
 def first_order_ode_oracle(n: Mode, g_n: complex, cfg: PhysicalConfig,
@@ -88,6 +94,7 @@ def first_order_ode_oracle(n: Mode, g_n: complex, cfg: PhysicalConfig,
         z_steps += 1  # Simpson needs an even interval count
     s = mode_scalars(n, cfg)
     s0 = mode_scalars(ZERO, cfg)
+    alpha_sq = alpha_grid(n[0], n[1], cfg)[2]
     a = cfg.a
     z0 = solve_zeroth(cfg)
     gam, gam0 = s.gamma, s0.gamma
@@ -96,7 +103,7 @@ def first_order_ode_oracle(n: Mode, g_n: complex, cfg: PhysicalConfig,
     # the flat-surface field below the slab
     z = np.linspace(0.0, a, z_steps + 1)
     v = (2j / a) * z0.C * gam0 * (
-        2 * gam0 * np.sin(gam0 * z) - s.alpha_sq * (a - z) * np.cos(gam0 * z)) * g_n
+        2 * gam0 * np.sin(gam0 * z) - alpha_sq * (a - z) * np.cos(gam0 * z)) * g_n
 
     # particular solution w(z) = gamma^{-1} int_0^z sin(gamma (z - t)) v(t) dt
     # with w(0) = w'(0) = 0; only its interface trace enters the solve
@@ -108,7 +115,7 @@ def first_order_ode_oracle(n: Mode, g_n: complex, cfg: PhysicalConfig,
 
     # homogeneous corrections fixed by the four conditions; note the
     # interface jump is driven by the *zero-mode* slab-side derivative
-    du0_plus = complex(eval_dz(z0, a, side="slab"))
+    du0_plus = complex(eval_dz(z0, cfg, a, side="slab"))
     M = transfer_matrix(n, cfg)
     rhs = np.array([
         0.0,
@@ -129,6 +136,7 @@ def zeroth_residuals(cfg: PhysicalConfig) -> dict[str, float]:
     but are still evaluated (at interior points) to catch branch mistakes.
     """
     z0 = solve_zeroth(cfg)
+    D = -z0.C  # the below-slab coefficient of e^{-i gamma z}
     s0 = mode_scalars(ZERO, cfg)
     tau = tau_of(cfg)
     a, b = cfg.a, cfg.b
@@ -139,25 +147,25 @@ def zeroth_residuals(cfg: PhysicalConfig) -> dict[str, float]:
     robin = abs(du_b / cfg.rho - (1j * g * u_b + tau))
 
     u_a_slab = z0.A * cmath.exp(1j * e * a) + z0.B * cmath.exp(-1j * e * a)
-    u_a_below = complex(eval_field(z0, a * (1 - 1e-16)))
+    u_a_below = complex(eval_field(z0, cfg, a * (1 - 1e-16)))
     continuity = abs(u_a_slab - u_a_below)
 
-    du_a_slab = complex(eval_dz(z0, a, side="slab"))
-    du_a_below = complex(eval_dz(z0, a, side="below"))
+    du_a_slab = complex(eval_dz(z0, cfg, a, side="slab"))
+    du_a_below = complex(eval_dz(z0, cfg, a, side="below"))
     flux = abs(du_a_slab / cfg.rho - du_a_below)
 
-    dirichlet = abs(z0.C + z0.D)
+    dirichlet = abs(z0.C + D)
 
     # Helmholtz residuals at midpoints: curvature taken analytically from
     # the stored coefficients, value from eval_field() — zero only when the
     # two code paths agree on the branch representation
     zm_b, zm_s = 0.5 * a, 0.5 * (a + b)
     d2_below = -g * g * (z0.C * cmath.exp(1j * g * zm_b) +
-                         z0.D * cmath.exp(-1j * g * zm_b))
-    helm_below = abs(d2_below + g * g * complex(eval_field(z0, zm_b)))
+                         D * cmath.exp(-1j * g * zm_b))
+    helm_below = abs(d2_below + g * g * complex(eval_field(z0, cfg, zm_b)))
     d2_slab = -e * e * (z0.A * cmath.exp(1j * e * zm_s) +
                         z0.B * cmath.exp(-1j * e * zm_s))
-    helm_slab = abs(d2_slab + e * e * complex(eval_field(z0, zm_s)))
+    helm_slab = abs(d2_slab + e * e * complex(eval_field(z0, cfg, zm_s)))
 
     return {
         "robin_top": robin,
@@ -284,3 +292,73 @@ def dense_matvec(op, x: np.ndarray) -> np.ndarray:
         out[:, j] = (L @ X[:, j] + A1 @ np.tensordot(op.Dz[j], X, (0, 1))
                      + A2 @ np.tensordot(op.Dzz[j], X, (0, 1)))
     return np.moveaxis(out, -1, 0).reshape(x.shape)
+
+
+class BandLU:
+    """The flat-surface LU of forward._BandedLU in full band storage, the
+    reference its envelope storage must reproduce bit for bit.
+
+    All B blocks A_k = shared + diag(d_k) are factored at once, without
+    pivoting: ab[i, p + j - i, k] holds entry (i, j) of block k, for
+    half-bandwidth p.  Elimination keeps the band, so L (unit, below) and
+    U (above) overwrite it, and the diagonal ends up holding 1/pivot.  Each
+    step of the factorization and of both substitutions is one level i,
+    vectorized over the blocks.  A pivot below 1e-12 times the largest
+    entry of its row in A_k raises NearSingularSystem.
+    """
+
+    def __init__(self, shared: np.ndarray, diag: np.ndarray):
+        n, B = diag.shape
+        p = _half_bandwidth(shared)
+        ab = np.zeros((n + p, 2 * p + 1, B), dtype=complex)
+        ab[:n] = _band_rows(shared, p)[:, :, None]
+        ab[:n, p] += diag
+        row_max = np.max(np.abs(ab[:n]), axis=1)
+
+        # skewed views over the band: for pivot row j, lower[j, s - 1] is
+        # entry (j + s, j) and upper[j, s - 1] the entries (j + s, j + 1..j + p)
+        # of rows s = 1..p below it; the p zero pad rows absorb the overhang
+        # past row n - 1, so the steps near the end need no special case
+        it, R, C = ab.strides[2], ab.strides[0], ab.strides[1]
+        skew = np.lib.stride_tricks.as_strided
+        lower = skew(ab[1:, p - 1], (n, p, B), (R, R - C, it))
+        upper = skew(ab[1:, p:], (n, p, p, B), (R, R - C, C, it))
+        for j in range(n):
+            pivot = ab[j, p]
+            small = ~(np.abs(pivot) > 1e-12 * row_max[j])
+            if small.any():
+                k = int(np.argmax(small))
+                raise NearSingularSystem(
+                    f"flat-surface preconditioner: pivot {j} of block {k} "
+                    f"vanishes")
+            lj = lower[j]
+            lj /= pivot
+            upper[j] -= lj[:, None, :] * ab[j, p + 1:]
+        self.n, self.p, self.B = n, p, B
+        self.ab = ab[:n]
+        np.divide(1, ab[:n, p], out=ab[:n, p])
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        n, p, ab = self.n, self.p, self.ab
+        # level i of the block-leading solution sits at row p + i, between
+        # p zero rows on either side
+        y = np.zeros((n + 2 * p, self.B), dtype=complex)
+        y[p:n + p] = b.reshape(self.B, n).T
+        for i in range(1, n):
+            y[p + i] -= np.einsum("sk,sk->k", ab[i, :p], y[i:p + i])
+        for i in range(n - 1, -1, -1):
+            y[p + i] -= np.einsum("sk,sk->k", ab[i, p + 1:],
+                                  y[p + i + 1:2 * p + i + 1])
+            y[p + i] *= ab[i, p]
+        return y[p:n + p].T.reshape(-1)
+
+
+def solve_interior(profile: SurfaceProfile, cfg: PhysicalConfig,
+                   disc: Discretization) -> np.ndarray:
+    """The mode coefficients (K, K, M+1) of the solved field on the
+    flattened levels, from the operator and GMRES exactly as
+    forward.solve_forward runs them before it keeps the top plane."""
+    op = _Operator(cfg, disc, coefficient_fields(profile, cfg, disc))
+    x, _, _ = _gmres(op.apply, op.preconditioner(), op.rhs(),
+                     0.05 * disc.iter_tol, disc.iter_max)
+    return x.reshape(op.K, op.K, disc.M + 1)

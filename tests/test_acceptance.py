@@ -89,7 +89,7 @@ def test_criterion_2_zeroth_order_residuals():
     # slab-absent mirror oracle: total field -2i sin(omega z)
     cfg0 = PhysicalConfig(omega=OMEGA, a=0.1, b=0.2, rho=1 + 0j, kappa=1 + 0j)
     z = np.linspace(0.0, cfg0.b, 57)
-    mirror = np.max(np.abs(eval_field(solve_zeroth(cfg0), z)
+    mirror = np.max(np.abs(eval_field(solve_zeroth(cfg0), cfg0, z)
                            + 2j * np.sin(OMEGA * z)))
     dt = time.perf_counter() - t0
     _verdict(2, worst < 1e-10 and mirror < 1e-12 and dt < 1.0,

@@ -296,6 +296,10 @@ def _rejects(argv, forward_dir, out):
      "above tolerance"),
     (["experiment", "1", "--fast", "--set", "wavelength=1.0"], 2,
      "resonant mode"),
+    # a grid whose first array, az (M+1 floats), is larger than any address
+    # space, so its allocation fails at once
+    (["forward", *FAST, "--set", f"M={10**17}"], 1,
+     f"grid I=33, N_f=8, M={10**17} does not fit in memory"),
     # a wavelength whose omega^2 is zero, subnormal or overflows
     (["forward", *FAST, "--set", "wavelength=0"], 2,
      "wavelength must be positive"),
@@ -316,7 +320,7 @@ def _rejects(argv, forward_dir, out):
        "noise-stats-sigma-junk", "noise-stats-sigma-negative",
        "forward-period-2", "experiment-period-half", "invert-period-2",
        "noise-stats-seed-negative", "forward-too-tall", "forward-resonant",
-       "forward-no-convergence", "experiment-resonant",
+       "forward-no-convergence", "experiment-resonant", "forward-grid-huge",
        "forward-wavelength-0", "sweep-sn-wavelength-0",
        "invert-wavelength-0", "forward-omega-sq-overflow",
        "forward-omega-sq-subnormal", "sweep-sn-b-huge",

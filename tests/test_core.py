@@ -95,7 +95,8 @@ def test_phi_psi_relations(cfg, n1, n2):
     assert s.phi - s.psi == pytest.approx(2 * s.gamma, rel=1e-12, abs=1e-12)
     assert s.phi + s.psi == pytest.approx(2 * s.eta / cfg.rho,
                                           rel=1e-12, abs=1e-12)
-    assert (s.gamma**2 + s.alpha_sq) == pytest.approx(cfg.omega**2, rel=1e-9)
+    alpha_sq = alpha_grid(n1, n2, cfg)[2]
+    assert (s.gamma**2 + alpha_sq) == pytest.approx(cfg.omega**2, rel=1e-9)
 
 
 def test_tau_modulus_and_phase():

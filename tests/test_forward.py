@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import gmres, splu
 
-from oracles import (dense_matvec, dense_operator, eval_field,
-                     synthesize_linear_data)
+from oracles import (BandLU, dense_matvec, dense_operator, eval_field,
+                     solve_interior, synthesize_linear_data)
 from superlens_imaging.config import ExperimentConfig, build_config
 from superlens_imaging.core import PhysicalConfig, mode_scalars
 from superlens_imaging.errors import (NearSingularSystem, NoConvergence,
@@ -171,17 +171,20 @@ def test_apply_matches_dense_assembly(phys_table1, grid):
 
 @pytest.mark.parametrize("fd_order", [2, 4])
 def test_z_derivatives_match_csr_product_bitwise(phys_table1, fd_order):
-    # oracle: the CSR product the operator used to apply
+    # oracle: the CSR product the operator used to apply, over all levels;
+    # apply takes the interior levels block by block, and level M alone
     op = _operator(phys_table1, replace(FAST, fd_order=fd_order))
     rng = np.random.default_rng(fd_order)
     S = (rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)).reshape(
         op.K, op.K, op.M + 1)
-    T, SZ, SZZ = op._z_derivatives(S)
+    np.copyto(op._state, np.moveaxis(S, -1, 0))
     flat = S.reshape(-1, op.M + 1)
-    assert np.array_equal(T, np.moveaxis(S, -1, 0))
-    for got, D in ((SZ, op.Dz), (SZZ, op.Dzz)):
-        want = (sp.csr_matrix(D) @ flat.T).reshape(got.shape)
-        assert np.array_equal(got, want)
+    want = np.stack([(sp.csr_matrix(D) @ flat.T).reshape(op._state.shape)
+                     for D in (op.Dz, op.Dzz)])
+    block = len(op._derivs[0])
+    spans = [(j0, min(j0 + block, op.M)) for j0 in range(1, op.M, block)]
+    for j0, j1 in spans + [(op.M, op.M + 1)]:
+        assert np.array_equal(op._z_derivatives(j0, j1), want[:, j0:j1])
 
 
 @pytest.mark.parametrize("fd_order", [2, 4])
@@ -251,6 +254,62 @@ def test_banded_lu_solves_into_out(phys_table1):
     assert np.isnan(rows[0]).all()
 
 
+def test_apply_writes_into_out(phys_table1):
+    # GMRES lands each matvec in its scratch vector
+    op = _operator(phys_table1, FAST)
+    x = [1, 1j] @ np.random.default_rng(4).normal(size=(2, op.dim))
+    kept = x.copy()
+    rows = np.full((2, op.dim), np.nan, dtype=complex)
+    row = rows[1]
+    assert op.apply(x, out=row) is row
+    assert np.array_equal(row, op.apply(x))
+    assert np.isnan(rows[0]).all()
+    assert np.array_equal(x, kept)
+
+
+def _flat_blocks(op):
+    """The preconditioner's shared rows and per-mode diagonals, (n, B)."""
+    M, a2 = op.M, op.cfg.a ** 2
+    shared = np.zeros((M + 1, M + 1))
+    shared[0, 0] = 1.0
+    shared[1:M] = a2 * op.Dzz[1:M]
+    shared[M] = op.Dz[M]
+    diag = np.zeros((M + 1, op.K ** 2), dtype=complex)
+    diag[1:M] = a2 * op.lat.reshape(-1)
+    diag[M] = -op.Z.reshape(-1) / op.cfg.rho
+    return shared, diag
+
+
+# (first, last) column of each row relative to the diagonal, at M = 64
+_FULL_ENVELOPE = [(0, 0), (-1, 4), (-2, 3), *[(-2, 2)] * 60, (-4, 1), (-4, 0)]
+
+
+@pytest.mark.parametrize("grid", ["full", "fast-fd2"])
+def test_banded_lu_holds_fill_envelope(phys_table1, grid):
+    # oracle: the same LU in full band storage; the envelope keeps each row
+    # from its first to its last entry that is nonzero in some block of the
+    # band factors, with those entries and every solve bit for bit equal
+    disc = {"full": Discretization(), "fast-fd2": replace(FAST, fd_order=2)}
+    op = _operator(phys_table1, disc[grid])
+    shared, diag = _flat_blocks(op)
+    lu, ref = _BandedLU(shared, diag), BandLU(shared, diag)
+    assert np.array_equal(op.preconditioner().__self__._env, lu._env)
+
+    first = {i: j0 - i for i, _, j0 in lu._lower}
+    envelope = [(first.get(i, 0), j1 - i) for i, _, j1, _ in lu._upper[::-1]]
+    p = ref.p
+    nonzero = [np.flatnonzero(row) - p for row in (ref.ab != 0).any(axis=2)]
+    assert envelope == [(nz[0], nz[-1]) for nz in nonzero]
+    if grid == "full":
+        assert envelope == _FULL_ENVELOPE
+        assert lu._env.nbytes == 3_240_000
+    assert np.array_equal(lu._env, np.concatenate(
+        [ref.ab[i, p + f:p + l + 1] for i, (f, l) in enumerate(envelope)]))
+
+    b = [1, 1j] @ np.random.default_rng(6).normal(size=(2, op.dim))
+    assert np.array_equal(lu.solve(b), ref.solve(b))
+
+
 def test_givens_matches_lapack_lartg():
     # oracle: LAPACK's zlartg, as scipy exposes it
     lartg = get_lapack_funcs("lartg", dtype=complex)
@@ -293,9 +352,10 @@ def test_gmres_matches_scipy(coupling, rtol, iter_max, expect):
     # oracle: scipy's restarted GMRES with the settings _gmres documents
     A, b = _nonnormal_system(coupling)
     dinv = 1 / np.diag(A)
-    x, iterations, rnorm = _gmres(lambda v: A @ v,
-                                  lambda v, out=None: np.multiply(dinv, v, out=out),
-                                  b, rtol, iter_max)
+    x, iterations, rnorm = _gmres(
+        lambda v, out=None: np.matmul(A, v, out=out),
+        lambda v, out=None: np.multiply(dinv, v, out=out),
+        b, rtol, iter_max)
 
     restart = min(50, iter_max)
     calls = []
@@ -332,9 +392,9 @@ def test_solve_makes_one_matvec_per_iteration_and_cycle(
     counts = {"apply": 0, "psolve": 0}
     apply, preconditioner = _Operator.apply, _Operator.preconditioner
 
-    def counting_apply(self, x):
+    def counting_apply(self, x, out=None):
         counts["apply"] += 1
-        return apply(self, x)
+        return apply(self, x, out=out)
 
     def counting_preconditioner(self):
         solve = preconditioner(self)
@@ -365,8 +425,7 @@ def test_dense_and_iterative_agree(phys_table1):
     x = [1, 1j] @ np.random.default_rng(9).normal(size=(2, op.dim))
     assert np.linalg.norm(op.apply(x) - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
     want = np.linalg.solve(A, op.rhs())
-    sol = solve_forward(trig_profile(), phys_table1, TINY)
-    got = sol.spectral_interior.reshape(-1)
+    got = solve_interior(trig_profile(), phys_table1, TINY).reshape(-1)
     assert np.linalg.norm(got - want) < 10 * TINY.iter_tol * np.linalg.norm(want)
 
 
@@ -414,17 +473,22 @@ def test_non_unit_period_rejected(phys_table1, periods):
         solve_forward(trig_profile(), cfg, FAST)
 
 
-def test_solution_shapes(sol_table1, disc_default):
+@pytest.fixture(scope="module")
+def interior_table1(phys_table1, disc_default):
+    return solve_interior(trig_profile(), phys_table1, disc_default)
+
+
+def test_solution_shapes(sol_table1, interior_table1, disc_default):
     I, K, M = disc_default.I, disc_default.K, disc_default.M
-    assert sol_table1.spectral_interior.shape == (K, K, M + 1)
+    assert interior_table1.shape == (K, K, M + 1)
     assert sol_table1.top_grid.shape == (I, I)
     assert sol_table1.top.W == disc_default.N_f
     assert sol_table1.residual < disc_default.iter_tol
 
 
-def test_dirichlet_bottom_row(sol_table1):
+def test_dirichlet_bottom_row(interior_table1):
     # row 0 is the Dirichlet identity, so every mode vanishes there exactly
-    assert np.max(np.abs(sol_table1.spectral_interior[:, :, 0])) < 1e-12
+    assert np.max(np.abs(interior_table1[:, :, 0])) < 1e-12
 
 
 def test_epsilon_consistency_fast(phys_table1):
@@ -485,7 +549,7 @@ def test_slab_impedance_consistent_with_zeroth_order(phys_table1):
     om, a, rho = phys_table1.omega, phys_table1.a, phys_table1.rho
     E = (zeta / rho) / (om * np.cos(om * a) - (Z / rho) * np.sin(om * a))
     z0 = solve_zeroth(phys_table1)
-    got = complex(eval_field(z0, np.array(a - 1e-12)))
+    got = complex(eval_field(z0, phys_table1, np.array(a - 1e-12)))
     assert E * np.sin(om * (a - 1e-12)) == pytest.approx(got, rel=1e-9)
 
 

@@ -95,15 +95,15 @@ def test_vacuum_zeroth_field_is_standing_wave():
     z0 = solve_zeroth(cfg)
     z = np.linspace(0.0, cfg.b, 57)
     standing = -2j * np.sin(cfg.omega * z)
-    assert np.max(np.abs(eval_field(z0, z) - standing)) < 1e-12
+    assert np.max(np.abs(eval_field(z0, cfg, z) - standing)) < 1e-12
 
 
 def test_eval_dz_side_selection():
     cfg = PhysicalConfig(omega=OMEGA, a=0.1, b=0.2,
                          rho=-1 + 0.01j, kappa=-1 + 0.01j)
     z0 = solve_zeroth(cfg)
-    below = complex(eval_dz(z0, cfg.a, side="below"))
-    slab = complex(eval_dz(z0, cfg.a, side="slab"))
+    below = complex(eval_dz(z0, cfg, cfg.a, side="below"))
+    slab = complex(eval_dz(z0, cfg, cfg.a, side="slab"))
     # flux continuity: (1/rho) d_z u(a+) = d_z u(a-) for the flat surface
     assert slab / cfg.rho == pytest.approx(below, rel=1e-12)
     assert below != pytest.approx(slab)  # the jump itself is nontrivial
