@@ -247,10 +247,11 @@ class _Operator:
     (2, _LEVEL_BLOCK, K, K), come from a z-leading copy of the state,
     (M+1, K, K) between zero pad levels, kept beside them; row M's one-sided
     dz takes the first level of that buffer.  At full resolution the
-    operator owns 2.3 MB of buffers plus the 0.75 MB state copy.  At a
-    full-resolution solve's peak they sit beside the 33 MB Krylov basis,
-    the 3.2 MB LU envelope, GMRES's three 650 KB vectors and one 650 KB
-    preconditioner temporary.  apply(x, out=None) writes into out when
+    operator owns 2.3 MB of buffers plus the 0.75 MB state copy.  In a
+    solve they sit beside GMRES's Krylov vectors (k + 1 of 650 KB for a
+    k-iteration cycle, allocated as reached), the 3.2 MB LU envelope,
+    GMRES's three 650 KB vectors and one 650 KB preconditioner
+    temporary.  apply(x, out=None) writes into out when
     given, else into a fresh vector; the buffers are shared, so one
     operator must not run two apply() calls at once.
     """
@@ -407,7 +408,8 @@ class _BandedLU:
     so L (unit, left of the diagonal) and U overwrite it.  At full
     resolution (n = 65, B = 625) the rows hold 324 of the 585 entries of the
     half-bandwidth-4 band: 3.24 MB of factors, the largest array a solve
-    holds after the 33 MB Krylov basis.  Each step of the factorization and
+    holds (a k-iteration GMRES cycle holds k + 1 Krylov vectors of 650 KB,
+    each its own array).  Each step of the factorization and
     of both substitutions is one row, vectorized over the blocks; the band
     entries the envelope leaves out are exact zeros, so a band-storage LU
     gives the same factors and solves bit for bit.  A pivot below 1e-12
@@ -509,14 +511,20 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     modified Gram-Schmidt, zlartg's Givens rotations, and the inner
     tolerance control of scipy gh-8400.
 
-    matvec(v, out=buf) puts A v in buf, and psolve(v, out=row) puts the
-    preconditioned v in a Krylov row, so an iteration allocates no vector.
+    matvec(v, out=buf) puts A v in buf, and psolve(v, out=vec) puts the
+    preconditioned v in a Krylov vector, so an iteration allocates at most
+    its own Krylov vector, in the first cycle that reaches it.
     Returns (x, inner iterations, ||b - A x||), the iterations counted as
     scipy's `pr_norm` callback counts them and the residual norm as the last
     cycle computed it.  Stops after the cycle in which ||b - A x|| <= rtol
     ||b||, on breakdown, or when the cycles run out; the caller checks the
-    residual.  Besides x and b it holds the restart + 1 Krylov vectors (33 MB
-    at full resolution, the largest array of a solve) and one scratch vector.
+    residual.  Besides x and b it holds one scratch vector and the Krylov
+    vectors, each allocated when a cycle first reaches it and reused by the
+    later cycles: a k-iteration cycle holds k + 1 of them (650 KB each at
+    full resolution).  One (restart + 1, n) block would be 33 MB, just
+    under glibc's 32 MiB cap on its dynamic mmap threshold: freeing it
+    would raise that threshold and the trim threshold past every later
+    array, so the heap would never be given back.
     """
     n = b.size
     x = np.zeros(n, dtype=complex)
@@ -532,8 +540,9 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     ptol_max_factor = 1.0
     ptol = _norm(psolve(b)) * min(ptol_max_factor, atol / bnrm2)
     presid = 0.0
-    # v: Krylov basis; h[col]: Hessenberg column col, rotated in place
-    v = np.empty((restart + 1, n), dtype=complex)
+    # v: Krylov basis, grown as the cycles reach it; h[col]: Hessenberg
+    # column col, rotated in place
+    v = [np.empty(n, dtype=complex)]
     h = np.zeros((restart, restart + 1), dtype=complex)
     givens = np.zeros((restart, 2), dtype=complex)
     # the matvec, Gram-Schmidt and x-update temporary, and the residual
@@ -550,6 +559,8 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
 
         breakdown = False
         for col in range(restart):
+            if len(v) == col + 1:
+                v.append(np.empty(n, dtype=complex))
             w = psolve(matvec(v[col], out=scratch), out=v[col + 1])
             h0 = _norm(w)
             for k in range(col + 1):
@@ -590,7 +601,12 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
                 y[:k] -= y[k] * h[k, :k]
         if y[0] != 0:
             y[0] /= h[0, 0]
-        x += np.einsum("k,kn->n", y, v[:col + 1], out=scratch)
+        # x += einsum("k,kn->n", y, v) bit for bit: the same products,
+        # summed in the same order; the spent v[col + 1] holds each product
+        scratch[...] = 0
+        for k in range(col + 1):
+            scratch += np.einsum(",n->n", y[k], v[k], out=v[col + 1])
+        x += scratch
 
         r = np.subtract(b, matvec(x, out=scratch), out=scratch)
         rnorm = _norm(r)

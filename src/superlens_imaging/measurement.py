@@ -10,7 +10,6 @@ implementations only the statistics are promised.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -144,14 +143,14 @@ def save_measurement_csv(m: Measurement, path: str | Path) -> None:
     """One row per sample: indices, noisy field, noise.  repr() floats so
     the grids round-trip bitwise; the bytes are those csv.writer produces
     (no field needs quoting, rows end in CRLF)."""
-    I1, I2 = m.u_delta.shape
-    columns = [part.ravel().tolist() for grid in (m.u_delta, m.delta)
-               for part in (grid.real, grid.imag)]
-    points = itertools.product(range(I1), range(I2))
-    body = "".join(f"{i1},{i2},{a!r},{b!r},{c!r},{d!r}\r\n"
-                   for (i1, i2), a, b, c, d in zip(points, *columns))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n" + body)
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        # one grid row at a time, so no whole-grid list or string is built
+        for i1, (u, d) in enumerate(zip(m.u_delta, m.delta)):
+            columns = [part.tolist()
+                       for part in (u.real, u.imag, d.real, d.imag)]
+            fh.writelines(f"{i1},{i2},{a!r},{b!r},{c!r},{e!r}\r\n"
+                          for i2, (a, b, c, e) in enumerate(zip(*columns)))
 
 
 def load_measurement_csv(path: str | Path) -> Measurement:

@@ -7,10 +7,10 @@ field and its z-derivative evaluated from its four coefficients and
 substituted back into its defining conditions, the analytic
 spectrum of profile 1, inverse-crime linear data, residual tails summed
 one cut-off at a time, the forward operator assembled as a dense matrix
-from the convolution matrices of its coefficient fields, and the
-flat-surface LU in full band storage.  They live
-beside the tests, not in the package, so that the code under test does not
-ship its own checks.
+from the convolution matrices of its coefficient fields, the flat-surface
+LU in full band storage, and restarted GMRES with its Krylov basis in one
+block.  They live beside the tests, not in the package, so that the code
+under test does not ship its own checks.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from superlens_imaging.core import (Mode, PhysicalConfig, alpha_grid,
                                    mode_grid, mode_scalars, tau_of)
 from superlens_imaging.errors import NearSingularSystem
 from superlens_imaging.forward import (Discretization, _band_rows,
-                                       _gmres, _half_bandwidth, _Operator,
-                                       coefficient_fields)
+                                       _givens, _gmres, _half_bandwidth,
+                                       _norm, _Operator, coefficient_fields)
 from superlens_imaging.profiles import SurfaceProfile, profile_spectrum
 from superlens_imaging.spectral import SpectrumField
 from superlens_imaging.tfe import (ZERO, ZerothOrder, first_order_top,
@@ -351,6 +351,112 @@ class BandLU:
                                   y[p + i + 1:2 * p + i + 1])
             y[p + i] *= ab[i, p]
         return y[p:n + p].T.reshape(-1)
+
+
+def gmres_block(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
+    """forward._gmres with its Krylov basis in one (restart + 1, n) block,
+    the reference the vectors it allocates as reached must reproduce bit for
+    bit, and its solution update one einsum over that block.
+
+    Left-preconditioned restarted GMRES (Saad & Schultz 1986) from x = 0,
+    step for step as scipy.sparse.linalg.gmres (scipy 1.17) runs it with
+    atol=0, restart=min(50, iter_max) and ceil(iter_max / restart) cycles:
+    modified Gram-Schmidt, zlartg's Givens rotations, and the inner
+    tolerance control of scipy gh-8400.
+
+    matvec(v, out=buf) puts A v in buf, and psolve(v, out=row) puts the
+    preconditioned v in a Krylov row, so an iteration allocates no vector.
+    Returns (x, inner iterations, ||b - A x||), the iterations counted as
+    scipy's `pr_norm` callback counts them and the residual norm as the last
+    cycle computed it.  Stops after the cycle in which ||b - A x|| <= rtol
+    ||b||, on breakdown, or when the cycles run out; the caller checks the
+    residual.  Besides x and b it holds the restart + 1 Krylov vectors (33 MB
+    at full resolution, the largest array of a solve) and one scratch vector.
+    """
+    n = b.size
+    x = np.zeros(n, dtype=complex)
+    bnrm2 = _norm(b)
+    if bnrm2 == 0:
+        return x, 0, 0.0
+    atol = rtol * bnrm2
+    eps = np.finfo(complex).eps
+    restart = min(50, iter_max)
+    cycles = -(-iter_max // restart)
+
+    # gh-8400: the inner loop stops on the preconditioned residual, ptol
+    ptol_max_factor = 1.0
+    ptol = _norm(psolve(b)) * min(ptol_max_factor, atol / bnrm2)
+    presid = 0.0
+    # v: Krylov basis; h[col]: Hessenberg column col, rotated in place
+    v = np.empty((restart + 1, n), dtype=complex)
+    h = np.zeros((restart, restart + 1), dtype=complex)
+    givens = np.zeros((restart, 2), dtype=complex)
+    # the matvec, Gram-Schmidt and x-update temporary, and the residual
+    # b - A x from a cycle's end until the next cycle's psolve reads it
+    scratch = np.empty(n, dtype=complex)
+    iterations = 0
+    r = b
+    for _ in range(cycles):
+        psolve(r, out=v[0])
+        tmp = _norm(v[0])
+        v[0] *= 1 / tmp
+        S = np.zeros(restart + 1, dtype=complex)
+        S[0] = tmp
+
+        breakdown = False
+        for col in range(restart):
+            w = psolve(matvec(v[col], out=scratch), out=v[col + 1])
+            h0 = _norm(w)
+            for k in range(col + 1):
+                tmp = np.einsum("i,i->", np.conjugate(v[k], out=scratch), w)
+                h[col, k] = tmp
+                w -= np.multiply(tmp, v[k], out=scratch)
+            h1 = _norm(w)
+            h[col, col + 1] = h1
+            if h1 <= eps * h0:  # the Krylov space is invariant
+                h[col, col + 1] = 0
+                breakdown = True
+            else:
+                w *= 1 / h1
+
+            for k in range(col):
+                c, s = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k] = c * n0 + s * n1
+                h[col, k + 1] = -s.conj() * n0 + c * n1
+            c, s, mag = _givens(complex(h[col, col]),
+                                complex(h[col, col + 1]))
+            givens[col] = c, s
+            h[col, col], h[col, col + 1] = mag, 0
+            tmp = -np.conjugate(s) * S[col]
+            S[col], S[col + 1] = c * S[col], tmp
+            presid = np.abs(tmp)
+            iterations += 1
+            if presid <= ptol or breakdown:
+                break
+
+        # back-substitute the triangular system, tolerating a zero pivot
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += np.einsum("k,kn->n", y, v[:col + 1], out=scratch)
+
+        r = np.subtract(b, matvec(x, out=scratch), out=scratch)
+        rnorm = _norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, iterations, rnorm
 
 
 def solve_interior(profile: SurfaceProfile, cfg: PhysicalConfig,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import gmres, splu
 
 from oracles import (BandLU, dense_matvec, dense_operator, eval_field,
-                     solve_interior, synthesize_linear_data)
+                     gmres_block, solve_interior, synthesize_linear_data)
 from superlens_imaging.config import ExperimentConfig, build_config
 from superlens_imaging.core import PhysicalConfig, mode_scalars
 from superlens_imaging.errors import (NearSingularSystem, NoConvergence,
@@ -373,6 +374,60 @@ def test_gmres_matches_scipy(coupling, rtol, iter_max, expect):
         assert converged and iterations > 2 * restart
     else:
         assert not converged and iterations == 2 * restart
+
+
+def _glyph_fast_system():
+    # the FAST glyph eps=1e-2 point of _FAST_POINTS: 16 iterations
+    cfg = replace(build_config(fast=True), **_FAST_POINTS["glyph-eps1e-2"][0])
+    phys, disc = cfg.to_physical(), cfg.to_discretization()
+    op = _Operator(phys, disc,
+                   coefficient_fields(effective_profile(cfg), phys, disc))
+    return (op.apply, op.preconditioner(), op.rhs(), 0.05 * disc.iter_tol,
+            disc.iter_max, 16)
+
+
+def _two_restart_system():
+    # test_gmres_matches_scipy's "two restarts" problem: the later cycles
+    # reuse the Krylov vectors the first one allocated
+    A, b = _nonnormal_system(0.5)
+    dinv = 1 / np.diag(A)
+    return (lambda v, out=None: np.matmul(A, v, out=out),
+            lambda v, out=None: np.multiply(dinv, v, out=out),
+            b, 1e-10, 200, None)
+
+
+@pytest.mark.parametrize("system", [_glyph_fast_system, _two_restart_system],
+                         ids=["glyph-fast", "two-restarts"])
+def test_gmres_matches_block_basis_bitwise(system):
+    # oracle: the same GMRES with its Krylov basis in one block and its
+    # solution update one einsum over it
+    matvec, psolve, b, rtol, iter_max, iterations = system()
+    x, got_iterations, rnorm = _gmres(matvec, psolve, b, rtol, iter_max)
+    want, want_iterations, want_rnorm = gmres_block(matvec, psolve, b, rtol,
+                                                    iter_max)
+    assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
+    assert got_iterations == want_iterations and rnorm == want_rnorm
+    if iterations is None:
+        assert got_iterations > 2 * min(50, iter_max)
+    else:
+        assert got_iterations == iterations
+
+
+def test_solve_traces_less_than_a_block_basis():
+    # FAST trig solve, 6 iterations: its Krylov vectors are allocated as
+    # reached, so the traced peak stays below one (51, n) block of them
+    cfg = replace(build_config(fast=True), **_FAST_POINTS["trig-eps1e-3"][0])
+    profile, phys, disc = (effective_profile(cfg), cfg.to_physical(),
+                           cfg.to_discretization())
+    n = disc.K ** 2 * (disc.M + 1)
+    tracemalloc.start()
+    try:
+        sol = solve_forward(profile, phys, disc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.iterations == 6 and n == 9537
+    assert peak < 51 * n * 16
 
 
 def test_gmres_zero_rhs():

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,19 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     save_measurement_csv(m, tmp_path / "new.csv")
     _csv_writer_reference(m, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_save_streams_rows(tmp_path):
+    # a 99 x 99 measurement is written row by row: the traced transient is
+    # a grid row's worth, not the whole body (3.8 MB built at once)
+    m = add_noise(_clean(99, seed=5), NoiseSpec(sigma=0.1, seed=6))
+    tracemalloc.start()
+    try:
+        save_measurement_csv(m, tmp_path / "m.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_csv_awkward_values_round_trip_bitwise(tmp_path):
