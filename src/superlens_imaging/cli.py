@@ -29,7 +29,7 @@ from . import __version__
 from .config import (ExperimentConfig, _parse_complex, _parse_float,
                      build_config)
 from .core import mode_grid
-from .errors import SuperlensError, UsageError
+from .errors import GridTooLarge, SuperlensError, UsageError
 from .experiments import (EXPERIMENTS, _write_csv, _write_json, check_window,
                           effective_profile, invert_measurement,
                           run_experiment)
@@ -202,7 +202,11 @@ def cmd_sweep_sn(args) -> int:
             raise UsageError(f"--media expects RHO:KAPPA, got {spec_str!r}")
         media.append(replace(cfg.to_physical(), rho=_parse_complex(rho_s),
                              kappa=_parse_complex(kappa_s)))
-    sweeps = [scaling_sweep(phys, args.n_max) for phys in media]
+    try:
+        sweeps = [scaling_sweep(phys, args.n_max) for phys in media]
+    except MemoryError as exc:
+        raise GridTooLarge(f"--n-max {args.n_max}: the mode window does not "
+                           f"fit in memory") from exc
     out = _outdir(cfg.out)
     index = []
     for k, (phys, sweep) in enumerate(zip(media, sweeps), 1):

@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ValueError("sigma must be nonnegative")
         if self.target_snr is not None and not self.target_snr > 0:
             raise ValueError("target_snr must be positive or none")
+        if not 0 < self.image_threshold < 1:
+            raise ValueError("image_threshold must lie in (0, 1)")
 
     # -- conversions to the module-level configs --------------------------
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import shutil
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -252,11 +254,17 @@ def run_experiment(exp_id: str, base: ExperimentConfig) -> dict:
     """Run every row of one experiment under base.out.  Row presets
     override the base config for the parameters that define the experiment
     (surface, medium, noise); everything else — grids, seeds, output root —
-    follows base."""
+    follows base.
+
+    The rows are written to a staging tree in a hidden directory beside
+    exp<id>, which it replaces only once index.json is written.  On any error the
+    staging directory goes, and so does base.out if this run created it:
+    a failed run leaves the output tree as it found it."""
     if exp_id not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {exp_id!r}; choose 1, 2, or 3")
     preset = EXPERIMENTS[exp_id]
-    exp_dir = Path(base.out) / f"exp{exp_id}"
+    out = Path(base.out)
+    exp_dir = out / f"exp{exp_id}"
     row_cfgs = []
     for i, row in enumerate(preset["rows"]):
         params = {k: v for k, v in row.items() if k != "label"}
@@ -265,20 +273,39 @@ def run_experiment(exp_id: str, base: ExperimentConfig) -> dict:
                       defaulted=tuple(k for k in base.defaulted
                                       if k not in merged))
         row_cfgs.append((row, merged, cfg, _row_inputs(cfg)))
-    cache: dict = {}
-    rows_out = []
-    for i, (row, merged, cfg, inputs) in enumerate(row_cfgs):
-        row_dir = exp_dir / f"row{i + 1}_{row['label']}"
-        summary = run_row(cfg, inputs, row_dir, solve_cache=cache)
-        summary["label"] = row["label"]
-        summary["preset_overrides"] = {
-            k: (str(v) if isinstance(v, complex) else v)
-            for k, v in merged.items()}
-        rows_out.append(summary)
-    index = {"experiment": exp_id, "title": preset["title"],
-             "rows": [{"label": r["label"], "chosen_N": r["chosen_N"],
-                       "realized_snr": r["realized_snr"],
-                       "rel_error_at_chosen": r["rel_error_at_chosen"],
-                       "best_N": r["best_N"]} for r in rows_out]}
-    _write_json(exp_dir / "index.json", index)
+    # the topmost directory of base.out that does not exist yet
+    created = next((p for p in (*out.parents[::-1], out) if not p.exists()),
+                   None)
+    out.mkdir(parents=True, exist_ok=True)
+    # a private holder keeps concurrent runs apart; the tree staged in it
+    # is made by mkdir, so it gets the permissions exp<id> would get
+    holder = Path(tempfile.mkdtemp(prefix=f".exp{exp_id}-", dir=out))
+    staging = holder / exp_dir.name
+    try:
+        staging.mkdir()
+        cache: dict = {}
+        rows_out = []
+        for i, (row, merged, cfg, inputs) in enumerate(row_cfgs):
+            row_dir = staging / f"row{i + 1}_{row['label']}"
+            summary = run_row(cfg, inputs, row_dir, solve_cache=cache)
+            summary["label"] = row["label"]
+            summary["preset_overrides"] = {
+                k: (str(v) if isinstance(v, complex) else v)
+                for k, v in merged.items()}
+            rows_out.append(summary)
+        index = {"experiment": exp_id, "title": preset["title"],
+                 "rows": [{"label": r["label"], "chosen_N": r["chosen_N"],
+                           "realized_snr": r["realized_snr"],
+                           "rel_error_at_chosen": r["rel_error_at_chosen"],
+                           "best_N": r["best_N"]} for r in rows_out]}
+        _write_json(staging / "index.json", index)
+        if exp_dir.exists():
+            shutil.rmtree(exp_dir)
+        staging.rename(exp_dir)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+    finally:
+        shutil.rmtree(holder, ignore_errors=True)
     return {"experiment": exp_id, "dir": str(exp_dir), "rows": rows_out}

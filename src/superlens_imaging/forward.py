@@ -224,10 +224,10 @@ _LEVEL_BLOCK = 8
 class _Operator:
     """Matrix-free application of the collocation system.
 
-    State layout: complex (K, K, M+1), C-order flattened; index [i1, i2, j]
-    is mode (i1 - N_f, i2 - N_f) at level z_j.  Row j=0 is the Dirichlet
-    identity, rows 1..M-1 the transformed PDE, row M the impedance
-    interface condition.
+    State layout: complex (M+1, K, K), C-order flattened; index [j, i1, i2]
+    is mode (i1 - N_f, i2 - N_f) at level z_j, so each level is one
+    contiguous (K, K) spectrum.  Row j=0 is the Dirichlet identity, rows
+    1..M-1 the transformed PDE, row M the impedance interface condition.
 
     apply() takes each lateral spectrum to the field by an inverse transform
     of length P along both axes, with mode n at index n + N_f: the corner
@@ -244,16 +244,15 @@ class _Operator:
     full resolution), stays in cache across the stages; it and the block's
     spectra live as long as the operator, and the impedance trace reuses
     their first slices after the last block.  The block's z-derivatives,
-    (2, _LEVEL_BLOCK, K, K), come from a z-leading copy of the state,
-    (M+1, K, K) between zero pad levels, kept beside them; row M's one-sided
-    dz takes the first level of that buffer.  At full resolution the
-    operator owns 2.3 MB of buffers plus the 0.75 MB state copy.  In a
-    solve they sit beside GMRES's Krylov vectors (k + 1 of 650 KB for a
-    k-iteration cycle, allocated as reached), the 3.2 MB LU envelope,
-    GMRES's three 650 KB vectors and one 650 KB preconditioner
-    temporary.  apply(x, out=None) writes into out when
-    given, else into a fresh vector; the buffers are shared, so one
-    operator must not run two apply() calls at once.
+    (2, _LEVEL_BLOCK, K, K), come from a copy of the state between zero pad
+    levels, kept beside them; row M's one-sided dz takes the first level of
+    that buffer.  At full resolution the operator owns 2.3 MB of buffers
+    plus the 0.75 MB state copy.  In a solve they sit beside GMRES's Krylov
+    vectors (k + 1 of 650 KB for a k-iteration cycle, allocated as
+    reached), the 3.2 MB LU envelope and GMRES's three 650 KB vectors.
+    apply(x, out=None) writes into out when given, else into a fresh
+    vector; the buffers are shared, so one operator must not run two
+    apply() calls at once.
     """
 
     def __init__(self, cfg: PhysicalConfig, disc: Discretization,
@@ -278,8 +277,8 @@ class _Operator:
         block = min(_LEVEL_BLOCK, M - 1)
         self._spec = np.empty((5, block, K, K), dtype=complex)
         self._ws = np.empty((5, block, P, P), dtype=complex)
-        # the z-leading state between p zero levels on either side, its
-        # float64 windows of 2p+1 levels, and a block's two z-derivatives
+        # the state between p zero levels on either side, its float64
+        # windows of 2p+1 levels, and a block's two z-derivatives
         p = max(_half_bandwidth(self.Dz), _half_bandwidth(self.Dzz))
         self._bands = np.stack([_band_rows(D, p) for D in (self.Dz, self.Dzz)])
         padded = np.zeros((M + 1 + 2 * p, K, K), dtype=complex)
@@ -322,11 +321,10 @@ class _Operator:
         return d
 
     def apply(self, x: np.ndarray, out=None) -> np.ndarray:
-        K, M = self.K, self.M
-        T = self._state
-        np.copyto(T, np.moveaxis(x.reshape(K, K, M + 1), -1, 0))
+        M, T = self.M, self._state
+        np.copyto(T, x.reshape(T.shape))
         out = np.empty(self.dim, dtype=complex) if out is None else out
-        rows = np.moveaxis(out.reshape(K, K, M + 1), -1, 0)
+        rows = out.reshape(T.shape)
         # row 0: Dirichlet on the flattened surface
         rows[0] = T[0]
 
@@ -371,9 +369,9 @@ class _Operator:
         # e^{iN_f(x+y)} so that its spectrum lands in the corner
         shift = np.exp(2j * np.pi * (self.N_f * np.arange(P) % P) / P)
         field = self.cf.one_minus_f_over_a * np.multiply.outer(shift, shift)
-        r = np.zeros((K, K, M + 1), dtype=complex)
-        r[:, :, M] = (self.zeta[self.N_f, self.N_f] / self.cfg.rho
-                      * self._to_corner(field))
+        r = np.zeros((M + 1, K, K), dtype=complex)
+        r[M] = (self.zeta[self.N_f, self.N_f] / self.cfg.rho
+                * self._to_corner(field))
         return r.reshape(-1)
 
     def preconditioner(self):
@@ -415,8 +413,9 @@ class _BandedLU:
     gives the same factors and solves bit for bit.  A pivot below 1e-12
     times the largest entry of its row in A_k raises NearSingularSystem
     before any solve; the diagonal then holds 1/pivot.  solve(b, out=None)
-    works on vectors laid out block by block, (B, n) C-order flattened, in
-    one (n, B) temporary.
+    works on vectors laid out level by level, (n, B) C-order flattened: it
+    copies b into out (a fresh vector when out is None) and substitutes
+    there in place.
     """
 
     def __init__(self, shared: np.ndarray, diag: np.ndarray):
@@ -462,16 +461,15 @@ class _BandedLU:
                        for i, row in enumerate(rows)][::-1]
 
     def solve(self, b: np.ndarray, out=None) -> np.ndarray:
-        # the solution block-leading, level i in row i
-        y = b.reshape(self.B, self.n).T.astype(complex, order="C")
+        out = np.empty(self.n * self.B, dtype=complex) if out is None else out
+        np.copyto(out, b)
+        y = out.reshape(self.n, self.B)
         for i, lower, j0 in self._lower:
             y[i] -= np.einsum("sk,sk->k", lower, y[j0:i])
         for i, upper, j1, inv_pivot in self._upper:
             if j1 > i:
                 y[i] -= np.einsum("sk,sk->k", upper, y[i + 1:j1 + 1])
             y[i] *= inv_pivot
-        out = np.empty(self.B * self.n, dtype=complex) if out is None else out
-        out.reshape(self.B, self.n)[...] = y.T
         return out
 
 
@@ -635,7 +633,7 @@ class ForwardSolution:
 def _back_substitute(op: _Operator, S: np.ndarray, cfg: PhysicalConfig,
                      disc: Discretization) -> SpectrumField:
     """Slab amplitudes from u_n(a), then u_n(b)."""
-    ua = S[:, :, -1]
+    ua = S[op.M]
     s_plus = op.Z * ua + op.zeta
     eta = op.eta_w
     Pc = 0.5 * (ua + s_plus / (1j * eta))
@@ -667,7 +665,7 @@ def solve_forward(profile: SurfaceProfile, cfg: PhysicalConfig,
                 f"relative residual {res:.3e} above tolerance "
                 f"{disc.iter_tol:.1e} after {iterations} iterations")
 
-        S = x.reshape(op.K, op.K, disc.M + 1)
+        S = x.reshape(disc.M + 1, op.K, op.K)
         top = _back_substitute(op, S, cfg, disc)
         top_grid = synthesize(top, disc.N_f, (disc.I, disc.I))
     except MemoryError as exc:

@@ -272,13 +272,13 @@ def dense_operator(op) -> np.ndarray:
     """forward._Operator as a dense K^2(M+1)-square matrix, assembled from
     the convolution matrices of the coefficient fields, the z-derivative
     matrices, lat, i alpha and Z, term by term; rows and columns in the
-    state's (i1, i2, j) order."""
+    state's (j, i1, i2) order."""
     K2, M = op.K ** 2, op.M
-    A = np.zeros((K2, M + 1, K2, M + 1), dtype=complex)
+    A = np.zeros((M + 1, K2, M + 1, K2), dtype=complex)
     for j, (L, A1, A2) in enumerate(_level_blocks(op)):
-        A[:, j] = (np.multiply.outer(A1, op.Dz[j])
-                   + np.multiply.outer(A2, op.Dzz[j]))
-        A[:, j, :, j] += L
+        A[j] = (A1[:, None] * op.Dz[j, :, None]
+                + A2[:, None] * op.Dzz[j, :, None])
+        A[j, :, j] += L
     return A.reshape(op.dim, op.dim)
 
 
@@ -286,12 +286,12 @@ def dense_matvec(op, x: np.ndarray) -> np.ndarray:
     """dense_operator(op) @ x for each vector x[..., :], one level's row
     block at a time, for grids whose full matrix would not fit in memory."""
     K2, M = op.K ** 2, op.M
-    X = np.moveaxis(x.reshape(-1, K2, M + 1), 0, -1)  # (K^2, M+1, vectors)
+    X = x.reshape(-1, M + 1, K2)  # (vectors, M+1, K^2)
     out = np.empty_like(X)
     for j, (L, A1, A2) in enumerate(_level_blocks(op)):
-        out[:, j] = (L @ X[:, j] + A1 @ np.tensordot(op.Dz[j], X, (0, 1))
-                     + A2 @ np.tensordot(op.Dzz[j], X, (0, 1)))
-    return np.moveaxis(out, -1, 0).reshape(x.shape)
+        out[:, j] = (X[:, j] @ L.T + np.tensordot(X, op.Dz[j], (1, 0)) @ A1.T
+                     + np.tensordot(X, op.Dzz[j], (1, 0)) @ A2.T)
+    return out.reshape(x.shape)
 
 
 class BandLU:
@@ -340,17 +340,17 @@ class BandLU:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         n, p, ab = self.n, self.p, self.ab
-        # level i of the block-leading solution sits at row p + i, between
+        # level i of the level-major solution sits at row p + i, between
         # p zero rows on either side
         y = np.zeros((n + 2 * p, self.B), dtype=complex)
-        y[p:n + p] = b.reshape(self.B, n).T
+        y[p:n + p] = b.reshape(n, self.B)
         for i in range(1, n):
             y[p + i] -= np.einsum("sk,sk->k", ab[i, :p], y[i:p + i])
         for i in range(n - 1, -1, -1):
             y[p + i] -= np.einsum("sk,sk->k", ab[i, p + 1:],
                                   y[p + i + 1:2 * p + i + 1])
             y[p + i] *= ab[i, p]
-        return y[p:n + p].T.reshape(-1)
+        return y[p:n + p].reshape(-1)
 
 
 def gmres_block(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
@@ -461,10 +461,10 @@ def gmres_block(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
 
 def solve_interior(profile: SurfaceProfile, cfg: PhysicalConfig,
                    disc: Discretization) -> np.ndarray:
-    """The mode coefficients (K, K, M+1) of the solved field on the
-    flattened levels, from the operator and GMRES exactly as
+    """The mode coefficients (M+1, K, K) of the solved field, level by
+    level on the flattened levels, from the operator and GMRES exactly as
     forward.solve_forward runs them before it keeps the top plane."""
     op = _Operator(cfg, disc, coefficient_fields(profile, cfg, disc))
     x, _, _ = _gmres(op.apply, op.preconditioner(), op.rhs(),
                      0.05 * disc.iter_tol, disc.iter_max)
-    return x.reshape(op.K, op.K, disc.M + 1)
+    return x.reshape(disc.M + 1, op.K, op.K)

@@ -313,6 +313,14 @@ def _rejects(argv, forward_dir, out):
     (["sweep-sn", "--media=1:1",
       "--media=-0.9793632765511591-1.4713041475491506i:1", "--n-max", "2"],
      3, "layer determinant cancels at mode (0, 0)"),
+    # a mode window whose first array, the 2*10**17 + 1 indices of
+    # arange, is larger than any address space
+    (["sweep-sn", "--n-max", str(10**17)], 1,
+     f"--n-max {10**17}: the mode window does not fit in memory"),
+    # every profile, not only profile=image, rejects a threshold outside
+    # (0, 1)
+    (["experiment", "2", "--fast", "--set", "image_threshold=2"], 2,
+     "image_threshold must lie in (0, 1)"),
 ], ids=["forward-epsilon-nan", "invert-epsilon-nan", "forward-rho-nan",
        "invert-c-nan", "invert-c-inf", "forward-sigma-nan", "invert-c-negative",
        "experiment-seed-negative", "invert-zero-truth", "noise-stats-sigma-nan",
@@ -324,7 +332,8 @@ def _rejects(argv, forward_dir, out):
        "forward-wavelength-0", "sweep-sn-wavelength-0",
        "invert-wavelength-0", "forward-omega-sq-overflow",
        "forward-omega-sq-subnormal", "sweep-sn-b-huge",
-       "sweep-sn-second-medium-cancels"])
+       "sweep-sn-second-medium-cancels", "sweep-sn-n-max-huge",
+       "experiment-image-threshold-2"])
 def test_bad_value_writes_nothing(forward_dir, tmp_path, argv, expect,
                                   message):
     code, err = _rejects(argv, forward_dir, tmp_path / "out")
@@ -339,7 +348,7 @@ _COMPLEX_KEYS = ["rho", "kappa"]
 # keys whose negative values every command below rejects (experiment 1's
 # row presets replace epsilon, and sweep-sn reads no grid key)
 _NEGATIVE_KEYS = ["wavelength", "period1", "period2", "a", "b", "sigma",
-                  "target_snr", "c", "seed"]
+                  "target_snr", "c", "seed", "image_threshold"]
 _COMMANDS = [["forward", "--fast"], ["invert", "--fast", "--data", "DATA"],
              ["experiment", "1", "--fast"], ["sweep-sn", "--fast"]]
 
@@ -493,6 +502,8 @@ def test_experiment_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("chose N=3") == 3
     assert (tmp_path / "exp1" / "index.json").exists()
+    # the staging directory does not outlive the run
+    assert [p.name for p in tmp_path.iterdir()] == ["exp1"]
 
 
 def test_experiment_window_beyond_grid_writes_nothing(tmp_path, capsys):
@@ -502,6 +513,28 @@ def test_experiment_window_beyond_grid_writes_nothing(tmp_path, capsys):
     assert code == 2
     assert "N_window=40" in cap.err and "Traceback" not in cap.err
     assert not any(tmp_path.iterdir())
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+def test_failed_experiment_leaves_output_tree_as_it_was(tmp_path, capsys):
+    # row 1 converges within 8 iterations and writes its files; row 2 does
+    # not, so the run fails after writing part of the experiment
+    argv = ["experiment", "3", "--fast", "--set", "iter_max=8", "--out"]
+    fresh = tmp_path / "fresh"
+    code, cap = run([*argv, str(fresh)], capsys)
+    assert code == 3 and "above tolerance" in cap.err
+    assert not fresh.exists()
+
+    kept = tmp_path / "kept"
+    (kept / "exp3").mkdir(parents=True)
+    (kept / "exp3" / "marker.txt").write_text("an earlier run\n")
+    before = _tree(kept)
+    assert run([*argv, str(kept)], capsys)[0] == 3
+    assert _tree(kept) == before
 
 
 def test_experiment_bad_id(tmp_path):

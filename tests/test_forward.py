@@ -177,10 +177,10 @@ def test_z_derivatives_match_csr_product_bitwise(phys_table1, fd_order):
     op = _operator(phys_table1, replace(FAST, fd_order=fd_order))
     rng = np.random.default_rng(fd_order)
     S = (rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)).reshape(
-        op.K, op.K, op.M + 1)
-    np.copyto(op._state, np.moveaxis(S, -1, 0))
-    flat = S.reshape(-1, op.M + 1)
-    want = np.stack([(sp.csr_matrix(D) @ flat.T).reshape(op._state.shape)
+        op.M + 1, op.K, op.K)
+    np.copyto(op._state, S)
+    flat = S.reshape(op.M + 1, -1)
+    want = np.stack([(sp.csr_matrix(D) @ flat).reshape(S.shape)
                      for D in (op.Dz, op.Dzz)])
     block = len(op._derivs[0])
     spans = [(j0, min(j0 + block, op.M)) for j0 in range(1, op.M, block)]
@@ -217,10 +217,10 @@ def test_banded_lu_matches_splu(phys_table1, medium):
     shared = sp.vstack([sp.csr_matrix(([1.0], ([0], [0])), shape=(1, M + 1)),
                         a2 * sp.csr_matrix(op.Dzz[1:M]),
                         sp.csr_matrix(op.Dz[M:])])
-    diag = np.zeros((K2, M + 1), dtype=complex)
-    diag[:, 1:M] = a2 * op.lat.reshape(K2, 1)
-    diag[:, M] = -op.Z.reshape(K2) / op.cfg.rho
-    A0 = sp.kron(sp.identity(K2), shared) + sp.diags(diag.reshape(-1))
+    diag = np.zeros((M + 1, K2), dtype=complex)
+    diag[1:M] = a2 * op.lat.reshape(K2)
+    diag[M] = -op.Z.reshape(K2) / op.cfg.rho
+    A0 = sp.kron(shared, sp.identity(K2)) + sp.diags(diag.reshape(-1))
     b = [1, 1j] @ np.random.default_rng(5).normal(size=(2, op.dim))
     want = splu(A0.tocsc()).solve(b)
     got = op.preconditioner()(b)
@@ -234,13 +234,14 @@ def test_banded_lu_rejects_vanishing_pivot():
     diag = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NearSingularSystem, match="block 1"):
         _BandedLU(shared, diag)
-    # diag's columns are the blocks' diagonals; b and x go block by block
+    # diag's columns are the blocks' diagonals; b and x go level by level,
+    # so their columns are the blocks too
     diag[:, 1] = 1j
     b = np.array([[3.0, 4.0], [5.0, 6.0]])
     x = _BandedLU(shared, diag).solve(b.reshape(-1)).reshape(2, 2)
     for k in range(2):
-        assert np.allclose(x[k], np.linalg.solve(shared + np.diag(diag[:, k]),
-                                                 b[k]), rtol=1e-14)
+        assert np.allclose(x[:, k], np.linalg.solve(
+            shared + np.diag(diag[:, k]), b[:, k]), rtol=1e-14)
 
 
 def test_banded_lu_solves_into_out(phys_table1):
@@ -253,6 +254,27 @@ def test_banded_lu_solves_into_out(phys_table1):
     assert solve(b, out=row) is row
     assert np.array_equal(row, solve(b))
     assert np.isnan(rows[0]).all()
+    # the substitution runs in out: no temporary near a vector's size
+    tracemalloc.start()
+    try:
+        solve(b, out=row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < row.nbytes / 4
+
+
+def test_state_is_level_major(phys_table1):
+    # the state is (M+1, K, K): the forcing sits on level M alone, and
+    # level 0's Dirichlet identity hands a level-0 vector back unchanged
+    op = _operator(phys_table1, FAST)
+    levels = (op.M + 1, op.K, op.K)
+    r = op.rhs().reshape(levels)
+    assert not r[:op.M].any() and r[op.M].any()
+    x = np.zeros(levels, dtype=complex)
+    rng = np.random.default_rng(8)
+    x[0] = rng.normal(size=x[0].shape) + 1j * rng.normal(size=x[0].shape)
+    assert np.array_equal(op.apply(x.reshape(-1)).reshape(levels)[0], x[0])
 
 
 def test_apply_writes_into_out(phys_table1):
@@ -535,7 +557,7 @@ def interior_table1(phys_table1, disc_default):
 
 def test_solution_shapes(sol_table1, interior_table1, disc_default):
     I, K, M = disc_default.I, disc_default.K, disc_default.M
-    assert interior_table1.shape == (K, K, M + 1)
+    assert interior_table1.shape == (M + 1, K, K)
     assert sol_table1.top_grid.shape == (I, I)
     assert sol_table1.top.W == disc_default.N_f
     assert sol_table1.residual < disc_default.iter_tol
@@ -543,7 +565,7 @@ def test_solution_shapes(sol_table1, interior_table1, disc_default):
 
 def test_dirichlet_bottom_row(interior_table1):
     # row 0 is the Dirichlet identity, so every mode vanishes there exactly
-    assert np.max(np.abs(interior_table1[:, :, 0])) < 1e-12
+    assert np.max(np.abs(interior_table1[0])) < 1e-12
 
 
 def test_epsilon_consistency_fast(phys_table1):
