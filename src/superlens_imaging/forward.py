@@ -125,11 +125,6 @@ def _band_rows(D: np.ndarray, p: int) -> np.ndarray:
     return windows[np.arange(n), np.arange(n)]
 
 
-def _half_bandwidth(D: np.ndarray) -> int:
-    i, j = np.nonzero(D)
-    return int(np.max(np.abs(i - j)))
-
-
 # --- coefficient fields ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -215,10 +210,11 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
 # --- the discrete operator ---------------------------------------------------
 
 # interior z-levels per pass of the matvec pipeline.  At full resolution
-# (P = 49) five terms of eight padded slices take 1.5 MB and stay in a 4 MB
-# L2 cache between the stages; on a 2-vCPU VM with that cache, 6 and 10
-# levels ran as fast, 16 or all 63 at once were slower.
-_LEVEL_BLOCK = 8
+# (P = 49) five terms of four padded slices take 0.77 MB and stay in a 4 MB
+# L2 cache between the stages.  On a 2-vCPU VM with that cache, alternating
+# timeit minima of one matvec were 10.0-10.4 ms at 4 levels, 10.5-11.8 ms
+# at 8, 10.8 ms at 6 and 13.5 ms at 2; 16 or all 63 at once were slower.
+_LEVEL_BLOCK = 4
 
 
 class _Operator:
@@ -240,19 +236,19 @@ class _Operator:
     az T_z), transform them into the padded workspace, multiply them by c1
     and g2..g5 and sum them into the first term, transform it back, and
     write its corner plus a^2 T_zz, the constant part of c2 T_zz, into the
-    output rows.  The workspace, (5, _LEVEL_BLOCK, P, P) complex (1.5 MB at
-    full resolution), stays in cache across the stages; it and the block's
-    spectra live as long as the operator, and the impedance trace reuses
-    their first slices after the last block.  The block's z-derivatives,
-    (2, _LEVEL_BLOCK, K, K), come from a copy of the state between zero pad
-    levels, kept beside them; row M's one-sided dz takes the first level of
-    that buffer.  At full resolution the operator owns 2.3 MB of buffers
-    plus the 0.75 MB state copy.  In a solve they sit beside GMRES's Krylov
-    vectors (k + 1 of 650 KB for a k-iteration cycle, allocated as
-    reached), the 3.2 MB LU envelope and GMRES's three 650 KB vectors.
-    apply(x, out=None) writes into out when given, else into a fresh
-    vector; the buffers are shared, so one operator must not run two
-    apply() calls at once.
+    output rows.  The workspace, (5, _LEVEL_BLOCK, P, P) complex (0.77 MB
+    at full resolution), stays in cache across the stages; it and the
+    block's spectra live as long as the operator, and the impedance trace
+    reuses their first slices after the last block.  The block's
+    z-derivatives, (2, _LEVEL_BLOCK, K, K), are read from x where it lies
+    into a buffer kept beside them; row M's one-sided dz takes the first
+    level of that buffer.  At full resolution the operator owns 1.2 MB of
+    arrays, 1.05 MB of them these three buffers.  In a solve they sit
+    beside GMRES's Krylov vectors (k + 1 of 650 KB for a k-iteration
+    cycle, allocated as reached), the 1.6 MB LU envelope and GMRES's b and
+    x.  apply(x, out=None) writes into out when given, else into a fresh
+    vector; out must not overlap x, and the buffers are shared, so one
+    operator must not run two apply() calls at once.
     """
 
     def __init__(self, cfg: PhysicalConfig, disc: Discretization,
@@ -277,16 +273,17 @@ class _Operator:
         block = min(_LEVEL_BLOCK, M - 1)
         self._spec = np.empty((5, block, K, K), dtype=complex)
         self._ws = np.empty((5, block, P, P), dtype=complex)
-        # the state between p zero levels on either side, its float64
-        # windows of 2p+1 levels, and a block's two z-derivatives
-        p = max(_half_bandwidth(self.Dz), _half_bandwidth(self.Dzz))
-        self._bands = np.stack([_band_rows(D, p) for D in (self.Dz, self.Dzz)])
-        padded = np.zeros((M + 1 + 2 * p, K, K), dtype=complex)
-        self._state = padded[p:M + 1 + p]
-        self._windows = np.lib.stride_tricks.sliding_window_view(
-            padded.reshape(M + 1 + 2 * p, -1).view(np.float64),
-            2 * p + 1, axis=0)
         self._derivs = np.empty((2, block, K, K), dtype=complex)
+        # the rows of Dz and Dzz: level j in [r, M - r] takes the centered
+        # stencil over levels j-r..j+r, an edge level its union of the two
+        # rows' nonzero columns
+        D = np.stack((self.Dz, self.Dzz))
+        self._r = r = disc.fd_order // 2
+        self._bands = np.stack([_band_rows(d, r) for d in D])
+        self._edges = {}
+        for j in (*range(1, r), *range(M + 1 - r, M + 1)):
+            cols = np.flatnonzero(D[:, j].any(axis=0))
+            self._edges[j] = cols[0], D[:, j, cols[0]:cols[-1] + 1].copy()
 
     # spectrum (..., K, K) <-> phase-shifted field (..., P, P).  The inverse
     # transform zero-pads the spectrum along the last axis as it writes the
@@ -305,28 +302,42 @@ class _Operator:
         np.fft.fft(live, axis=-1, norm="forward", out=live)
         return live[..., :self.K]
 
-    def _z_derivatives(self, j0: int, j1: int) -> np.ndarray:
-        """The first and second z-derivatives of the state in _state at
+    def _z_derivatives(self, x: np.ndarray, j0: int,
+                       j1: int) -> np.ndarray:
+        """The first and second z-derivatives of the level-major vector x at
         levels j0..j1-1, (2, j1-j0, K, K), in the operator's buffer.
 
-        Level i of a derivative is the sum over the band of D's row i times
-        the state's levels i-p..i+p, taken in increasing level from zero, as
-        a CSR product sums it; so the two agree bit for bit.  einsum without
-        `optimize` runs the sum as scaled adds of whole levels and never
-        calls BLAS.
+        Level i of a derivative is the sum of D's row i times x's levels
+        over the row's columns, taken in increasing level, as a CSR product
+        sums it (the zeros it skips add nothing); so the two agree bit for
+        bit.  The centered levels are one einsum over windows of x, each
+        edge level one of its own.  einsum without `optimize` runs the sum
+        as scaled adds of whole levels and never calls BLAS.
         """
+        r = self._r
+        levels = x.reshape(self.M + 1, -1).view(np.float64)
         d = self._derivs[:, :j1 - j0]
-        np.einsum("dis,iks->dik", self._bands[:, j0:j1], self._windows[j0:j1],
-                  out=d.reshape(2, j1 - j0, -1).view(np.float64))
+        dr = d.reshape(2, j1 - j0, -1).view(np.float64)
+        c0, c1 = max(j0, r), min(j1, self.M + 1 - r)
+        if c0 < c1:
+            windows = np.lib.stride_tricks.sliding_window_view(
+                levels[c0 - r:c1 + r], 2 * r + 1, axis=0)
+            np.einsum("dis,iks->dik", self._bands[:, c0:c1], windows,
+                      out=dr[:, c0 - j0:c1 - j0])
+        for j in range(j0, j1):
+            if j in self._edges:
+                lo, rows = self._edges[j]
+                np.einsum("ds,sk->dk", rows, levels[lo:lo + rows.shape[1]],
+                          out=dr[:, j - j0])
         return d
 
     def apply(self, x: np.ndarray, out=None) -> np.ndarray:
-        M, T = self.M, self._state
-        np.copyto(T, x.reshape(T.shape))
+        M = self.M
+        X = x.reshape(M + 1, self.K, self.K)
         out = np.empty(self.dim, dtype=complex) if out is None else out
-        rows = out.reshape(T.shape)
+        rows = out.reshape(X.shape)
         # row 0: Dirichlet on the flattened surface
-        rows[0] = T[0]
+        rows[0] = X[0]
 
         # rows 1..M-1: c1 lat + c2 szz - c3 sxz - c4 syz - c5 sz, the field
         # terms summed left to right per block of levels, a^2 szz spectrally
@@ -334,9 +345,9 @@ class _Operator:
         for j0 in range(1, M, block):
             j1 = min(j0 + block, M)
             spec, ws = self._spec[:, :j1 - j0], self._ws[:, :j1 - j0]
-            SZ, SZZ = self._z_derivatives(j0, j1)
+            SZ, SZZ = self._z_derivatives(x, j0, j1)
             az = cf.az[j0:j1, None, None]
-            np.multiply(self.lat, T[j0:j1], out=spec[0])
+            np.multiply(self.lat, X[j0:j1], out=spec[0])
             np.multiply(az * az, SZZ, out=spec[1])
             np.multiply(az, SZ, out=spec[4])
             np.multiply(self.two_iax, spec[4], out=spec[2])
@@ -356,10 +367,10 @@ class _Operator:
         # row M: one-sided dz minus the impedance term, in the first slices
         # of the blocks' buffers
         trace, field = self._spec[0, 0], self._ws[0, 0]
-        np.multiply(self.Z, T[M], out=trace)
+        np.multiply(self.Z, X[M], out=trace)
         self._to_field(trace, field)
         np.multiply(self.trace_coef, field, out=field)
-        np.subtract(self._z_derivatives(M, M + 1)[0, 0],
+        np.subtract(self._z_derivatives(x, M, M + 1)[0, 0],
                     self._to_corner(field), out=rows[M])
         return out
 
@@ -381,7 +392,8 @@ class _Operator:
         That operator is mode-diagonal: one banded (M+1)x(M+1) block per
         lateral mode, sharing the FD rows and differing only by the
         a^2 * (omega^2 - |alpha|^2) diagonal on the interior rows and -Z/rho
-        at row M.
+        at row M.  With real FD weights and real omega and alpha, -Z/rho is
+        its only complex entry.
         """
         K, M = self.K, self.M
         a2 = self.cfg.a ** 2
@@ -397,78 +409,97 @@ class _Operator:
 
 class _BandedLU:
     """LU factors of B banded (n x n) blocks A_k = shared + diag(d_k) that
-    share every entry off the diagonal; diag is (n, B), column k holding d_k.
+    share every entry off the diagonal; diag is (n, B), column k holding d_k,
+    and only its last row may be complex.
 
     All blocks are factored at once, without pivoting, in envelope storage:
     row i keeps its entries from column lo_i, its first nonzero in A, to
     hi_i, its last nonzero once the rows lo_i..i-1 have been eliminated from
     it.  Elimination without pivoting fills nothing outside that envelope,
-    so L (unit, left of the diagonal) and U overwrite it.  At full
-    resolution (n = 65, B = 625) the rows hold 324 of the 585 entries of the
-    half-bandwidth-4 band: 3.24 MB of factors, the largest array a solve
-    holds (a k-iteration GMRES cycle holds k + 1 Krylov vectors of 650 KB,
-    each its own array).  Each step of the factorization and
-    of both substitutions is one row, vectorized over the blocks; the band
-    entries the envelope leaves out are exact zeros, so a band-storage LU
-    gives the same factors and solves bit for bit.  A pivot below 1e-12
-    times the largest entry of its row in A_k raises NearSingularSystem
-    before any solve; the diagonal then holds 1/pivot.  solve(b, out=None)
-    works on vectors laid out level by level, (n, B) C-order flattened: it
-    copies b into out (a fresh vector when out is None) and substitutes
-    there in place.
+    so L (unit, left of the diagonal) and U overwrite it.  A row is only
+    subtracted from later rows, so every factor is real but the last pivot.
+    At full resolution (n = 65, B = 625) the rows hold 324 of the 585 band
+    entries: 1,615,000 bytes of float64 factors and 10,000 of complex last
+    pivots.  Each step of the factorization and of both substitutions is
+    one row, vectorized over the blocks, and a complex band-storage LU gives
+    the same factors and solves bit for bit.  A pivot below 1e-12 times the
+    largest entry of its row in A_k raises NearSingularSystem before any
+    solve; the diagonal then holds 1/pivot.  solve(b, out=None) copies the
+    level-major b, (n, B) C-order flattened, into out (a fresh vector when
+    out is None) and substitutes there in place, on its float64 parts.
     """
 
     def __init__(self, shared: np.ndarray, diag: np.ndarray):
         n, B = diag.shape
+        if np.iscomplexobj(diag) and diag[:-1].imag.any():
+            raise ValueError("only the last row's diagonal may be complex")
         pattern = (shared != 0) | np.eye(n, dtype=bool)
         lo = np.argmax(pattern, axis=1)
         hi = n - 1 - np.argmax(pattern[:, ::-1], axis=1)
         # eliminating rows lo_i..i-1 from row i fills it out to their ends
         for i in range(n):
             hi[i] = np.max(hi[lo[i]:i + 1])
-        start = np.concatenate(([0], np.cumsum(hi - lo + 1)))
-        self._env = np.empty((start[-1], B), dtype=complex)
-        rows = [self._env[start[i]:start[i + 1]] for i in range(n)]
+        # the last row's float64 part stops left of its diagonal; the row is
+        # factored in complex and gives up all but its pivot afterwards
+        width = hi - lo + 1
+        width[-1] -= 1
+        start = np.concatenate(([0], np.cumsum(width)))
+        self._env = np.empty((start[-1], B))
+        rows = [self._env[start[i]:start[i + 1]] for i in range(n - 1)]
+        rows.append(np.empty((width[-1] + 1, B), dtype=complex))
         for i, row in enumerate(rows):
             row[...] = shared[i, lo[i]:hi[i] + 1, None]
-            row[i - lo[i]] += diag[i]
+            row[i - lo[i]] += diag[i] if i == n - 1 else diag[i].real
         row_max = [np.max(np.abs(row), axis=0) for row in rows]
 
         # row by row: subtract l_ij times row j of U for j = lo_i..i-1, each
         # entry taking its updates in increasing j, as a column-by-column
-        # elimination applies them
+        # elimination applies them; l_ij is the entry times 1/pivot_j, as
+        # numpy divides complex numbers with no imaginary part
         for i, row in enumerate(rows):
             for j in range(lo[i], i):
                 lij = row[j - lo[i]]
-                lij /= rows[j][j - lo[j]]
+                lij *= rows[j][j - lo[j]]
                 row[j + 1 - lo[i]:hi[j] + 1 - lo[i]] -= (
                     lij * rows[j][j + 1 - lo[j]:])
-            small = ~(np.abs(row[i - lo[i]]) > 1e-12 * row_max[i])
+            pivot = row[i - lo[i]]
+            small = ~(np.abs(pivot) > 1e-12 * row_max[i])
             if small.any():
                 k = int(np.argmax(small))
                 raise NearSingularSystem(
                     f"flat-surface preconditioner: pivot {i} of block {k} "
                     f"vanishes")
-        for i, row in enumerate(rows):
-            np.divide(1, row[i - lo[i]], out=row[i - lo[i]])
+            np.divide(1, pivot, out=pivot)
+        last = rows[-1]
+        rows[-1] = self._env[start[-2]:]
+        rows[-1][...] = last[:-1].real
+        self._last_inv_pivot = last[-1].copy()
         self.n, self.B = n, B
         # (level, its L row, first column) for the rows with an L part, and
         # from the last row up (level, its U row right of the diagonal, last
         # column, 1/pivot)
+        inv_pivots = [row[i - lo[i]] for i, row in enumerate(rows[:-1])]
+        inv_pivots.append(self._last_inv_pivot)
         self._lower = [(i, row[:i - lo[i]], lo[i])
                        for i, row in enumerate(rows) if lo[i] < i]
-        self._upper = [(i, row[i - lo[i] + 1:], hi[i], row[i - lo[i]])
+        self._upper = [(i, row[i - lo[i] + 1:], hi[i], inv_pivots[i])
                        for i, row in enumerate(rows)][::-1]
 
     def solve(self, b: np.ndarray, out=None) -> np.ndarray:
         out = np.empty(self.n * self.B, dtype=complex) if out is None else out
         np.copyto(out, b)
         y = out.reshape(self.n, self.B)
+        # the real and imaginary parts of y, (2, n, B), and a row's sums
+        parts = np.moveaxis(y.view(np.float64).reshape(self.n, self.B, 2),
+                            2, 0)
+        sums = np.empty((2, self.B))
         for i, lower, j0 in self._lower:
-            y[i] -= np.einsum("sk,sk->k", lower, y[j0:i])
+            parts[:, i] -= np.einsum("sk,csk->ck", lower, parts[:, j0:i],
+                                     out=sums)
         for i, upper, j1, inv_pivot in self._upper:
             if j1 > i:
-                y[i] -= np.einsum("sk,sk->k", upper, y[i + 1:j1 + 1])
+                parts[:, i] -= np.einsum("sk,csk->ck", upper,
+                                         parts[:, i + 1:j1 + 1], out=sums)
             y[i] *= inv_pivot
         return out
 
@@ -509,48 +540,55 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     modified Gram-Schmidt, zlartg's Givens rotations, and the inner
     tolerance control of scipy gh-8400.
 
-    matvec(v, out=buf) puts A v in buf, and psolve(v, out=vec) puts the
-    preconditioned v in a Krylov vector, so an iteration allocates at most
-    its own Krylov vector, in the first cycle that reaches it.
-    Returns (x, inner iterations, ||b - A x||), the iterations counted as
-    scipy's `pr_norm` callback counts them and the residual norm as the last
-    cycle computed it.  Stops after the cycle in which ||b - A x|| <= rtol
-    ||b||, on breakdown, or when the cycles run out; the caller checks the
-    residual.  Besides x and b it holds one scratch vector and the Krylov
-    vectors, each allocated when a cycle first reaches it and reused by the
-    later cycles: a k-iteration cycle holds k + 1 of them (650 KB each at
-    full resolution).  One (restart + 1, n) block would be 33 MB, just
+    matvec(v, out=buf) puts A v in buf (buf must not overlap v), and
+    psolve(v, out=vec) puts the preconditioned v in a Krylov vector, so an
+    iteration allocates at most its own Krylov vector, in the first cycle
+    that reaches it.  psolve runs once per cycle start and once per
+    iteration: the first cycle's preconditioned b also sets gh-8400's
+    first inner tolerance.  Returns (x, inner iterations, ||b - A x||), the
+    iterations counted as scipy's `pr_norm` callback counts them and the
+    residual norm as the last cycle computed it.  Stops after the cycle in
+    which ||b - A x|| <= rtol ||b||, on breakdown, or when the cycles run
+    out; the caller checks the residual.  Besides b it holds one scratch
+    vector, which becomes x when the first cycle has summed its update in
+    it, and the Krylov vectors, each allocated when a cycle first reaches
+    it and reused by the later cycles: a k-iteration cycle holds k + 1 of
+    them (650 KB each at full resolution), the last one spent on b - A x
+    at the cycle's end.  One (restart + 1, n) block would be 33 MB, just
     under glibc's 32 MiB cap on its dynamic mmap threshold: freeing it
     would raise that threshold and the trim threshold past every later
     array, so the heap would never be given back.
     """
     n = b.size
-    x = np.zeros(n, dtype=complex)
     bnrm2 = _norm(b)
     if bnrm2 == 0:
-        return x, 0, 0.0
+        return np.zeros(n, dtype=complex), 0, 0.0
     atol = rtol * bnrm2
     eps = np.finfo(complex).eps
     restart = min(50, iter_max)
     cycles = -(-iter_max // restart)
 
-    # gh-8400: the inner loop stops on the preconditioned residual, ptol
+    # gh-8400: the inner loop stops on the preconditioned residual, ptol,
+    # first set from the preconditioned b that starts the first cycle
     ptol_max_factor = 1.0
-    ptol = _norm(psolve(b)) * min(ptol_max_factor, atol / bnrm2)
     presid = 0.0
     # v: Krylov basis, grown as the cycles reach it; h[col]: Hessenberg
     # column col, rotated in place
     v = [np.empty(n, dtype=complex)]
     h = np.zeros((restart, restart + 1), dtype=complex)
     givens = np.zeros((restart, 2), dtype=complex)
-    # the matvec, Gram-Schmidt and x-update temporary, and the residual
-    # b - A x from a cycle's end until the next cycle's psolve reads it
+    # the matvec, Gram-Schmidt and update temporary, until it becomes x
     scratch = np.empty(n, dtype=complex)
+    x = None
     iterations = 0
     r = b
     for _ in range(cycles):
         psolve(r, out=v[0])
         tmp = _norm(v[0])
+        if x is None:  # the first cycle, whose r is b
+            ptol = tmp * min(ptol_max_factor, atol / bnrm2)
+        elif scratch is None:
+            scratch = np.empty(n, dtype=complex)
         v[0] *= 1 / tmp
         S = np.zeros(restart + 1, dtype=complex)
         S[0] = tmp
@@ -600,13 +638,17 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
         if y[0] != 0:
             y[0] /= h[0, 0]
         # x += einsum("k,kn->n", y, v) bit for bit: the same products,
-        # summed in the same order; the spent v[col + 1] holds each product
+        # summed in the same order; the spent v[col + 1] holds each
+        # product, then the residual b - A x until the next cycle's psolve
         scratch[...] = 0
         for k in range(col + 1):
             scratch += np.einsum(",n->n", y[k], v[k], out=v[col + 1])
-        x += scratch
+        if x is None:
+            x, scratch = scratch, None
+        else:
+            x += scratch
 
-        r = np.subtract(b, matvec(x, out=scratch), out=scratch)
+        r = np.subtract(b, matvec(x, out=v[col + 1]), out=v[col + 1])
         rnorm = _norm(r)
         if rnorm <= atol or breakdown:
             break

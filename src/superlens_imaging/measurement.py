@@ -50,9 +50,14 @@ def complex_gaussian(shape: tuple[int, ...], sigma: float, seed: int) -> np.ndar
     """
     gen = np.random.Generator(np.random.Philox(seed))
     u = gen.random(size=shape + (2,))
-    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
+    sr = sigma * np.sqrt(-2.0 * np.log1p(-u[..., 0]))
     theta = 2.0 * np.pi * u[..., 1]
-    return sigma * r * (np.cos(theta) + 1j * np.sin(theta))
+    # sigma r e^{i theta}, each part written in place: the same bytes as
+    # the complex product sigma r (cos theta + i sin theta)
+    out = np.empty(shape, dtype=complex)
+    np.multiply(sr, np.cos(theta), out=out.real)
+    np.multiply(sr, np.sin(theta), out=out.imag)
+    return out
 
 
 def snr_of(u: np.ndarray, delta: np.ndarray) -> float:

@@ -23,8 +23,8 @@ from superlens_imaging.core import (Mode, PhysicalConfig, alpha_grid,
                                    mode_grid, mode_scalars, tau_of)
 from superlens_imaging.errors import NearSingularSystem
 from superlens_imaging.forward import (Discretization, _band_rows,
-                                       _givens, _gmres, _half_bandwidth,
-                                       _norm, _Operator, coefficient_fields)
+                                       _givens, _gmres, _norm, _Operator,
+                                       coefficient_fields)
 from superlens_imaging.profiles import SurfaceProfile, profile_spectrum
 from superlens_imaging.spectral import SpectrumField
 from superlens_imaging.tfe import (ZERO, ZerothOrder, first_order_top,
@@ -309,7 +309,8 @@ class BandLU:
 
     def __init__(self, shared: np.ndarray, diag: np.ndarray):
         n, B = diag.shape
-        p = _half_bandwidth(shared)
+        i, j = np.nonzero(shared)
+        p = int(np.max(np.abs(i - j)))
         ab = np.zeros((n + p, 2 * p + 1, B), dtype=complex)
         ab[:n] = _band_rows(shared, p)[:, :, None]
         ab[:n, p] += diag

@@ -173,19 +173,25 @@ def test_apply_matches_dense_assembly(phys_table1, grid):
 @pytest.mark.parametrize("fd_order", [2, 4])
 def test_z_derivatives_match_csr_product_bitwise(phys_table1, fd_order):
     # oracle: the CSR product the operator used to apply, over all levels;
-    # apply takes the interior levels block by block, and level M alone
+    # apply reads the vector where it lies, the interior levels block by
+    # block and level M alone; the edge levels, whose stencils are not
+    # centered, each take their own rows, and every level alone must agree
     op = _operator(phys_table1, replace(FAST, fd_order=fd_order))
     rng = np.random.default_rng(fd_order)
     S = (rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)).reshape(
         op.M + 1, op.K, op.K)
-    np.copyto(op._state, S)
+    x = S.reshape(-1)
     flat = S.reshape(op.M + 1, -1)
     want = np.stack([(sp.csr_matrix(D) @ flat).reshape(S.shape)
                      for D in (op.Dz, op.Dzz)])
+    r = fd_order // 2
+    assert set(op._edges) == {*range(1, r), *range(op.M + 1 - r, op.M + 1)}
     block = len(op._derivs[0])
     spans = [(j0, min(j0 + block, op.M)) for j0 in range(1, op.M, block)]
-    for j0, j1 in spans + [(op.M, op.M + 1)]:
-        assert np.array_equal(op._z_derivatives(j0, j1), want[:, j0:j1])
+    spans += [(j, j + 1) for j in range(1, op.M + 1)]
+    for j0, j1 in spans:
+        assert np.array_equal(op._z_derivatives(x, j0, j1), want[:, j0:j1])
+    assert np.array_equal(x, S.reshape(-1))
 
 
 @pytest.mark.parametrize("fd_order", [2, 4])
@@ -234,9 +240,13 @@ def test_banded_lu_rejects_vanishing_pivot():
     diag = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(NearSingularSystem, match="block 1"):
         _BandedLU(shared, diag)
+    # the factors are real: only the last row's diagonal may be complex
+    diag[0, 1] = 1j
+    with pytest.raises(ValueError, match="last row"):
+        _BandedLU(shared, diag)
     # diag's columns are the blocks' diagonals; b and x go level by level,
     # so their columns are the blocks too
-    diag[:, 1] = 1j
+    diag[:, 1] = 1, 1j
     b = np.array([[3.0, 4.0], [5.0, 6.0]])
     x = _BandedLU(shared, diag).solve(b.reshape(-1)).reshape(2, 2)
     for k in range(2):
@@ -325,9 +335,16 @@ def test_banded_lu_holds_fill_envelope(phys_table1, grid):
     assert envelope == [(nz[0], nz[-1]) for nz in nonzero]
     if grid == "full":
         assert envelope == _FULL_ENVELOPE
-        assert lu._env.nbytes == 3_240_000
-    assert np.array_equal(lu._env, np.concatenate(
-        [ref.ab[i, p + f:p + l + 1] for i, (f, l) in enumerate(envelope)]))
+        assert lu._env.nbytes == 1_615_000
+        assert lu._last_inv_pivot.nbytes == 10_000
+    # every entry is real but the last row's pivot, which the float64
+    # envelope leaves out
+    rows = [ref.ab[i, p + f:p + l + 1] for i, (f, l) in enumerate(envelope)]
+    want = np.concatenate(rows[:-1] + [rows[-1][:-1]])
+    assert not want.imag.any()
+    assert lu._env.dtype == np.float64
+    assert np.array_equal(lu._env, want.real)
+    assert np.array_equal(lu._last_inv_pivot, ref.ab[-1, p])
 
     b = [1, 1j] @ np.random.default_rng(6).normal(size=(2, op.dim))
     assert np.array_equal(lu.solve(b), ref.solve(b))
@@ -452,6 +469,43 @@ def test_solve_traces_less_than_a_block_basis():
     assert peak < 51 * n * 16
 
 
+def _owned_bytes(obj) -> int:
+    return sum(a.nbytes for a in vars(obj).values()
+               if isinstance(a, np.ndarray) and a.flags.owndata)
+
+
+def test_solve_traces_within_its_working_set():
+    # FAST trig solve, 6 iterations in one GMRES cycle.  Its traced peak
+    # holds the k + 1 Krylov vectors, b and x (the scratch vector the
+    # cycle summed its update in), the LU factors, the operator's arrays
+    # and the coefficient fields, plus 256 KiB for the Hessenberg matrix
+    # (41 KB) and numpy's casting buffers (up to 8192 complex values per
+    # ufunc call).  A separate x or a padded copy of the state would each
+    # break the budget: with both, and complex LU factors, this solve
+    # traced 3.75 MB against a budget of 3.47 MB.
+    cfg = replace(build_config(fast=True), **_FAST_POINTS["trig-eps1e-3"][0])
+    profile, phys, disc = (effective_profile(cfg), cfg.to_physical(),
+                           cfg.to_discretization())
+    cf = coefficient_fields(profile, phys, disc)
+    op = _Operator(phys, disc, cf)
+    lu = op.preconditioner().__self__
+    vector = 16 * op.dim
+    # the first solve in a process may import numpy.fft (numpy imports it
+    # lazily); trace a later one
+    solve_forward(profile, phys, disc)
+    tracemalloc.start()
+    try:
+        sol = solve_forward(profile, phys, disc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = sol.iterations
+    budget = ((k + 3) * vector + _owned_bytes(lu) + _owned_bytes(op)
+              + sum(getattr(cf, f.name).nbytes for f in fields(cf)) + 2**18)
+    assert k == 6 and vector == 152_592
+    assert peak <= budget
+
+
 def test_gmres_zero_rhs():
     x, iterations, rnorm = _gmres(None, None, np.zeros(4, dtype=complex),
                                   1e-10, 10)
@@ -487,11 +541,12 @@ def test_solve_makes_one_matvec_per_iteration_and_cycle(
                band_limited_profile(image_profile(builtin_glyph()), FAST.N_f,
                                     quad_I=FAST.P))
     sol = solve_forward(surface, replace(phys_table1, epsilon=epsilon), FAST)
-    # one preconditioner apply for the inner tolerance, one per cycle
-    # start and one per iteration
-    cycles = counts["psolve"] - 1 - sol.iterations
+    # one matvec per iteration and one for the residual at each cycle's
+    # end; one preconditioner apply per iteration and one per cycle start,
+    # the first cycle's preconditioned b also setting the inner tolerance
+    cycles = counts["apply"] - sol.iterations
     assert cycles >= min_cycles
-    assert counts["apply"] == sol.iterations + cycles
+    assert counts["psolve"] == sol.iterations + cycles
 
 
 def test_dense_and_iterative_agree(phys_table1):

@@ -29,6 +29,20 @@ def test_complex_gaussian_deterministic():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [0, 7331])
+@pytest.mark.parametrize("shape", [(13, 7), (99, 99)])
+def test_complex_gaussian_bytes_match_box_muller(seed, shape):
+    # the documented generator written out: Philox uniforms, two per sample
+    # in row-major order, Box-Muller on log1p(-u), one complex product
+    u = np.random.Generator(np.random.Philox(seed)).random(size=shape + (2,))
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
+    theta = 2.0 * np.pi * u[..., 1]
+    want = 0.37 * r * (np.cos(theta) + 1j * np.sin(theta))
+    got = complex_gaussian(shape, 0.37, seed)
+    assert got.dtype == want.dtype and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_complex_gaussian_scales_with_sigma():
     a = complex_gaussian((7, 7), 0.01, seed=3)
     b = complex_gaussian((7, 7), 0.03, seed=3)
