@@ -216,6 +216,16 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
 # at 8, 10.8 ms at 6 and 13.5 ms at 2; 16 or all 63 at once were slower.
 _LEVEL_BLOCK = 4
 
+# GMRES restart length.  At full resolution its restart + 1 Krylov vectors
+# are the largest array of a solve: 41 of 650 KB (26.7 MB), where restart
+# 50 held 51 (33 MB).  Every solve that ends within 40 iterations is
+# bitwise the same at either length, and the full glyph at rho = kappa =
+# -1 + 0.001i converges up to eps = 2.05e-2 and exits 3 from 2.1e-2 at
+# both; its eps = 1e-2 solve takes 67 iterations against 66.  Restart 30
+# cut the peak further but took 73 there and up to 110 on other points,
+# and restart 35 would stretch iter_max = 200 to 210 iterations.
+_RESTART = 40
+
 
 class _Operator:
     """Matrix-free application of the collocation system.
@@ -536,9 +546,10 @@ def _givens(f: complex, g: complex):
 def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     """Left-preconditioned restarted GMRES (Saad & Schultz 1986) from x = 0,
     step for step as scipy.sparse.linalg.gmres (scipy 1.17) runs it with
-    atol=0, restart=min(50, iter_max) and ceil(iter_max / restart) cycles:
-    modified Gram-Schmidt, zlartg's Givens rotations, and the inner
-    tolerance control of scipy gh-8400.
+    atol=0, restart=min(_RESTART, iter_max) and ceil(iter_max / restart)
+    cycles: modified Gram-Schmidt, zlartg's Givens rotations, and the inner
+    tolerance control of scipy gh-8400, so an iter_max above 40 is rounded
+    up to whole 40-iteration cycles.
 
     matvec(v, out=buf) puts A v in buf (buf must not overlap v), and
     psolve(v, out=vec) puts the preconditioned v in a Krylov vector, so an
@@ -554,10 +565,11 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     it, and the Krylov vectors, each allocated when a cycle first reaches
     it and reused by the later cycles: a k-iteration cycle holds k + 1 of
     them (650 KB each at full resolution), the last one spent on b - A x
-    at the cycle's end.  One (restart + 1, n) block would be 33 MB, just
-    under glibc's 32 MiB cap on its dynamic mmap threshold: freeing it
-    would raise that threshold and the trim threshold past every later
-    array, so the heap would never be given back.
+    at the cycle's end, so at most 41 (26.7 MB).  One (restart + 1, n) block
+    would take those 26.7 MB however short the solve, and it is under
+    glibc's 32 MiB cap on its dynamic mmap threshold: freeing it would
+    raise that threshold and the trim threshold past every later array, so
+    the heap would never be given back.
     """
     n = b.size
     bnrm2 = _norm(b)
@@ -565,7 +577,7 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
         return np.zeros(n, dtype=complex), 0, 0.0
     atol = rtol * bnrm2
     eps = np.finfo(complex).eps
-    restart = min(50, iter_max)
+    restart = min(_RESTART, iter_max)
     cycles = -(-iter_max // restart)
 
     # gh-8400: the inner loop stops on the preconditioned residual, ptol,

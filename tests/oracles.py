@@ -22,9 +22,9 @@ import numpy as np
 from superlens_imaging.core import (Mode, PhysicalConfig, alpha_grid,
                                    mode_grid, mode_scalars, tau_of)
 from superlens_imaging.errors import NearSingularSystem
-from superlens_imaging.forward import (Discretization, _band_rows,
-                                       _givens, _gmres, _norm, _Operator,
-                                       coefficient_fields)
+from superlens_imaging.forward import (_RESTART, Discretization,
+                                       _band_rows, _givens, _gmres, _norm,
+                                       _Operator, coefficient_fields)
 from superlens_imaging.profiles import SurfaceProfile, profile_spectrum
 from superlens_imaging.spectral import SpectrumField
 from superlens_imaging.tfe import (ZERO, ZerothOrder, first_order_top,
@@ -361,9 +361,9 @@ def gmres_block(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
 
     Left-preconditioned restarted GMRES (Saad & Schultz 1986) from x = 0,
     step for step as scipy.sparse.linalg.gmres (scipy 1.17) runs it with
-    atol=0, restart=min(50, iter_max) and ceil(iter_max / restart) cycles:
-    modified Gram-Schmidt, zlartg's Givens rotations, and the inner
-    tolerance control of scipy gh-8400.
+    atol=0, restart=min(_RESTART, iter_max) (forward._RESTART is 40) and
+    ceil(iter_max / restart) cycles: modified Gram-Schmidt, zlartg's Givens
+    rotations, and the inner tolerance control of scipy gh-8400.
 
     matvec(v, out=buf) puts A v in buf, and psolve(v, out=row) puts the
     preconditioned v in a Krylov row, so an iteration allocates no vector.
@@ -371,8 +371,9 @@ def gmres_block(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     scipy's `pr_norm` callback counts them and the residual norm as the last
     cycle computed it.  Stops after the cycle in which ||b - A x|| <= rtol
     ||b||, on breakdown, or when the cycles run out; the caller checks the
-    residual.  Besides x and b it holds the restart + 1 Krylov vectors (33 MB
-    at full resolution, the largest array of a solve) and one scratch vector.
+    residual.  Besides x and b it holds the restart + 1 Krylov vectors (41 of
+    650 KB, 26.7 MB, at full resolution, the largest array of a solve) and
+    one scratch vector.
     """
     n = b.size
     x = np.zeros(n, dtype=complex)
@@ -381,7 +382,7 @@ def gmres_block(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
         return x, 0, 0.0
     atol = rtol * bnrm2
     eps = np.finfo(complex).eps
-    restart = min(50, iter_max)
+    restart = min(_RESTART, iter_max)
     cycles = -(-iter_max // restart)
 
     # gh-8400: the inner loop stops on the preconditioned residual, ptol

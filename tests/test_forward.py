@@ -16,8 +16,8 @@ from superlens_imaging.errors import (NearSingularSystem, NoConvergence,
                                       NyquistViolation, ProfileTooTall,
                                       ResonantMode)
 from superlens_imaging.experiments import effective_profile
-from superlens_imaging.forward import (Discretization, _BandedLU, _givens,
-                                       _gmres, _impedance, _Operator,
+from superlens_imaging.forward import (_RESTART, Discretization, _BandedLU,
+                                       _givens, _gmres, _impedance, _Operator,
                                        coefficient_fields, deriv_matrix,
                                        fd_weights, reflected_flux,
                                        solve_forward)
@@ -384,7 +384,7 @@ def _nonnormal_system(coupling, n=100):
 
 
 @pytest.mark.parametrize("coupling, rtol, iter_max, expect", [
-    (0.05, 1e-10, 200, "one cycle"),
+    (0.02, 1e-10, 200, "one cycle"),
     (0.5, 1e-10, 200, "two restarts"),
     (0.5, 1e-10, 60, "budget spent"),
 ])
@@ -397,7 +397,7 @@ def test_gmres_matches_scipy(coupling, rtol, iter_max, expect):
         lambda v, out=None: np.multiply(dinv, v, out=out),
         b, rtol, iter_max)
 
-    restart = min(50, iter_max)
+    restart = min(_RESTART, iter_max)
     calls = []
     want, _ = gmres(A, b, M=np.diag(dinv), rtol=rtol, atol=0.0,
                     restart=restart, maxiter=-(-iter_max // restart),
@@ -447,14 +447,15 @@ def test_gmres_matches_block_basis_bitwise(system):
     assert np.array_equal(x.view(np.uint64), want.view(np.uint64))
     assert got_iterations == want_iterations and rnorm == want_rnorm
     if iterations is None:
-        assert got_iterations > 2 * min(50, iter_max)
+        assert got_iterations > 2 * min(_RESTART, iter_max)
     else:
         assert got_iterations == iterations
 
 
 def test_solve_traces_less_than_a_block_basis():
     # FAST trig solve, 6 iterations: its Krylov vectors are allocated as
-    # reached, so the traced peak stays below one (51, n) block of them
+    # reached, so the traced peak stays below one (_RESTART + 1, n) block of
+    # them
     cfg = replace(build_config(fast=True), **_FAST_POINTS["trig-eps1e-3"][0])
     profile, phys, disc = (effective_profile(cfg), cfg.to_physical(),
                            cfg.to_discretization())
@@ -466,7 +467,7 @@ def test_solve_traces_less_than_a_block_basis():
     finally:
         tracemalloc.stop()
     assert sol.iterations == 6 and n == 9537
-    assert peak < 51 * n * 16
+    assert peak < (_RESTART + 1) * n * 16
 
 
 def _owned_bytes(obj) -> int:
@@ -474,22 +475,17 @@ def _owned_bytes(obj) -> int:
                if isinstance(a, np.ndarray) and a.flags.owndata)
 
 
-def test_solve_traces_within_its_working_set():
-    # FAST trig solve, 6 iterations in one GMRES cycle.  Its traced peak
-    # holds the k + 1 Krylov vectors, b and x (the scratch vector the
-    # cycle summed its update in), the LU factors, the operator's arrays
-    # and the coefficient fields, plus 256 KiB for the Hessenberg matrix
-    # (41 KB) and numpy's casting buffers (up to 8192 complex values per
-    # ufunc call).  A separate x or a padded copy of the state would each
-    # break the budget: with both, and complex LU factors, this solve
-    # traced 3.75 MB against a budget of 3.47 MB.
-    cfg = replace(build_config(fast=True), **_FAST_POINTS["trig-eps1e-3"][0])
+def _traced_solve(params):
+    """A FAST solve at params, traced: (solution, traced peak, bytes of one
+    vector, bytes of the LU factors, the operator's arrays and the
+    coefficient fields plus 256 KiB for the Hessenberg matrix (26 KB) and
+    numpy's casting buffers (up to 8192 complex values per ufunc call))."""
+    cfg = replace(build_config(fast=True), **params)
     profile, phys, disc = (effective_profile(cfg), cfg.to_physical(),
                            cfg.to_discretization())
     cf = coefficient_fields(profile, phys, disc)
     op = _Operator(phys, disc, cf)
     lu = op.preconditioner().__self__
-    vector = 16 * op.dim
     # the first solve in a process may import numpy.fft (numpy imports it
     # lazily); trace a later one
     solve_forward(profile, phys, disc)
@@ -499,11 +495,34 @@ def test_solve_traces_within_its_working_set():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    fixed = (_owned_bytes(lu) + _owned_bytes(op)
+             + sum(getattr(cf, f.name).nbytes for f in fields(cf)) + 2**18)
+    return sol, peak, 16 * op.dim, fixed
+
+
+def test_solve_traces_within_its_working_set():
+    # FAST trig solve, 6 iterations in one GMRES cycle.  Its traced peak
+    # holds the k + 1 Krylov vectors, b and x (the scratch vector the
+    # cycle summed its update in) and _traced_solve's fixed bytes.  A
+    # separate x or a padded copy of the state would each break the
+    # budget: with both, and complex LU factors, this solve traced 3.75 MB
+    # against a budget of 3.47 MB.
+    sol, peak, vector, fixed = _traced_solve(_FAST_POINTS["trig-eps1e-3"][0])
     k = sol.iterations
-    budget = ((k + 3) * vector + _owned_bytes(lu) + _owned_bytes(op)
-              + sum(getattr(cf, f.name).nbytes for f in fields(cf)) + 2**18)
     assert k == 6 and vector == 152_592
-    assert peak <= budget
+    assert peak <= (k + 3) * vector + fixed
+
+
+def test_two_cycle_solve_traces_one_restart_of_vectors():
+    # FAST glyph eps=5e-2 solve, 75 iterations in two GMRES cycles (72 at
+    # restart 50).  Its traced peak holds the _RESTART + 1 Krylov vectors
+    # of the full first cycle, b, x, the second cycle's scratch vector and
+    # _traced_solve's fixed bytes: 7.95 MB of budget against a 7.85 MB
+    # peak.  At restart 50 the same solve traced 9.39 MB.
+    sol, peak, vector, fixed = _traced_solve(
+        dict(_FAST_POINTS["glyph-eps1e-2"][0], epsilon=5e-2))
+    assert sol.iterations == 75
+    assert peak <= (_RESTART + 4) * vector + fixed
 
 
 def test_gmres_zero_rhs():
