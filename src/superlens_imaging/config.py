@@ -13,10 +13,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .core import PhysicalConfig
-from .errors import UsageError
+from .errors import CutoffOutOfRange, UsageError
 from .forward import Discretization
+from .measurement import NoiseSpec
 from .profiles import (PROFILE_BUILDERS, SurfaceProfile, check_unit_cell,
                        image_profile)
+from .spectral import window_halfwidth
 
 TWO_PI = 6.283185307179586476925287
 
@@ -77,20 +79,33 @@ class ExperimentConfig:
     defaulted: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # the keys no module-level config checks; the rest are checked
-        # where they are converted (to_physical, to_discretization)
-        if not self.wavelength > 0:
+        # every key is checked here, for every command and every replace();
+        # the checks that need the surface stay with it (to_profile, solver)
+        if not self.wavelength > 0:  # before omega divides by it
             raise ValueError("wavelength must be positive")
         if not self.c > 0:
             raise ValueError("c must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
         if self.target_snr is not None and not self.target_snr > 0:
             raise ValueError("target_snr must be positive or none")
         if not 0 < self.image_threshold < 1:
             raise ValueError("image_threshold must lie in (0, 1)")
+        NoiseSpec(sigma=self.sigma, seed=self.seed)
+        # the one solver there is; the key stays so configs name it
+        if self.solver != "preconditioned-iterative":
+            raise ValueError("solver must be 'preconditioned-iterative'")
+        if self.profile not in (*PROFILE_BUILDERS, "image"):
+            raise UsageError(f"unknown profile {self.profile!r} "
+                             "(choose 1, 2, 3, or image)")
+        if self.profile == "image" and not self.image_path:
+            raise UsageError("profile=image requires image_path")
+        self.to_physical()
+        # the grid before the window, so I=24, N_f=12 is a NyquistViolation
+        self.to_discretization()
+        W = window_halfwidth(self.I)
+        if not 0 <= self.N_window <= W:
+            raise CutoffOutOfRange(
+                f"N_window={self.N_window} outside 0..{W}, the coefficient "
+                f"window of an I={self.I} grid")
 
     # -- conversions to the module-level configs --------------------------
 
@@ -105,25 +120,17 @@ class ExperimentConfig:
                               epsilon=self.epsilon)
 
     def to_discretization(self) -> Discretization:
-        # the one solver there is; the key stays so configs name it
-        if self.solver != "preconditioned-iterative":
-            raise ValueError("solver must be 'preconditioned-iterative'")
         return Discretization(I=self.I, N_f=self.N_f, M=self.M,
                               fd_order=self.fd_order,
                               iter_tol=self.iter_tol, iter_max=self.iter_max)
 
     def to_profile(self) -> SurfaceProfile:
         check_unit_cell(self.period1, self.period2)
-        if self.profile in PROFILE_BUILDERS:
+        if self.profile != "image":
             return PROFILE_BUILDERS[self.profile]()
-        if self.profile == "image":
-            if not self.image_path:
-                raise UsageError("profile=image requires image_path")
-            from .pnm import read_pgm
-            pixels = read_pgm(self.image_path)
-            return image_profile(pixels, threshold=self.image_threshold)
-        raise UsageError(
-            f"unknown profile {self.profile!r} (choose 1, 2, 3, or image)")
+        from .pnm import read_pgm
+        pixels = read_pgm(self.image_path)
+        return image_profile(pixels, threshold=self.image_threshold)
 
     def resolved_dict(self) -> dict:
         """JSON-ready view of every key (complex values as strings)."""
@@ -197,7 +204,4 @@ def build_config(config_file: str | None = None,
         key, _, value = item.partition("=")
         _parse_pairs({key.strip(): value.strip()}, base, provided)
     base["defaulted"] = tuple(sorted(_PARSERS.keys() - provided))
-    try:
-        return ExperimentConfig(**base)
-    except TypeError as exc:
-        raise UsageError(str(exc)) from None
+    return ExperimentConfig(**base)

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig
-from .errors import CutoffOutOfRange, UsageError
+from .errors import UsageError
 from .forward import solve_forward
 from .inverse import (choose_cutoff, error_decomposition, recon_coefficients,
                       reconstruct, residual_curve)
@@ -39,7 +39,7 @@ from .measurement import (Measurement, NoiseSpec, add_noise, rescale_to_snr,
                           save_measurement_csv)
 from .pnm import save_field_ppm
 from .profiles import band_limited_profile
-from .spectral import dft2, grid_l2_norm, window_halfwidth
+from .spectral import dft2, grid_l2_norm
 
 #: SNR operating points for the per-row sweep (log-spaced around the
 #: tables' values, spanning the published sweep range)
@@ -109,20 +109,9 @@ def effective_profile(cfg: ExperimentConfig):
     return band_limited_profile(raw, disc.N_f, quad_I=disc.P)
 
 
-def check_window(cfg: ExperimentConfig) -> None:
-    """Reject a cut-off sweep 0..N_window the I x I data grid cannot hold,
-    before anything is solved or written."""
-    W = window_halfwidth(cfg.I)
-    if not 0 <= cfg.N_window <= W:
-        raise CutoffOutOfRange(
-            f"N_window={cfg.N_window} outside 0..{W}, the coefficient window "
-            f"of an I={cfg.I} grid")
-
-
 def _row_inputs(cfg: ExperimentConfig):
-    """(physics, discretization, effective profile) of one row, built and
-    validated before anything is solved or written."""
-    check_window(cfg)
+    """(physics, discretization, effective profile) of one row, built
+    before anything is solved or written."""
     return cfg.to_physical(), cfg.to_discretization(), effective_profile(cfg)
 
 

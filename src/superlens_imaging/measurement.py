@@ -119,21 +119,25 @@ def noise_dft_stats(spec: NoiseSpec, I: int, trials: int) -> NoiseDftStats:
         raise ValueError("trials >= 100 required")
     if I < 1:
         raise ValueError("I >= 1 required")
-    s_re = s_im = s_re2 = s_im2 = s_cross = 0.0
-    for t in range(trials):
-        delta = complex_gaussian((I, I), spec.sigma, spec.seed + t)
-        U = dft2(delta).values
-        re, im = U.real, U.imag
-        s_re = s_re + re
-        s_im = s_im + im
-        s_re2 = s_re2 + re * re
-        s_im2 = s_im2 + im * im
-        s_cross = s_cross + re * im
-    n = trials
-    m_re, m_im = s_re / n, s_im / n
-    var_re = (s_re2 - n * m_re**2) / (n - 1)
-    var_im = (s_im2 - n * m_im**2) / (n - 1)
-    cov = (s_cross - n * m_re * m_im) / (n - 1)
+    # a huge sigma overflows the sums of squares; the check below says so
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_re = s_im = s_re2 = s_im2 = s_cross = 0.0
+        for t in range(trials):
+            delta = complex_gaussian((I, I), spec.sigma, spec.seed + t)
+            U = dft2(delta).values
+            re, im = U.real, U.imag
+            s_re = s_re + re
+            s_im = s_im + im
+            s_re2 = s_re2 + re * re
+            s_im2 = s_im2 + im * im
+            s_cross = s_cross + re * im
+        n = trials
+        m_re, m_im = s_re / n, s_im / n
+        var_re = (s_re2 - n * m_re**2) / (n - 1)
+        var_im = (s_im2 - n * m_im**2) / (n - 1)
+        cov = (s_cross - n * m_re * m_im) / (n - 1)
+    if not all(np.isfinite(v).all() for v in (var_re, var_im, cov)):
+        raise ValueError(f"sigma={spec.sigma}: the noise statistics overflow")
     return NoiseDftStats(std_re=np.sqrt(np.maximum(var_re, 0.0)),
                          std_im=np.sqrt(np.maximum(var_im, 0.0)),
                          cov=cov, expected_std=spec.sigma / I)

@@ -321,6 +321,30 @@ def _rejects(argv, forward_dir, out):
     # (0, 1)
     (["experiment", "2", "--fast", "--set", "image_threshold=2"], 2,
      "image_threshold must lie in (0, 1)"),
+    # every command checks every key, including keys it does not read
+    (["sweep-sn", "--set", "I=0"], 2, "I=0 must exceed 2*N_f=24"),
+    (["sweep-sn", "--set", "solver=dense"], 2,
+     "solver must be 'preconditioned-iterative'"),
+    (["sweep-sn", "--set", "profile=4"], 1, "unknown profile '4'"),
+    (["sweep-sn", "--set", "iter_tol=-1"], 2, "iter_tol must lie in"),
+    (["sweep-sn", "--set", "N_window=-1"], 2, "N_window=-1 outside 0..49"),
+    (["sweep-sn", "--set", "profile=image"], 1,
+     "profile=image requires image_path"),
+    (["forward", *FAST, "--set", "N_window=-1"], 2,
+     "N_window=-1 outside 0..16"),
+    (["forward", *FAST, "--set", "N_window=1000"], 2,
+     "N_window=1000 outside 0..16"),
+    # ... and keys a row preset overrides
+    (["experiment", "1", "--fast", "--set", "profile=4"], 1,
+     "unknown profile '4'"),
+    (["experiment", "1", "--fast", "--set", "epsilon=-1"], 2,
+     "epsilon must be nonnegative"),
+    # a noise grid larger than any address space
+    (["noise-stats", "--grid", str(10**8), "--trials", "100"], 1,
+     f"--grid {10**8}: the noise grid does not fit in memory"),
+    # a finite sigma whose sums of squares overflow
+    (["noise-stats", "--grid", "9", "--trials", "100", "--sigma", "1e200"],
+     2, "the noise statistics overflow"),
 ], ids=["forward-epsilon-nan", "invert-epsilon-nan", "forward-rho-nan",
        "invert-c-nan", "invert-c-inf", "forward-sigma-nan", "invert-c-negative",
        "experiment-seed-negative", "invert-zero-truth", "noise-stats-sigma-nan",
@@ -333,7 +357,12 @@ def _rejects(argv, forward_dir, out):
        "invert-wavelength-0", "forward-omega-sq-overflow",
        "forward-omega-sq-subnormal", "sweep-sn-b-huge",
        "sweep-sn-second-medium-cancels", "sweep-sn-n-max-huge",
-       "experiment-image-threshold-2"])
+       "experiment-image-threshold-2", "sweep-sn-I-0", "sweep-sn-solver",
+       "sweep-sn-profile-4", "sweep-sn-iter-tol-negative",
+       "sweep-sn-window-negative", "sweep-sn-image-no-path",
+       "forward-window-negative", "forward-window-1000",
+       "experiment-profile-4", "experiment-epsilon-negative",
+       "noise-stats-grid-huge", "noise-stats-sigma-overflows-stats"])
 def test_bad_value_writes_nothing(forward_dir, tmp_path, argv, expect,
                                   message):
     code, err = _rejects(argv, forward_dir, tmp_path / "out")
@@ -345,10 +374,10 @@ _FLOAT_KEYS = ["wavelength", "period1", "period2", "a", "b", "epsilon",
                "image_threshold", "iter_tol", "sigma", "target_snr", "c"]
 _INT_KEYS = ["I", "N_f", "M", "fd_order", "iter_max", "seed", "N_window"]
 _COMPLEX_KEYS = ["rho", "kappa"]
-# keys whose negative values every command below rejects (experiment 1's
-# row presets replace epsilon, and sweep-sn reads no grid key)
-_NEGATIVE_KEYS = ["wavelength", "period1", "period2", "a", "b", "sigma",
-                  "target_snr", "c", "seed", "image_threshold"]
+# keys whose negative values every command below rejects
+_NEGATIVE_KEYS = ["wavelength", "period1", "period2", "a", "b", "epsilon",
+                  "sigma", "target_snr", "c", "seed", "image_threshold", "I",
+                  "N_f", "M", "iter_max", "N_window"]
 _COMMANDS = [["forward", "--fast"], ["invert", "--fast", "--data", "DATA"],
              ["experiment", "1", "--fast"], ["sweep-sn", "--fast"]]
 

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from superlens_imaging.config import (ExperimentConfig, build_config,
                                       read_config_file)
-from superlens_imaging.errors import UsageError
+from superlens_imaging.errors import CutoffOutOfRange, UsageError
 from superlens_imaging.profiles import SurfaceProfile
 
 
@@ -106,6 +107,18 @@ def test_to_profile_image(tmp_path):
     cfg = ExperimentConfig(profile="image", image_path=str(pgm))
     p = cfg.to_profile()
     assert p.sample(0.25, 0.75) == 1.0
+
+
+def test_replace_checks_every_key():
+    # the checks run on construction, so a preset row's replace() runs them
+    cfg = ExperimentConfig(I=33, N_f=8, M=32)
+    assert replace(cfg, N_window=16).N_window == 16
+    with pytest.raises(CutoffOutOfRange):
+        replace(cfg, N_window=17)
+    with pytest.raises(UsageError):
+        replace(cfg, profile="image")
+    with pytest.raises(ValueError):
+        replace(cfg, epsilon=-1.0)
 
 
 def test_resolved_dict_is_json_ready():

@@ -49,7 +49,8 @@ def test_discretization_properties():
     dict(iter_max=0),
 ])
 def test_discretization_validation(kwargs):
-    # through the config conversion, which owns the solver key
+    # through the config, whose constructor builds the Discretization and
+    # owns the solver key
     err = NyquistViolation if "I" in kwargs else ValueError
     with pytest.raises(err):
         ExperimentConfig(**kwargs).to_discretization()
