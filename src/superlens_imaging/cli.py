@@ -10,8 +10,9 @@ Configuration is a flat key=value file plus repeatable --set overrides;
 every emitted JSON summary embeds the fully resolved config (defaults
 expanded and flagged), so runs are self-describing and repeatable.
 
-Exit codes: 0 success, 1 usage, 2 invariant violation, 3 numerical
-failure.
+Every command writes its files through output.staged, so a run that
+fails leaves --out as it found it.  Exit codes: 0 success, 1 usage (an
+unusable --out too), 2 invariant violation, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from .config import (ExperimentConfig, _parse_complex, _parse_float,
                      build_config)
 from .core import mode_grid
 from .errors import GridTooLarge, SuperlensError, UsageError
-from .experiments import (EXPERIMENTS, _write_csv, _write_json,
-                          effective_profile, invert_measurement, run_experiment)
+from .experiments import (EXPERIMENTS, effective_profile, invert_measurement,
+                          run_experiment)
 from .forward import reflected_flux, solve_forward
 from .measurement import (NoiseSpec, add_noise, load_measurement_csv,
                           noise_dft_stats, save_measurement_csv)
+from .output import staged, write_csv, write_json
 from .pnm import save_field_ppm
 from .spectral import grid_l2_norm, window_halfwidth
 from .tfe import SWEEP_COLUMNS, scaling_sweep, u0_top
@@ -86,16 +88,6 @@ def _config_from(args) -> ExperimentConfig:
     return cfg
 
 
-def _outdir(path: str) -> Path:
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _finite(x: float) -> float | None:
-    return float(x) if math.isfinite(x) else None
-
-
 # --- forward -----------------------------------------------------------------
 
 def cmd_forward(args) -> int:
@@ -106,12 +98,7 @@ def cmd_forward(args) -> int:
     t0 = time.perf_counter()
     sol = solve_forward(profile, phys, disc)
     dt = time.perf_counter() - t0
-    out = _outdir(cfg.out)
-
     clean = add_noise(sol.top_grid, NoiseSpec(sigma=0.0, seed=cfg.seed))
-    save_measurement_csv(clean, out / "top_field.csv")
-    save_field_ppm(out / "top_abs.ppm", np.abs(sol.top_grid),
-                   meta={"field": "|u(x_i, b)|"})
     diag = {
         "config": cfg.resolved_dict(),
         "iterations": sol.iterations,
@@ -121,7 +108,12 @@ def cmd_forward(args) -> int:
         "specular_coefficient": str(sol.top.coeff((0, 0))),
         "reflected_flux": reflected_flux(sol.top, phys),
     }
-    _write_json(out / "forward.json", diag)
+    out = Path(cfg.out)
+    with staged(out) as tmp:
+        save_measurement_csv(clean, tmp / "top_field.csv")
+        save_field_ppm(tmp / "top_abs.ppm", np.abs(sol.top_grid),
+                       meta={"field": "|u(x_i, b)|"})
+        write_json(tmp / "forward.json", diag)
     print(f"forward: {cfg.I}x{cfg.I} grid, {sol.iterations} iterations, "
           f"residual {sol.residual:.3e}; wrote {out}/top_field.csv")
     return 0
@@ -148,16 +140,16 @@ def cmd_invert(args) -> int:
         if grid_l2_norm(truth) == 0.0:
             raise UsageError("the true surface is identically zero, so no "
                              "relative error exists; pass --no-truth")
-    out = _outdir(cfg.out)
-    inverted = invert_measurement(m, phys, cfg, out, truth)
-
-    summary = {
-        "config": cfg.resolved_dict(),
-        "data_file": str(args.data),
-        "snr": _finite(m.snr),
-        **inverted,
-    }
-    _write_json(out / "summary.json", summary)
+    out = Path(cfg.out)
+    with staged(out) as tmp:
+        inverted = invert_measurement(m, phys, cfg, tmp, truth)
+        summary = {
+            "config": cfg.resolved_dict(),
+            "data_file": str(args.data),
+            "snr": m.snr if math.isfinite(m.snr) else None,
+            **inverted,
+        }
+        write_json(tmp / "summary.json", summary)
     tail = (f", rel error {summary['rel_error_at_chosen']:.3f}"
             if truth is not None else "")
     met = "met" if summary["discrepancy_satisfied"] else "NOT met"
@@ -204,18 +196,18 @@ def cmd_sweep_sn(args) -> int:
     except MemoryError as exc:
         raise GridTooLarge(f"--n-max {args.n_max}: the mode window does not "
                            f"fit in memory") from exc
-    out = _outdir(cfg.out)
-    index = []
-    for k, (phys, sweep) in enumerate(zip(media, sweeps), 1):
-        rho, kappa = phys.rho, phys.kappa
-        path = out / f"sweep_sn_{k}.csv"
-        _write_csv(path, SWEEP_HEADER,
-                   [(*r, str(rho), str(kappa)) for r in sweep])
-        index.append({"file": path.name, "rho": str(rho),
-                      "kappa": str(kappa), "n_max": args.n_max})
-        print(f"sweep-sn: rho={rho} kappa={kappa} -> {path}")
-    _write_json(out / "sweep_sn_index.json",
-                {"omega": cfg.omega, "a": cfg.a, "b": cfg.b, "files": index})
+    out = Path(cfg.out)
+    index = [{"file": f"sweep_sn_{k}.csv", "rho": str(phys.rho),
+              "kappa": str(phys.kappa), "n_max": args.n_max}
+             for k, phys in enumerate(media, 1)]
+    with staged(out) as tmp:
+        for f, sweep in zip(index, sweeps):
+            write_csv(tmp / f["file"], SWEEP_HEADER,
+                      [(*r, f["rho"], f["kappa"]) for r in sweep])
+        write_json(tmp / "sweep_sn_index.json",
+                   {"omega": cfg.omega, "a": cfg.a, "b": cfg.b, "files": index})
+    for f in index:
+        print(f"sweep-sn: rho={f['rho']} kappa={f['kappa']} -> {out / f['file']}")
     return 0
 
 
@@ -232,15 +224,15 @@ def cmd_noise_stats(args) -> int:
             stats.std_im, stats.cov]
     rows = [(*r, stats.expected_std)
             for r in zip(*(c.ravel().tolist() for c in cols))]
-    out = _outdir(args.out or "out")
-    path = out / "noise_stats.csv"
-    _write_csv(path, ["n1", "n2", "std_re", "std_im", "cov", "expected_std"],
-               rows)
+    out = Path(args.out or "out")
+    with staged(out) as tmp:
+        write_csv(tmp / "noise_stats.csv",
+                  ["n1", "n2", "std_re", "std_im", "cov", "expected_std"], rows)
     dev = max(np.max(np.abs(stats.std_re - stats.expected_std)),
               np.max(np.abs(stats.std_im - stats.expected_std)))
     print(f"noise-stats: {args.trials} trials on {args.grid}x{args.grid}, "
           f"expected std {stats.expected_std:.4e}, "
-          f"max deviation {dev:.2e}; wrote {path}")
+          f"max deviation {dev:.2e}; wrote {out / 'noise_stats.csv'}")
     return 0
 
 

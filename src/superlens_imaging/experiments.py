@@ -19,11 +19,7 @@ run — noise rows reuse the clean solve.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-import shutil
-import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -37,6 +33,7 @@ from .inverse import (choose_cutoff, error_decomposition, recon_coefficients,
                       reconstruct, residual_curve)
 from .measurement import (Measurement, NoiseSpec, add_noise, rescale_to_snr,
                           save_measurement_csv)
+from .output import staged, write_csv, write_json
 from .pnm import save_field_ppm
 from .profiles import band_limited_profile
 from .spectral import dft2, grid_l2_norm
@@ -81,18 +78,6 @@ EXPERIMENTS: dict[str, dict] = {
         ],
     },
 }
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows(rows)
-
-
-def _write_json(path: Path, obj) -> None:
-    """Indented JSON; a NaN or infinity raises instead of being written."""
-    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def effective_profile(cfg: ExperimentConfig):
@@ -142,8 +127,8 @@ def invert_measurement(meas: Measurement, phys, cfg: ExperimentConfig,
     color scale.  Returns the summary entries the two commands share.
     """
     rc, curve, choice = _invert(meas, phys, cfg.N_window, cfg.c)
-    _write_csv(out_dir / "residual_curve.csv", ["N", "residual", "threshold"],
-               [[n, v, choice.threshold] for n, v in enumerate(curve.values)])
+    write_csv(out_dir / "residual_curve.csv", ["N", "residual", "threshold"],
+              [[n, v, choice.threshold] for n, v in enumerate(curve.values)])
 
     scale = {}
     if truth is not None:
@@ -169,8 +154,8 @@ def invert_measurement(meas: Measurement, phys, cfg: ExperimentConfig,
         "threshold": choice.threshold,
     }
     if truth is not None:
-        _write_csv(out_dir / "error_curve.csv", ["N", "rel_error"],
-                   [[n, e] for n, e in enumerate(errs)])
+        write_csv(out_dir / "error_curve.csv", ["N", "rel_error"],
+                  [[n, e] for n, e in enumerate(errs)])
         summary["rel_error_at_chosen"] = errs[choice.N]
         summary["best_N"] = int(np.argmin(errs))
         summary["best_rel_error"] = float(np.min(errs))
@@ -203,11 +188,11 @@ def run_row(cfg: ExperimentConfig, inputs, out_dir: Path,
     clean_top = dft2(sol.top_grid)
     dec = error_decomposition(profile, clean_top, meas, inverted["chosen_N"],
                               phys)
-    _write_csv(out_dir / "decomposition.csv", ["term", "grid_norm"],
-               [["E1_linearization", dec.norm_E1],
-                ["E2_noise", dec.norm_E2],
-                ["E3_cutoff", dec.norm_E3],
-                ["beyond_window", dec.beyond_window_norm]])
+    write_csv(out_dir / "decomposition.csv", ["term", "grid_norm"],
+              [["E1_linearization", dec.norm_E1],
+               ["E2_noise", dec.norm_E2],
+               ["E3_cutoff", dec.norm_E3],
+               ["beyond_window", dec.beyond_window_norm]])
 
     sweep_rows = []
     for target in SNR_SWEEP_TARGETS:
@@ -220,10 +205,10 @@ def run_row(cfg: ExperimentConfig, inputs, out_dir: Path,
             best_N = int(np.argmin(per_n))
             sweep_rows.append([target, k, choicek.N, int(choicek.satisfied),
                                per_n[choicek.N], best_N, per_n[best_N]])
-    _write_csv(out_dir / "snr_sweep.csv",
-               ["target_snr", "trial", "chosen_N", "satisfied",
-                "rel_error_at_chosen", "best_N", "best_rel_error"],
-               sweep_rows)
+    write_csv(out_dir / "snr_sweep.csv",
+              ["target_snr", "trial", "chosen_N", "satisfied",
+               "rel_error_at_chosen", "best_N", "best_rel_error"],
+              sweep_rows)
 
     summary = {
         "config": cfg.resolved_dict(),
@@ -235,7 +220,7 @@ def run_row(cfg: ExperimentConfig, inputs, out_dir: Path,
         "solver": {"iterations": sol.iterations, "residual": sol.residual,
                    "solve_seconds": solve_seconds},
     }
-    _write_json(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary)
     return summary
 
 
@@ -245,15 +230,12 @@ def run_experiment(exp_id: str, base: ExperimentConfig) -> dict:
     (surface, medium, noise); everything else — grids, seeds, output root —
     follows base.
 
-    The rows are written to a staging tree in a hidden directory beside
-    exp<id>, which it replaces only once index.json is written.  On any error the
-    staging directory goes, and so does base.out if this run created it:
-    a failed run leaves the output tree as it found it."""
+    exp<id> is staged (output.staged): it replaces an earlier one only once
+    index.json is written, so a failed run leaves base.out as it was."""
     if exp_id not in EXPERIMENTS:
         raise UsageError(f"unknown experiment {exp_id!r}; choose 1, 2, or 3")
     preset = EXPERIMENTS[exp_id]
-    out = Path(base.out)
-    exp_dir = out / f"exp{exp_id}"
+    exp_dir = Path(base.out, f"exp{exp_id}")
     row_cfgs = []
     for i, row in enumerate(preset["rows"]):
         params = {k: v for k, v in row.items() if k != "label"}
@@ -262,20 +244,11 @@ def run_experiment(exp_id: str, base: ExperimentConfig) -> dict:
                       defaulted=tuple(k for k in base.defaulted
                                       if k not in merged))
         row_cfgs.append((row, merged, cfg, _row_inputs(cfg)))
-    # the topmost directory of base.out that does not exist yet
-    created = next((p for p in (*out.parents[::-1], out) if not p.exists()),
-                   None)
-    out.mkdir(parents=True, exist_ok=True)
-    # a private holder keeps concurrent runs apart; the tree staged in it
-    # is made by mkdir, so it gets the permissions exp<id> would get
-    holder = Path(tempfile.mkdtemp(prefix=f".exp{exp_id}-", dir=out))
-    staging = holder / exp_dir.name
-    try:
-        staging.mkdir()
+    with staged(base.out) as tmp:
         cache: dict = {}
         rows_out = []
         for i, (row, merged, cfg, inputs) in enumerate(row_cfgs):
-            row_dir = staging / f"row{i + 1}_{row['label']}"
+            row_dir = tmp / exp_dir.name / f"row{i + 1}_{row['label']}"
             summary = run_row(cfg, inputs, row_dir, solve_cache=cache)
             summary["label"] = row["label"]
             summary["preset_overrides"] = {
@@ -287,14 +260,5 @@ def run_experiment(exp_id: str, base: ExperimentConfig) -> dict:
                            "realized_snr": r["realized_snr"],
                            "rel_error_at_chosen": r["rel_error_at_chosen"],
                            "best_N": r["best_N"]} for r in rows_out]}
-        _write_json(staging / "index.json", index)
-        if exp_dir.exists():
-            shutil.rmtree(exp_dir)
-        staging.rename(exp_dir)
-    except BaseException:
-        if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
-        raise
-    finally:
-        shutil.rmtree(holder, ignore_errors=True)
+        write_json(tmp / exp_dir.name / "index.json", index)
     return {"experiment": exp_id, "dir": str(exp_dir), "rows": rows_out}

@@ -119,6 +119,10 @@ def noise_dft_stats(spec: NoiseSpec, I: int, trials: int) -> NoiseDftStats:
         raise ValueError("trials >= 100 required")
     if I < 1:
         raise ValueError("I >= 1 required")
+    # a per-mode variance (sigma/I)^2 below the normal floats loses its
+    # digits; compared through its square root, which cannot overflow
+    if spec.sigma > 0 and spec.sigma / I < math.sqrt(np.finfo(float).tiny):
+        raise ValueError(f"sigma={spec.sigma}: the noise statistics underflow")
     # a huge sigma overflows the sums of squares; the check below says so
     with np.errstate(over="ignore", invalid="ignore"):
         s_re = s_im = s_re2 = s_im2 = s_cross = 0.0

@@ -1,0 +1,55 @@
+"""CSV and JSON writers, and `staged`, the one way a command writes files."""
+
+from __future__ import annotations
+
+import csv
+import json
+import os
+import shutil
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
+from .errors import UsageError
+
+
+def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
+def write_json(path: Path, obj) -> None:
+    """Indented JSON; a NaN or infinity raises instead of being written."""
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+
+
+@contextmanager
+def staged(out: str | Path):
+    """Yield a private directory inside `out`, made if missing.  When the
+    body returns, each entry in it is moved into `out`, a directory over
+    its namesake in one rename.  On any error the private directory goes,
+    and `out` too if this call made it.  An unusable `out` is a UsageError."""
+    out = Path(out)
+    # the topmost directory of out that does not exist yet
+    created = next((p for p in (*out.parents[::-1], out) if not p.exists()),
+                   None)
+    try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            holder = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+        except OSError as exc:
+            raise UsageError(f"cannot write to {out}: {exc}") from None
+        try:
+            yield holder
+            for entry in holder.iterdir():
+                if entry.is_dir() and (out / entry.name).exists():
+                    shutil.rmtree(out / entry.name)
+                os.replace(entry, out / entry.name)
+        finally:
+            shutil.rmtree(holder, ignore_errors=True)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise

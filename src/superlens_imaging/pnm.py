@@ -9,12 +9,12 @@ experiments' amplitude comparisons depend on it.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .errors import UsageError
+from .output import write_json
 
 # fixed colormap: 11 evenly spaced anchors, linearly interpolated
 # (dark violet -> blue -> teal -> green -> yellow), chosen for monotone
@@ -122,5 +122,4 @@ def save_field_ppm(path: str | Path, field: np.ndarray,
                "shape": list(img.shape)}
     if meta:
         sidecar.update(meta)
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, indent=2, allow_nan=False) + "\n")
+    write_json(Path(str(path) + ".json"), sidecar)

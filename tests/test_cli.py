@@ -7,6 +7,7 @@ that importing the CLI imports no scipy module.
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import subprocess
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superlens_imaging import cli
 from superlens_imaging.cli import DEFAULT_MEDIA, build_parser, main
 from superlens_imaging.config import build_config
 from superlens_imaging.measurement import CSV_HEADER, load_measurement_csv
@@ -345,6 +347,11 @@ def _rejects(argv, forward_dir, out):
     # a finite sigma whose sums of squares overflow
     (["noise-stats", "--grid", "9", "--trials", "100", "--sigma", "1e200"],
      2, "the noise statistics overflow"),
+    # a sigma whose per-mode variance (sigma/9)^2 is subnormal or zero
+    (["noise-stats", "--grid", "9", "--trials", "100", "--sigma", "1e-320"],
+     2, "the noise statistics underflow"),
+    (["noise-stats", "--grid", "9", "--trials", "100", "--sigma", "1e-160"],
+     2, "the noise statistics underflow"),
 ], ids=["forward-epsilon-nan", "invert-epsilon-nan", "forward-rho-nan",
        "invert-c-nan", "invert-c-inf", "forward-sigma-nan", "invert-c-negative",
        "experiment-seed-negative", "invert-zero-truth", "noise-stats-sigma-nan",
@@ -362,7 +369,8 @@ def _rejects(argv, forward_dir, out):
        "sweep-sn-window-negative", "sweep-sn-image-no-path",
        "forward-window-negative", "forward-window-1000",
        "experiment-profile-4", "experiment-epsilon-negative",
-       "noise-stats-grid-huge", "noise-stats-sigma-overflows-stats"])
+       "noise-stats-grid-huge", "noise-stats-sigma-overflows-stats",
+       "noise-stats-sigma-1e-320", "noise-stats-sigma-1e-160"])
 def test_bad_value_writes_nothing(forward_dir, tmp_path, argv, expect,
                                   message):
     code, err = _rejects(argv, forward_dir, tmp_path / "out")
@@ -523,6 +531,19 @@ def test_noise_stats_rows_row_major(tmp_path):
     assert {float(r["expected_std"]) for r in rows} == {0.01 / 9}
 
 
+def test_noise_stats_tiny_sigma_keeps_its_statistics(tmp_path):
+    # (1e-150/9)^2 is still a normal float, so nothing underflows
+    assert main(["noise-stats", "--grid", "9", "--trials", "100",
+                 "--sigma", "1e-150", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "noise_stats.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 81
+    for r in rows:
+        assert float(r["expected_std"]) == pytest.approx(1e-150 / 9)
+        assert float(r["std_re"]) == pytest.approx(1e-150 / 9, rel=0.4)
+        assert float(r["std_im"]) == pytest.approx(1e-150 / 9, rel=0.4)
+
+
 # --- experiment (fast smoke; full runs live in the acceptance suite) -----------
 
 def test_experiment_cli(tmp_path, capsys):
@@ -563,6 +584,66 @@ def test_failed_experiment_leaves_output_tree_as_it_was(tmp_path, capsys):
     (kept / "exp3" / "marker.txt").write_text("an earlier run\n")
     before = _tree(kept)
     assert run([*argv, str(kept)], capsys)[0] == 3
+    assert _tree(kept) == before
+
+
+# --- staged output -------------------------------------------------------------
+
+_EVERY_COMMAND = [["forward", *FAST], ["invert", *FAST, "--data", "DATA"],
+                  ["experiment", "1", "--fast"], ["sweep-sn", "--n-max", "2"],
+                  ["noise-stats", "--grid", "9", "--trials", "100"]]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("argv", _EVERY_COMMAND,
+                         ids=[a[0] for a in _EVERY_COMMAND])
+def test_unusable_out_is_usage_error(forward_dir, tmp_path, capsys, argv,
+                                     below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if below else blocker
+    data = str(forward_dir / "top_field.csv")
+    code, cap = run([data if a == "DATA" else a for a in argv]
+                    + ["--out", str(out)], capsys)
+    assert code == 1
+    assert cap.err.startswith(f"error: cannot write to {out}: ")
+    assert "Traceback" not in cap.err
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+    assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv, earlier, writer", [
+    (["forward", *FAST], ["--set", "seed=1"], "write_json"),
+    (["invert", *FAST, "--data", "DATA"], ["--set", "c=3"], "write_json"),
+    (["sweep-sn", "--n-max", "2"], ["--n-max", "3"], "write_json"),
+    (["noise-stats", "--grid", "9", "--trials", "100"], ["--seed", "1"],
+     "write_csv"),
+], ids=["forward", "invert", "sweep-sn", "noise-stats"])
+def test_failed_write_leaves_output_tree_as_it_was(forward_dir, tmp_path,
+                                                   monkeypatch, argv, earlier,
+                                                   writer):
+    data = str(forward_dir / "top_field.csv")
+    argv = [data if a == "DATA" else a for a in argv]
+    # an earlier run whose files differ from the ones the failed run writes
+    kept = tmp_path / "kept"
+    assert main([*argv, *earlier, "--out", str(kept)]) == 0
+    before = _tree(kept)
+    # the writer writes its file, then fails as a full disk would
+    real = getattr(cli, writer)
+
+    def writes_then_fails(path, *args):
+        real(path, *args)
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli, writer, writes_then_fails)
+
+    fresh = tmp_path / "fresh" / "out"
+    with pytest.raises(OSError, match="No space left"):
+        main([*argv, "--out", str(fresh)])
+    assert not (tmp_path / "fresh").exists()
+
+    with pytest.raises(OSError, match="No space left"):
+        main([*argv, "--out", str(kept)])
     assert _tree(kept) == before
 
 

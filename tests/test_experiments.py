@@ -15,8 +15,9 @@ from superlens_imaging.cli import main
 from superlens_imaging.config import build_config
 from superlens_imaging.errors import UsageError
 from superlens_imaging.experiments import (EXPERIMENTS, SNR_SWEEP_TARGETS,
-                                           SWEEP_TRIALS, _write_json,
-                                           effective_profile, run_experiment)
+                                           SWEEP_TRIALS, effective_profile,
+                                           run_experiment)
+from superlens_imaging.output import write_json
 from superlens_imaging.profiles import PROFILE_BUILDERS
 
 
@@ -190,5 +191,5 @@ def test_json_writer_refuses_non_finite(tmp_path, bad):
     # summaries must stay standard JSON: no NaN or Infinity token
     path = tmp_path / "summary.json"
     with pytest.raises(ValueError):
-        _write_json(path, {"ok": 1.0, "nested": {"bad": bad}})
+        write_json(path, {"ok": 1.0, "nested": {"bad": bad}})
     assert not path.exists()

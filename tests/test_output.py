@@ -1,0 +1,52 @@
+"""The staging every command writes its files through."""
+
+import re
+
+import pytest
+
+from superlens_imaging.errors import UsageError
+from superlens_imaging.output import staged
+
+
+def test_staged_moves_entries_over_their_namesakes(tmp_path):
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "stale.txt").write_text("earlier\n")
+    (tmp_path / "file.txt").write_text("earlier\n")
+    (tmp_path / "other.txt").write_text("kept\n")
+    with staged(tmp_path) as tmp:
+        assert tmp.parent == tmp_path and tmp.name.startswith(".staging-")
+        (tmp / "old").mkdir()
+        (tmp / "old" / "new.txt").write_text("new\n")
+        (tmp / "file.txt").write_text("new\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "file.txt", "old", "other.txt"]
+    # a directory is replaced whole, not merged
+    assert [p.name for p in (tmp_path / "old").iterdir()] == ["new.txt"]
+    assert (tmp_path / "file.txt").read_text() == "new\n"
+    assert (tmp_path / "other.txt").read_text() == "kept\n"
+
+
+def test_staged_error_removes_what_it_made(tmp_path):
+    out = tmp_path / "a" / "b"
+    with pytest.raises(KeyError):
+        with staged(out) as tmp:
+            (tmp / "half.txt").write_text("written\n")
+            raise KeyError("later failure")
+    assert not any(tmp_path.iterdir())
+
+    (tmp_path / "kept.txt").write_text("kept\n")
+    with pytest.raises(KeyError):
+        with staged(tmp_path) as tmp:
+            (tmp / "kept.txt").write_text("replaced\n")
+            raise KeyError("later failure")
+    assert [p.name for p in tmp_path.iterdir()] == ["kept.txt"]
+    assert (tmp_path / "kept.txt").read_text() == "kept\n"
+
+
+def test_staged_unusable_out_is_usage_error(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for out in (blocker, blocker / "sub"):
+        with pytest.raises(UsageError, match=re.escape(f"cannot write to {out}")):
+            with staged(out):
+                pytest.fail("the body must not run")
