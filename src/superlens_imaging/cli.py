@@ -12,7 +12,8 @@ expanded and flagged), so runs are self-describing and repeatable.
 
 Every command writes its files through output.staged, so a run that
 fails leaves --out as it found it.  Exit codes: 0 success, 1 usage (an
-unusable --out too), 2 invariant violation, 3 numerical failure.
+unusable --out or a failed write too), 2 invariant violation, 3 numerical
+failure.
 """
 
 from __future__ import annotations

@@ -117,14 +117,6 @@ def deriv_matrix(M: int, h: float, d: int, p: int) -> np.ndarray:
     return D
 
 
-def _band_rows(D: np.ndarray, p: int) -> np.ndarray:
-    """(n, 2p+1) array whose row i holds D[i, i-p..i+p], zero outside D."""
-    n = len(D)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        np.pad(D, ((0, 0), (p, p))), 2 * p + 1, axis=1)
-    return windows[np.arange(n), np.arange(n)]
-
-
 # --- coefficient fields ------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -250,15 +242,16 @@ class _Operator:
     at full resolution), stays in cache across the stages; it and the
     block's spectra live as long as the operator, and the impedance trace
     reuses their first slices after the last block.  The block's
-    z-derivatives, (2, _LEVEL_BLOCK, K, K), are read from x where it lies
-    into a buffer kept beside them; row M's one-sided dz takes the first
-    level of that buffer.  At full resolution the operator owns 1.2 MB of
-    arrays, 1.05 MB of them these three buffers.  In a solve they sit
-    beside GMRES's Krylov vectors (k + 1 of 650 KB for a k-iteration
-    cycle, allocated as reached), the 1.6 MB LU envelope and GMRES's b and
-    x.  apply(x, out=None) writes into out when given, else into a fresh
-    vector; out must not overlap x, and the buffers are shared, so one
-    operator must not run two apply() calls at once.
+    z-derivatives, (2, _LEVEL_BLOCK, K, K), are one einsum per level over
+    its own stencil, read from x where it lies into a buffer kept beside
+    them; row M's one-sided dz takes the first level of that buffer.  At
+    full resolution the operator owns 1.2 MB of arrays, 1.05 MB of them
+    these three buffers.  In a solve they sit beside GMRES's Krylov
+    vectors (k + 1 of 650 KB for a k-iteration cycle, allocated as
+    reached), the 1.6 MB LU envelope and GMRES's b and x.  apply(x,
+    out=None) writes into out when given, else into a fresh vector; out
+    must not overlap x, and the buffers are shared, so one operator must
+    not run two apply() calls at once.
     """
 
     def __init__(self, cfg: PhysicalConfig, disc: Discretization,
@@ -284,16 +277,14 @@ class _Operator:
         self._spec = np.empty((5, block, K, K), dtype=complex)
         self._ws = np.empty((5, block, P, P), dtype=complex)
         self._derivs = np.empty((2, block, K, K), dtype=complex)
-        # the rows of Dz and Dzz: level j in [r, M - r] takes the centered
-        # stencil over levels j-r..j+r, an edge level its union of the two
-        # rows' nonzero columns
+        # level j's stencil (lo, rows): rows j of Dz and Dzz over the union
+        # of their nonzero columns, the first of which is lo
         D = np.stack((self.Dz, self.Dzz))
-        self._r = r = disc.fd_order // 2
-        self._bands = np.stack([_band_rows(d, r) for d in D])
-        self._edges = {}
-        for j in (*range(1, r), *range(M + 1 - r, M + 1)):
+        self._stencils = []
+        for j in range(M + 1):
             cols = np.flatnonzero(D[:, j].any(axis=0))
-            self._edges[j] = cols[0], D[:, j, cols[0]:cols[-1] + 1].copy()
+            self._stencils.append(
+                (cols[0], D[:, j, cols[0]:cols[-1] + 1].copy()))
 
     # spectrum (..., K, K) <-> phase-shifted field (..., P, P).  The inverse
     # transform zero-pads the spectrum along the last axis as it writes the
@@ -320,25 +311,17 @@ class _Operator:
         Level i of a derivative is the sum of D's row i times x's levels
         over the row's columns, taken in increasing level, as a CSR product
         sums it (the zeros it skips add nothing); so the two agree bit for
-        bit.  The centered levels are one einsum over windows of x, each
-        edge level one of its own.  einsum without `optimize` runs the sum
-        as scaled adds of whole levels and never calls BLAS.
+        bit.  Each level is one einsum over its own stencil, which without
+        `optimize` runs the sum as scaled adds of whole levels and never
+        calls BLAS.
         """
-        r = self._r
         levels = x.reshape(self.M + 1, -1).view(np.float64)
         d = self._derivs[:, :j1 - j0]
         dr = d.reshape(2, j1 - j0, -1).view(np.float64)
-        c0, c1 = max(j0, r), min(j1, self.M + 1 - r)
-        if c0 < c1:
-            windows = np.lib.stride_tricks.sliding_window_view(
-                levels[c0 - r:c1 + r], 2 * r + 1, axis=0)
-            np.einsum("dis,iks->dik", self._bands[:, c0:c1], windows,
-                      out=dr[:, c0 - j0:c1 - j0])
         for j in range(j0, j1):
-            if j in self._edges:
-                lo, rows = self._edges[j]
-                np.einsum("ds,sk->dk", rows, levels[lo:lo + rows.shape[1]],
-                          out=dr[:, j - j0])
+            lo, rows = self._stencils[j]
+            np.einsum("ds,sk->dk", rows, levels[lo:lo + rows.shape[1]],
+                      out=dr[:, j - j0])
         return d
 
     def apply(self, x: np.ndarray, out=None) -> np.ndarray:

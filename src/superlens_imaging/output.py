@@ -29,8 +29,11 @@ def write_json(path: Path, obj) -> None:
 def staged(out: str | Path):
     """Yield a private directory inside `out`, made if missing.  When the
     body returns, each entry in it is moved into `out`, a directory over
-    its namesake in one rename.  On any error the private directory goes,
-    and `out` too if this call made it.  An unusable `out` is a UsageError."""
+    its namesake in one rename, once no entry would put a file where a
+    directory is or a directory where a file is.  On any error the private
+    directory goes, and `out` too if this call made it.  An unusable `out`,
+    such a clash, and an OSError from the body or the moves (a full disk)
+    are a UsageError."""
     out = Path(out)
     # the topmost directory of out that does not exist yet
     created = next((p for p in (*out.parents[::-1], out) if not p.exists()),
@@ -43,10 +46,18 @@ def staged(out: str | Path):
             raise UsageError(f"cannot write to {out}: {exc}") from None
         try:
             yield holder
-            for entry in holder.iterdir():
-                if entry.is_dir() and (out / entry.name).exists():
-                    shutil.rmtree(out / entry.name)
-                os.replace(entry, out / entry.name)
+            entries = [(e, out / e.name) for e in holder.iterdir()]
+            for entry, dest in entries:
+                if dest.exists() and dest.is_dir() != entry.is_dir():
+                    kind = "a directory" if dest.is_dir() else "a file"
+                    raise UsageError(
+                        f"cannot write to {out}: {dest} is {kind}")
+            for entry, dest in entries:
+                if entry.is_dir() and dest.exists():
+                    shutil.rmtree(dest)
+                os.replace(entry, dest)
+        except OSError as exc:
+            raise UsageError(f"cannot write to {out}: {exc}") from None
         finally:
             shutil.rmtree(holder, ignore_errors=True)
     except BaseException:

@@ -22,9 +22,9 @@ import numpy as np
 from superlens_imaging.core import (Mode, PhysicalConfig, alpha_grid,
                                    mode_grid, mode_scalars, tau_of)
 from superlens_imaging.errors import NearSingularSystem
-from superlens_imaging.forward import (_RESTART, Discretization,
-                                       _band_rows, _givens, _gmres, _norm,
-                                       _Operator, coefficient_fields)
+from superlens_imaging.forward import (_RESTART, Discretization, _givens,
+                                       _gmres, _norm, _Operator,
+                                       coefficient_fields)
 from superlens_imaging.profiles import SurfaceProfile, profile_spectrum
 from superlens_imaging.spectral import SpectrumField
 from superlens_imaging.tfe import (ZERO, ZerothOrder, first_order_top,
@@ -292,6 +292,14 @@ def dense_matvec(op, x: np.ndarray) -> np.ndarray:
         out[:, j] = (X[:, j] @ L.T + np.tensordot(X, op.Dz[j], (1, 0)) @ A1.T
                      + np.tensordot(X, op.Dzz[j], (1, 0)) @ A2.T)
     return out.reshape(x.shape)
+
+
+def _band_rows(D: np.ndarray, p: int) -> np.ndarray:
+    """(n, 2p+1) array whose row i holds D[i, i-p..i+p], zero outside D."""
+    n = len(D)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.pad(D, ((0, 0), (p, p))), 2 * p + 1, axis=1)
+    return windows[np.arange(n), np.arange(n)]
 
 
 class BandLU:

@@ -620,8 +620,8 @@ def test_unusable_out_is_usage_error(forward_dir, tmp_path, capsys, argv,
      "write_csv"),
 ], ids=["forward", "invert", "sweep-sn", "noise-stats"])
 def test_failed_write_leaves_output_tree_as_it_was(forward_dir, tmp_path,
-                                                   monkeypatch, argv, earlier,
-                                                   writer):
+                                                   monkeypatch, capsys, argv,
+                                                   earlier, writer):
     data = str(forward_dir / "top_field.csv")
     argv = [data if a == "DATA" else a for a in argv]
     # an earlier run whose files differ from the ones the failed run writes
@@ -638,13 +638,33 @@ def test_failed_write_leaves_output_tree_as_it_was(forward_dir, tmp_path,
     monkeypatch.setattr(cli, writer, writes_then_fails)
 
     fresh = tmp_path / "fresh" / "out"
-    with pytest.raises(OSError, match="No space left"):
-        main([*argv, "--out", str(fresh)])
+    for out in (fresh, kept):
+        code, cap = run([*argv, "--out", str(out)], capsys)
+        assert code == 1
+        assert cap.err.startswith(f"error: cannot write to {out}: ")
+        assert "No space left" in cap.err and "Traceback" not in cap.err
     assert not (tmp_path / "fresh").exists()
-
-    with pytest.raises(OSError, match="No space left"):
-        main([*argv, "--out", str(kept)])
     assert _tree(kept) == before
+
+
+def test_clashing_entry_in_out_moves_nothing(tmp_path, capsys):
+    # a directory where forward.json goes: no other staged file may
+    # replace its earlier namesake either, so every inode stays
+    out = tmp_path / "d"
+    assert run(["forward", *FAST, "--out", str(out)]) == 0
+    (out / "forward.json").unlink()
+    (out / "forward.json").mkdir()
+    before = _tree(out)
+    inodes = {p.name: p.stat().st_ino for p in out.iterdir()}
+    code, cap = run(["forward", *FAST, "--set", "seed=1", "--out", str(out)],
+                    capsys)
+    assert code == 1
+    assert cap.err.startswith(f"error: cannot write to {out}: ")
+    assert "forward.json is a directory" in cap.err
+    assert "Traceback" not in cap.err
+    assert _tree(out) == before
+    assert {p.name: p.stat().st_ino for p in out.iterdir()} == inodes
+    assert not list(out.glob(".staging-*"))
 
 
 def test_experiment_bad_id(tmp_path):

@@ -171,22 +171,29 @@ def test_apply_matches_dense_assembly(phys_table1, grid):
     assert np.array_equal(op.apply(x1), kept)
 
 
-@pytest.mark.parametrize("fd_order", [2, 4])
-def test_z_derivatives_match_csr_product_bitwise(phys_table1, fd_order):
+@pytest.mark.parametrize("disc", [replace(FAST, fd_order=2), FAST,
+                                  Discretization()], ids=["2", "4", "full"])
+def test_z_derivatives_match_csr_product_bitwise(phys_table1, disc):
     # oracle: the CSR product the operator used to apply, over all levels;
     # apply reads the vector where it lies, the interior levels block by
-    # block and level M alone; the edge levels, whose stencils are not
-    # centered, each take their own rows, and every level alone must agree
-    op = _operator(phys_table1, replace(FAST, fd_order=fd_order))
-    rng = np.random.default_rng(fd_order)
+    # block and level M alone, each level over its own stencil, and every
+    # level alone must agree
+    op = _operator(phys_table1, disc)
+    rng = np.random.default_rng(disc.fd_order)
     S = (rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)).reshape(
         op.M + 1, op.K, op.K)
     x = S.reshape(-1)
     flat = S.reshape(op.M + 1, -1)
     want = np.stack([(sp.csr_matrix(D) @ flat).reshape(S.shape)
                      for D in (op.Dz, op.Dzz)])
-    r = fd_order // 2
-    assert set(op._edges) == {*range(1, r), *range(op.M + 1 - r, op.M + 1)}
+    # level j reads exactly the union of the nonzero columns of Dz[j] and
+    # Dzz[j], with their weights
+    D = np.stack((op.Dz, op.Dzz))
+    for j in range(1, op.M + 1):
+        lo, rows = op._stencils[j]
+        read = np.arange(lo, lo + rows.shape[1])
+        assert np.array_equal(read, np.flatnonzero(D[:, j].any(axis=0)))
+        assert np.array_equal(rows, D[:, j, read])
     block = len(op._derivs[0])
     spans = [(j0, min(j0 + block, op.M)) for j0 in range(1, op.M, block)]
     spans += [(j, j + 1) for j in range(1, op.M + 1)]

@@ -50,3 +50,24 @@ def test_staged_unusable_out_is_usage_error(tmp_path):
         with pytest.raises(UsageError, match=re.escape(f"cannot write to {out}")):
             with staged(out):
                 pytest.fail("the body must not run")
+
+
+def test_staged_clash_moves_nothing(tmp_path):
+    # a directory where a file goes, and a file where a directory goes:
+    # a.txt, staged beside the clash, must not replace its namesake either
+    (tmp_path / "a.txt").write_text("kept\n")
+    (tmp_path / "b.txt").mkdir()
+    (tmp_path / "exp1").write_text("kept\n")
+    for clash, kind in (("b.txt", "a directory"), ("exp1", "a file")):
+        with pytest.raises(UsageError, match=re.escape(
+                f"cannot write to {tmp_path}: {tmp_path / clash} is {kind}")):
+            with staged(tmp_path) as tmp:
+                (tmp / "a.txt").write_text("new\n")
+                if clash == "exp1":
+                    (tmp / clash).mkdir()
+                else:
+                    (tmp / clash).write_text("new\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a.txt", "b.txt", "exp1"]
+        assert (tmp_path / "a.txt").read_text() == "kept\n"
+
