@@ -201,21 +201,13 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
 
 # --- the discrete operator ---------------------------------------------------
 
-# interior z-levels per pass of the matvec pipeline.  At full resolution
-# (P = 49) five terms of four padded slices take 0.77 MB and stay in a 4 MB
-# L2 cache between the stages.  On a 2-vCPU VM with that cache, alternating
-# timeit minima of one matvec were 10.0-10.4 ms at 4 levels, 10.5-11.8 ms
-# at 8, 10.8 ms at 6 and 13.5 ms at 2; 16 or all 63 at once were slower.
+# interior z-levels per pass of the matvec pipeline: the smallest block that
+# runs as fast as larger ones while its five padded terms stay in cache
+# between the stages
 _LEVEL_BLOCK = 4
 
-# GMRES restart length.  At full resolution its restart + 1 Krylov vectors
-# are the largest array of a solve: 41 of 650 KB (26.7 MB), where restart
-# 50 held 51 (33 MB).  Every solve that ends within 40 iterations is
-# bitwise the same at either length, and the full glyph at rho = kappa =
-# -1 + 0.001i converges up to eps = 2.05e-2 and exits 3 from 2.1e-2 at
-# both; its eps = 1e-2 solve takes 67 iterations against 66.  Restart 30
-# cut the peak further but took 73 there and up to 110 on other points,
-# and restart 35 would stretch iter_max = 200 to 210 iterations.
+# GMRES restart length: it bounds a solve's largest array, its restart + 1
+# Krylov vectors, and keeps the iteration counts near those of restart 50
 _RESTART = 40
 
 
@@ -234,24 +226,19 @@ class _Operator:
     transform cancels the phase, and product modes wrap onto indices
     K..P-1, clear of the corner.  The interior levels go through the whole
     pipeline in blocks of at most _LEVEL_BLOCK: write the five PDE terms as
-    (K, K) spectra with their z-factors (lat T, az^2 T_zz, 2i alpha az T_z,
-    az T_z), transform them into the padded workspace, multiply them by c1
-    and g2..g5 and sum them into the first term, transform it back, and
-    write its corner plus a^2 T_zz, the constant part of c2 T_zz, into the
-    output rows.  The workspace, (5, _LEVEL_BLOCK, P, P) complex (0.77 MB
-    at full resolution), stays in cache across the stages; it and the
-    block's spectra live as long as the operator, and the impedance trace
-    reuses their first slices after the last block.  The block's
-    z-derivatives, (2, _LEVEL_BLOCK, K, K), are one einsum per level over
-    its own stencil, read from x where it lies into a buffer kept beside
-    them; row M's one-sided dz takes the first level of that buffer.  At
-    full resolution the operator owns 1.2 MB of arrays, 1.05 MB of them
-    these three buffers.  In a solve they sit beside GMRES's Krylov
-    vectors (k + 1 of 650 KB for a k-iteration cycle, allocated as
-    reached), the 1.6 MB LU envelope and GMRES's b and x.  apply(x,
-    out=None) writes into out when given, else into a fresh vector; out
-    must not overlap x, and the buffers are shared, so one operator must
-    not run two apply() calls at once.
+    (K, K) spectra with their z-factors (lat T, 2i alpha az T_z, az T_z,
+    az^2 T_zz), transform them into the padded workspace, multiply them by
+    c1 and g2..g5 and sum them into the first term, transform it back, and
+    add its corner to the output rows.  The block's z-derivatives land in
+    its last two spectra, one einsum per level over its own stencil, read
+    from x where it lies; a^2 T_zz, the constant part of c2 T_zz, goes into
+    the output rows before the z-factors scale them in place.  The
+    workspace, (5, _LEVEL_BLOCK, P, P) complex, and the block's spectra live
+    as long as the operator, and row M's impedance trace and one-sided dz
+    reuse their first slices after the last block.  apply(x, out=None)
+    writes into out when given, else into a fresh vector; out must not
+    overlap x, and the buffers are shared, so one operator must not run two
+    apply() calls at once.
     """
 
     def __init__(self, cfg: PhysicalConfig, disc: Discretization,
@@ -276,7 +263,6 @@ class _Operator:
         block = min(_LEVEL_BLOCK, M - 1)
         self._spec = np.empty((5, block, K, K), dtype=complex)
         self._ws = np.empty((5, block, P, P), dtype=complex)
-        self._derivs = np.empty((2, block, K, K), dtype=complex)
         # level j's stencil (lo, rows): rows j of Dz and Dzz over the union
         # of their nonzero columns, the first of which is lo
         D = np.stack((self.Dz, self.Dzz))
@@ -303,10 +289,11 @@ class _Operator:
         np.fft.fft(live, axis=-1, norm="forward", out=live)
         return live[..., :self.K]
 
-    def _z_derivatives(self, x: np.ndarray, j0: int,
-                       j1: int) -> np.ndarray:
-        """The first and second z-derivatives of the level-major vector x at
-        levels j0..j1-1, (2, j1-j0, K, K), in the operator's buffer.
+    def _z_derivatives(self, x: np.ndarray, j0: int, j1: int,
+                       out: np.ndarray) -> None:
+        """Write the first and second z-derivatives of the level-major
+        vector x at levels j0..j1-1 into out, (2, j1-j0, K, K) with
+        contiguous (K, K) levels.
 
         Level i of a derivative is the sum of D's row i times x's levels
         over the row's columns, taken in increasing level, as a CSR product
@@ -316,13 +303,11 @@ class _Operator:
         calls BLAS.
         """
         levels = x.reshape(self.M + 1, -1).view(np.float64)
-        d = self._derivs[:, :j1 - j0]
-        dr = d.reshape(2, j1 - j0, -1).view(np.float64)
+        dr = out.reshape(2, j1 - j0, -1).view(np.float64)
         for j in range(j0, j1):
             lo, rows = self._stencils[j]
             np.einsum("ds,sk->dk", rows, levels[lo:lo + rows.shape[1]],
                       out=dr[:, j - j0])
-        return d
 
     def apply(self, x: np.ndarray, out=None) -> np.ndarray:
         M = self.M
@@ -338,15 +323,16 @@ class _Operator:
         for j0 in range(1, M, block):
             j1 = min(j0 + block, M)
             spec, ws = self._spec[:, :j1 - j0], self._ws[:, :j1 - j0]
-            SZ, SZZ = self._z_derivatives(x, j0, j1)
+            self._z_derivatives(x, j0, j1, spec[3:])
+            np.multiply(self.cfg.a ** 2, spec[4], out=rows[j0:j1])
             az = cf.az[j0:j1, None, None]
             np.multiply(self.lat, X[j0:j1], out=spec[0])
-            np.multiply(az * az, SZZ, out=spec[1])
-            np.multiply(az, SZ, out=spec[4])
-            np.multiply(self.two_iax, spec[4], out=spec[2])
-            np.multiply(self.two_iay, spec[4], out=spec[3])
+            np.multiply(az * az, spec[4], out=spec[4])
+            np.multiply(az, spec[3], out=spec[3])
+            np.multiply(self.two_iax, spec[3], out=spec[1])
+            np.multiply(self.two_iay, spec[3], out=spec[2])
             self._to_field(spec, ws)
-            lat, szz, sxz, syz, sz = ws
+            lat, sxz, syz, sz, szz = ws
             np.multiply(cf.c1, lat, out=lat)
             for g, term, accumulate in ((cf.g2, szz, np.add),
                                         (cf.g3, sxz, np.subtract),
@@ -354,17 +340,17 @@ class _Operator:
                                         (cf.g5, sz, np.subtract)):
                 np.multiply(g, term, out=term)
                 accumulate(lat, term, out=lat)
-            np.multiply(self.cfg.a ** 2, SZZ, out=rows[j0:j1])
             rows[j0:j1] += self._to_corner(lat)
 
         # row M: one-sided dz minus the impedance term, in the first slices
         # of the blocks' buffers
         trace, field = self._spec[0, 0], self._ws[0, 0]
+        dz = self._spec[3:, :1]
+        self._z_derivatives(x, M, M + 1, dz)
         np.multiply(self.Z, X[M], out=trace)
         self._to_field(trace, field)
         np.multiply(self.trace_coef, field, out=field)
-        np.subtract(self._z_derivatives(x, M, M + 1)[0, 0],
-                    self._to_corner(field), out=rows[M])
+        np.subtract(dz[0, 0], self._to_corner(field), out=rows[M])
         return out
 
     def rhs(self) -> np.ndarray:
@@ -388,85 +374,84 @@ class _Operator:
         at row M.  With real FD weights and real omega and alpha, -Z/rho is
         its only complex entry.
         """
-        K, M = self.K, self.M
+        M = self.M
         a2 = self.cfg.a ** 2
         shared = np.zeros((M + 1, M + 1))
         shared[0, 0] = 1.0
         shared[1:M] = a2 * self.Dzz[1:M]
         shared[M] = self.Dz[M]
-        diag = np.zeros((M + 1, K, K), dtype=complex)
-        diag[1:M] = a2 * self.lat
-        diag[M] = -self.Z / self.cfg.rho
-        return _BandedLU(shared, diag.reshape(M + 1, K * K)).solve
+        interior = a2 * self.lat.reshape(-1)
+        last = -self.Z.reshape(-1) / self.cfg.rho
+        return _BandedLU(shared, interior, last).solve
 
 
 class _BandedLU:
     """LU factors of B banded (n x n) blocks A_k = shared + diag(d_k) that
-    share every entry off the diagonal; diag is (n, B), column k holding d_k,
-    and only its last row may be complex.
+    share every entry off the diagonal: d_k is 0 on row 0, entry k of the
+    real interior, (B,), on rows 1..n-2 and entry k of the complex last,
+    (B,), on row n-1.
 
     All blocks are factored at once, without pivoting, in envelope storage:
     row i keeps its entries from column lo_i, its first nonzero in A, to
     hi_i, its last nonzero once the rows lo_i..i-1 have been eliminated from
     it.  Elimination without pivoting fills nothing outside that envelope,
     so L (unit, left of the diagonal) and U overwrite it.  A row is only
-    subtracted from later rows, so every factor is real but the last pivot.
-    At full resolution (n = 65, B = 625) the rows hold 324 of the 585 band
-    entries: 1,615,000 bytes of float64 factors and 10,000 of complex last
-    pivots.  Each step of the factorization and of both substitutions is
-    one row, vectorized over the blocks, and a complex band-storage LU gives
-    the same factors and solves bit for bit.  A pivot below 1e-12 times the
-    largest entry of its row in A_k raises NearSingularSystem before any
-    solve; the diagonal then holds 1/pivot.  solve(b, out=None) copies the
-    level-major b, (n, B) C-order flattened, into out (a fresh vector when
-    out is None) and substitutes there in place, on its float64 parts.
+    subtracted from later rows, so every factor is real but the last pivot:
+    the envelope is float64, and the last pivot is formed in complex from
+    its real part and last.imag.  Each step of the factorization and of both
+    substitutions is one row, vectorized over the blocks, and a complex
+    band-storage LU gives the same factors and solves bit for bit.  A pivot
+    below 1e-12 times the largest entry of its row in A_k raises
+    NearSingularSystem before any solve; the diagonal then holds 1/pivot,
+    the last row's its real part.  solve(b, out=None) copies the level-major
+    b, (n, B) C-order flattened, into out (a fresh vector when out is None)
+    and substitutes there in place, on its float64 parts.
     """
 
-    def __init__(self, shared: np.ndarray, diag: np.ndarray):
-        n, B = diag.shape
-        if np.iscomplexobj(diag) and diag[:-1].imag.any():
-            raise ValueError("only the last row's diagonal may be complex")
+    def __init__(self, shared: np.ndarray, interior: np.ndarray,
+                 last: np.ndarray):
+        n, B = len(shared), len(last)
         pattern = (shared != 0) | np.eye(n, dtype=bool)
         lo = np.argmax(pattern, axis=1)
         hi = n - 1 - np.argmax(pattern[:, ::-1], axis=1)
         # eliminating rows lo_i..i-1 from row i fills it out to their ends
         for i in range(n):
             hi[i] = np.max(hi[lo[i]:i + 1])
-        # the last row's float64 part stops left of its diagonal; the row is
-        # factored in complex and gives up all but its pivot afterwards
-        width = hi - lo + 1
-        width[-1] -= 1
-        start = np.concatenate(([0], np.cumsum(width)))
+        start = np.concatenate(([0], np.cumsum(hi - lo + 1)))
         self._env = np.empty((start[-1], B))
-        rows = [self._env[start[i]:start[i + 1]] for i in range(n - 1)]
-        rows.append(np.empty((width[-1] + 1, B), dtype=complex))
-        for i, row in enumerate(rows):
-            row[...] = shared[i, lo[i]:hi[i] + 1, None]
-            row[i - lo[i]] += diag[i] if i == n - 1 else diag[i].real
-        row_max = [np.max(np.abs(row), axis=0) for row in rows]
+        rows = [self._env[start[i]:start[i + 1]] for i in range(n)]
 
         # row by row: subtract l_ij times row j of U for j = lo_i..i-1, each
         # entry taking its updates in increasing j, as a column-by-column
         # elimination applies them; l_ij is the entry times 1/pivot_j, as
         # numpy divides complex numbers with no imaginary part
         for i, row in enumerate(rows):
+            row[...] = shared[i, lo[i]:hi[i] + 1, None]
+            pivot = row[i - lo[i]]
+            if 0 < i < n - 1:
+                pivot += interior
+            elif i == n - 1:
+                pivot += last.real
+            row_max = np.max(np.abs(row), axis=0)
+            if i == n - 1:
+                row_max = np.maximum(row_max, np.abs(pivot + 1j * last.imag))
             for j in range(lo[i], i):
                 lij = row[j - lo[i]]
                 lij *= rows[j][j - lo[j]]
                 row[j + 1 - lo[i]:hi[j] + 1 - lo[i]] -= (
                     lij * rows[j][j + 1 - lo[j]:])
-            pivot = row[i - lo[i]]
-            small = ~(np.abs(pivot) > 1e-12 * row_max[i])
+            if i == n - 1:
+                pivot = pivot + 1j * last.imag
+            small = ~(np.abs(pivot) > 1e-12 * row_max)
             if small.any():
                 k = int(np.argmax(small))
                 raise NearSingularSystem(
                     f"flat-surface preconditioner: pivot {i} of block {k} "
                     f"vanishes")
             np.divide(1, pivot, out=pivot)
-        last = rows[-1]
-        rows[-1] = self._env[start[-2]:]
-        rows[-1][...] = last[:-1].real
-        self._last_inv_pivot = last[-1].copy()
+        # the last row's 1/pivot, complex, and its real part in the envelope
+        self._last_inv_pivot = pivot
+        rows[-1][-1] = pivot.real
         self.n, self.B = n, B
         # (level, its L row, first column) for the rows with an L part, and
         # from the last row up (level, its U row right of the diagonal, last
@@ -547,12 +532,12 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     vector, which becomes x when the first cycle has summed its update in
     it, and the Krylov vectors, each allocated when a cycle first reaches
     it and reused by the later cycles: a k-iteration cycle holds k + 1 of
-    them (650 KB each at full resolution), the last one spent on b - A x
-    at the cycle's end, so at most 41 (26.7 MB).  One (restart + 1, n) block
-    would take those 26.7 MB however short the solve, and it is under
-    glibc's 32 MiB cap on its dynamic mmap threshold: freeing it would
-    raise that threshold and the trim threshold past every later array, so
-    the heap would never be given back.
+    them, the last one spent on b - A x at the cycle's end.  One
+    (restart + 1, n) block would take its full size however short the
+    solve, and at full resolution it is under glibc's 32 MiB cap on its
+    dynamic mmap threshold, so freeing it would raise that threshold and
+    the trim threshold past every later array and the heap would never be
+    given back.
     """
     n = b.size
     bnrm2 = _norm(b)

@@ -613,8 +613,11 @@ def test_unusable_out_is_usage_error(forward_dir, tmp_path, capsys, argv,
 
 
 @pytest.mark.parametrize("argv, earlier, writer", [
-    (["forward", *FAST], ["--set", "seed=1"], "write_json"),
-    (["invert", *FAST, "--data", "DATA"], ["--set", "c=3"], "write_json"),
+    (["forward", *FAST], ["--set", "epsilon=2e-3"], "write_json"),
+    # another true surface redraws truth.ppm and every image on its color
+    # scale, and a shorter window shortens both curves
+    (["invert", *FAST, "--data", "DATA"],
+     ["--set", "profile=2", "--set", "N_window=11"], "write_json"),
     (["sweep-sn", "--n-max", "2"], ["--n-max", "3"], "write_json"),
     (["noise-stats", "--grid", "9", "--trials", "100"], ["--seed", "1"],
      "write_csv"),
@@ -624,10 +627,14 @@ def test_failed_write_leaves_output_tree_as_it_was(forward_dir, tmp_path,
                                                    earlier, writer):
     data = str(forward_dir / "top_field.csv")
     argv = [data if a == "DATA" else a for a in argv]
-    # an earlier run whose files differ from the ones the failed run writes
+    # an earlier run whose files all differ from the ones the failed run
+    # writes, so that replacing any of them shows
     kept = tmp_path / "kept"
     assert main([*argv, *earlier, "--out", str(kept)]) == 0
     before = _tree(kept)
+    assert main([*argv, "--out", str(tmp_path / "unpatched")]) == 0
+    unpatched = _tree(tmp_path / "unpatched")
+    assert all(unpatched.get(name) != data for name, data in before.items())
     # the writer writes its file, then fails as a full disk would
     real = getattr(cli, writer)
 

@@ -194,11 +194,13 @@ def test_z_derivatives_match_csr_product_bitwise(phys_table1, disc):
         read = np.arange(lo, lo + rows.shape[1])
         assert np.array_equal(read, np.flatnonzero(D[:, j].any(axis=0)))
         assert np.array_equal(rows, D[:, j, read])
-    block = len(op._derivs[0])
+    block = len(op._spec[0])
     spans = [(j0, min(j0 + block, op.M)) for j0 in range(1, op.M, block)]
     spans += [(j, j + 1) for j in range(1, op.M + 1)]
     for j0, j1 in spans:
-        assert np.array_equal(op._z_derivatives(x, j0, j1), want[:, j0:j1])
+        out = np.full((2, j1 - j0, op.K, op.K), np.nan, dtype=complex)
+        op._z_derivatives(x, j0, j1, out)
+        assert np.array_equal(out, want[:, j0:j1])
     assert np.array_equal(x, S.reshape(-1))
 
 
@@ -242,21 +244,22 @@ def test_banded_lu_matches_splu(phys_table1, medium):
 
 
 def test_banded_lu_rejects_vanishing_pivot():
-    # block 1 is [[1, 1], [1, 1]]: its second pivot is exactly zero, while
-    # block 0 is regular
-    shared = np.ones((2, 2))
-    diag = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(NearSingularSystem, match="block 1"):
-        _BandedLU(shared, diag)
-    # the factors are real: only the last row's diagonal may be complex
-    diag[0, 1] = 1j
-    with pytest.raises(ValueError, match="last row"):
-        _BandedLU(shared, diag)
-    # diag's columns are the blocks' diagonals; b and x go level by level,
-    # so their columns are the blocks too
-    diag[:, 1] = 1, 1j
-    b = np.array([[3.0, 4.0], [5.0, 6.0]])
-    x = _BandedLU(shared, diag).solve(b.reshape(-1)).reshape(2, 2)
+    # block 1 is all ones: its second pivot is exactly zero, while block 0
+    # is regular
+    shared = np.ones((3, 3))
+    interior, last = np.array([1.0, 0.0]), np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(NearSingularSystem, match="pivot 1 of block 1"):
+        _BandedLU(shared, interior, last)
+    # the factors are real: numpy refuses to add a complex interior
+    # diagonal into a float64 row
+    with pytest.raises(TypeError, match="complex128"):
+        _BandedLU(shared, interior + [0, 1j], last)
+    # block k's diagonal is (0, interior[k], last[k]); b and x go level by
+    # level, so their columns are the blocks
+    interior[1], last[1] = 2, 1j
+    diag = np.stack((np.zeros(2), interior, last))
+    b = np.array([[3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
+    x = _BandedLU(shared, interior, last).solve(b.reshape(-1)).reshape(3, 2)
     for k in range(2):
         assert np.allclose(x[:, k], np.linalg.solve(
             shared + np.diag(diag[:, k]), b[:, k]), rtol=1e-14)
@@ -280,6 +283,23 @@ def test_banded_lu_solves_into_out(phys_table1):
     finally:
         tracemalloc.stop()
     assert peak < row.nbytes / 4
+
+
+def test_preconditioner_build_traces_no_level_array(phys_table1):
+    # the factors go straight into their float64 envelope, and the blocks'
+    # diagonals come in as one K^2-vector per kind of row: beyond what the
+    # LU holds, building it never traces as much as one float64 array the
+    # size of the (M+1, K, K) state
+    op = _operator(phys_table1, FAST)
+    tracemalloc.start()
+    try:
+        solve = op.preconditioner()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lu = solve.__self__
+    assert held >= lu._env.nbytes + lu._last_inv_pivot.nbytes
+    assert peak - held < op.dim * 8
 
 
 def test_state_is_level_major(phys_table1):
@@ -309,7 +329,9 @@ def test_apply_writes_into_out(phys_table1):
 
 
 def _flat_blocks(op):
-    """The preconditioner's shared rows and per-mode diagonals, (n, B)."""
+    """The preconditioner's shared rows, real interior and complex last
+    diagonals, (B,) each, and the per-mode diagonals (n, B) of the
+    oracle."""
     M, a2 = op.M, op.cfg.a ** 2
     shared = np.zeros((M + 1, M + 1))
     shared[0, 0] = 1.0
@@ -318,7 +340,7 @@ def _flat_blocks(op):
     diag = np.zeros((M + 1, op.K ** 2), dtype=complex)
     diag[1:M] = a2 * op.lat.reshape(-1)
     diag[M] = -op.Z.reshape(-1) / op.cfg.rho
-    return shared, diag
+    return shared, diag[1].real.copy(), diag[M], diag
 
 
 # (first, last) column of each row relative to the diagonal, at M = 64
@@ -332,8 +354,8 @@ def test_banded_lu_holds_fill_envelope(phys_table1, grid):
     # band factors, with those entries and every solve bit for bit equal
     disc = {"full": Discretization(), "fast-fd2": replace(FAST, fd_order=2)}
     op = _operator(phys_table1, disc[grid])
-    shared, diag = _flat_blocks(op)
-    lu, ref = _BandedLU(shared, diag), BandLU(shared, diag)
+    shared, interior, last, diag = _flat_blocks(op)
+    lu, ref = _BandedLU(shared, interior, last), BandLU(shared, diag)
     assert np.array_equal(op.preconditioner().__self__._env, lu._env)
 
     first = {i: j0 - i for i, _, j0 in lu._lower}
@@ -343,13 +365,13 @@ def test_banded_lu_holds_fill_envelope(phys_table1, grid):
     assert envelope == [(nz[0], nz[-1]) for nz in nonzero]
     if grid == "full":
         assert envelope == _FULL_ENVELOPE
-        assert lu._env.nbytes == 1_615_000
+        assert lu._env.nbytes == 1_620_000
         assert lu._last_inv_pivot.nbytes == 10_000
-    # every entry is real but the last row's pivot, which the float64
-    # envelope leaves out
+    # every entry is real but the last row's pivot, whose real part the
+    # float64 envelope holds
     rows = [ref.ab[i, p + f:p + l + 1] for i, (f, l) in enumerate(envelope)]
-    want = np.concatenate(rows[:-1] + [rows[-1][:-1]])
-    assert not want.imag.any()
+    want = np.concatenate(rows)
+    assert not want[:-1].imag.any()
     assert lu._env.dtype == np.float64
     assert np.array_equal(lu._env, want.real)
     assert np.array_equal(lu._last_inv_pivot, ref.ab[-1, p])
