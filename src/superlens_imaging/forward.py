@@ -207,8 +207,9 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
 _LEVEL_BLOCK = 4
 
 # GMRES restart length: it bounds a solve's largest array, its restart + 1
-# Krylov vectors, and keeps the iteration counts near those of restart 50
-_RESTART = 40
+# Krylov vectors, and is the shortest restart whose cycles still converge on
+# the glyph up to eps = 2.05e-2 within iter_max 200
+_RESTART = 30
 
 
 class _Operator:
@@ -516,8 +517,8 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     step for step as scipy.sparse.linalg.gmres (scipy 1.17) runs it with
     atol=0, restart=min(_RESTART, iter_max) and ceil(iter_max / restart)
     cycles: modified Gram-Schmidt, zlartg's Givens rotations, and the inner
-    tolerance control of scipy gh-8400, so an iter_max above 40 is rounded
-    up to whole 40-iteration cycles.
+    tolerance control of scipy gh-8400, so an iter_max above 30 is rounded
+    up to whole 30-iteration cycles (200 allows 210).
 
     matvec(v, out=buf) puts A v in buf (buf must not overlap v), and
     psolve(v, out=vec) puts the preconditioned v in a Krylov vector, so an
