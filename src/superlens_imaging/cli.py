@@ -11,9 +11,10 @@ every emitted JSON summary embeds the fully resolved config (defaults
 expanded and flagged), so runs are self-describing and repeatable.
 
 Every command writes its files through output.staged, so a run that
-fails leaves --out as it found it.  Exit codes: 0 success, 1 usage (an
-unusable --out or a failed write too), 2 invariant violation, 3 numerical
-failure.
+fails leaves --out as it found it, and `invert` and `sweep-sn` remove the
+files an earlier run of theirs wrote there and they do not write again.
+Exit codes: 0 success, 1 usage (an unusable --out or a failed write too),
+2 invariant violation, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -142,7 +143,9 @@ def cmd_invert(args) -> int:
             raise UsageError("the true surface is identically zero, so no "
                              "relative error exists; pass --no-truth")
     out = Path(cfg.out)
-    with staged(out) as tmp:
+    # the images and the sidecars of 0..N_window and of the truth
+    with staged(out, owns=("recon_N*.ppm*", "truth.ppm*",
+                           "error_curve.csv")) as tmp:
         inverted = invert_measurement(m, phys, cfg, tmp, truth)
         summary = {
             "config": cfg.resolved_dict(),
@@ -201,7 +204,7 @@ def cmd_sweep_sn(args) -> int:
     index = [{"file": f"sweep_sn_{k}.csv", "rho": str(phys.rho),
               "kappa": str(phys.kappa), "n_max": args.n_max}
              for k, phys in enumerate(media, 1)]
-    with staged(out) as tmp:
+    with staged(out, owns=("sweep_sn_*.csv",)) as tmp:
         for f, sweep in zip(index, sweeps):
             write_csv(tmp / f["file"], SWEEP_HEADER,
                       [(*r, f["rho"], f["kappa"]) for r in sweep])

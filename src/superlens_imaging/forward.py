@@ -215,10 +215,12 @@ _RESTART = 30
 class _Operator:
     """Matrix-free application of the collocation system.
 
-    State layout: complex (M+1, K, K), C-order flattened; index [j, i1, i2]
-    is mode (i1 - N_f, i2 - N_f) at level z_j, so each level is one
-    contiguous (K, K) spectrum.  Row j=0 is the Dirichlet identity, rows
-    1..M-1 the transformed PDE, row M the impedance interface condition.
+    State layout: complex (M, K, K), C-order flattened; index [i, i1, i2]
+    is mode (i1 - N_f, i2 - N_f) at level z_{i+1}, so each level is one
+    contiguous (K, K) spectrum.  The flattened surface z_0 = 0, where the
+    field vanishes, holds no unknowns: u_0 = 0 drops out of every stencil.
+    Rows 0..M-2 are the transformed PDE at levels 1..M-1, row M-1 the
+    impedance interface condition at level M.
 
     apply() takes each lateral spectrum to the field by an inverse transform
     of length P along both axes, with mode n at index n + N_f: the corner
@@ -235,7 +237,7 @@ class _Operator:
     from x where it lies; a^2 T_zz, the constant part of c2 T_zz, goes into
     the output rows before the z-factors scale them in place.  The
     workspace, (5, _LEVEL_BLOCK, P, P) complex, and the block's spectra live
-    as long as the operator, and row M's impedance trace and one-sided dz
+    as long as the operator, and row M-1's impedance trace and one-sided dz
     reuse their first slices after the last block.  apply(x, out=None)
     writes into out when given, else into a fresh vector; out must not
     overlap x, and the buffers are shared, so one operator must not run two
@@ -247,7 +249,7 @@ class _Operator:
         K, P, M, N = disc.K, disc.P, disc.M, disc.N_f
         self.K, self.P, self.M, self.N_f = K, P, M, N
         self.cfg, self.cf = cfg, cf
-        self.dim = K * K * (M + 1)
+        self.dim = K * K * M
 
         n1g, n2g = mode_grid(N)
         ax, ay, asq = alpha_grid(n1g, n2g, cfg)
@@ -264,14 +266,15 @@ class _Operator:
         block = min(_LEVEL_BLOCK, M - 1)
         self._spec = np.empty((5, block, K, K), dtype=complex)
         self._ws = np.empty((5, block, P, P), dtype=complex)
-        # level j's stencil (lo, rows): rows j of Dz and Dzz over the union
-        # of their nonzero columns, the first of which is lo
-        D = np.stack((self.Dz, self.Dzz))
+        # state index i's stencil (lo, rows): rows i of Dz and Dzz over the
+        # union of their nonzero columns, the first of which is lo, on the
+        # levels 1..M
+        D = np.stack((self.Dz, self.Dzz))[:, 1:, 1:]
         self._stencils = []
-        for j in range(M + 1):
-            cols = np.flatnonzero(D[:, j].any(axis=0))
+        for i in range(M):
+            cols = np.flatnonzero(D[:, i].any(axis=0))
             self._stencils.append(
-                (cols[0], D[:, j, cols[0]:cols[-1] + 1].copy()))
+                (cols[0], D[:, i, cols[0]:cols[-1] + 1].copy()))
 
     # spectrum (..., K, K) <-> phase-shifted field (..., P, P).  The inverse
     # transform zero-pads the spectrum along the last axis as it writes the
@@ -293,17 +296,17 @@ class _Operator:
     def _z_derivatives(self, x: np.ndarray, j0: int, j1: int,
                        out: np.ndarray) -> None:
         """Write the first and second z-derivatives of the level-major
-        vector x at levels j0..j1-1 into out, (2, j1-j0, K, K) with
+        state x at its indices j0..j1-1 into out, (2, j1-j0, K, K) with
         contiguous (K, K) levels.
 
-        Level i of a derivative is the sum of D's row i times x's levels
+        Index i of a derivative is the sum of D's row i times x's levels
         over the row's columns, taken in increasing level, as a CSR product
         sums it (the zeros it skips add nothing); so the two agree bit for
         bit.  Each level is one einsum over its own stencil, which without
         `optimize` runs the sum as scaled adds of whole levels and never
         calls BLAS.
         """
-        levels = x.reshape(self.M + 1, -1).view(np.float64)
+        levels = x.reshape(self.M, -1).view(np.float64)
         dr = out.reshape(2, j1 - j0, -1).view(np.float64)
         for j in range(j0, j1):
             lo, rows = self._stencils[j]
@@ -312,21 +315,19 @@ class _Operator:
 
     def apply(self, x: np.ndarray, out=None) -> np.ndarray:
         M = self.M
-        X = x.reshape(M + 1, self.K, self.K)
+        X = x.reshape(M, self.K, self.K)
         out = np.empty(self.dim, dtype=complex) if out is None else out
         rows = out.reshape(X.shape)
-        # row 0: Dirichlet on the flattened surface
-        rows[0] = X[0]
 
-        # rows 1..M-1: c1 lat + c2 szz - c3 sxz - c4 syz - c5 sz, the field
+        # rows 0..M-2: c1 lat + c2 szz - c3 sxz - c4 syz - c5 sz, the field
         # terms summed left to right per block of levels, a^2 szz spectrally
         cf, block = self.cf, len(self._ws[0])
-        for j0 in range(1, M, block):
-            j1 = min(j0 + block, M)
+        for j0 in range(0, M - 1, block):
+            j1 = min(j0 + block, M - 1)
             spec, ws = self._spec[:, :j1 - j0], self._ws[:, :j1 - j0]
             self._z_derivatives(x, j0, j1, spec[3:])
             np.multiply(self.cfg.a ** 2, spec[4], out=rows[j0:j1])
-            az = cf.az[j0:j1, None, None]
+            az = cf.az[j0 + 1:j1 + 1, None, None]
             np.multiply(self.lat, X[j0:j1], out=spec[0])
             np.multiply(az * az, spec[4], out=spec[4])
             np.multiply(az, spec[3], out=spec[3])
@@ -343,44 +344,43 @@ class _Operator:
                 accumulate(lat, term, out=lat)
             rows[j0:j1] += self._to_corner(lat)
 
-        # row M: one-sided dz minus the impedance term, in the first slices
-        # of the blocks' buffers
+        # row M-1: one-sided dz minus the impedance term, in the first
+        # slices of the blocks' buffers
         trace, field = self._spec[0, 0], self._ws[0, 0]
         dz = self._spec[3:, :1]
-        self._z_derivatives(x, M, M + 1, dz)
-        np.multiply(self.Z, X[M], out=trace)
+        self._z_derivatives(x, M - 1, M, dz)
+        np.multiply(self.Z, X[-1], out=trace)
         self._to_field(trace, field)
         np.multiply(self.trace_coef, field, out=field)
-        np.subtract(dz[0, 0], self._to_corner(field), out=rows[M])
+        np.subtract(dz[0, 0], self._to_corner(field), out=rows[-1])
         return out
 
     def rhs(self) -> np.ndarray:
         K, P, M = self.K, self.P, self.M
-        # the forcing (1 - f/a) zeta_0 / rho on row M, its field shifted by
-        # e^{iN_f(x+y)} so that its spectrum lands in the corner
+        # the forcing (1 - f/a) zeta_0 / rho on row M-1, its field shifted
+        # by e^{iN_f(x+y)} so that its spectrum lands in the corner
         shift = np.exp(2j * np.pi * (self.N_f * np.arange(P) % P) / P)
         field = self.cf.one_minus_f_over_a * np.multiply.outer(shift, shift)
-        r = np.zeros((M + 1, K, K), dtype=complex)
-        r[M] = (self.zeta[self.N_f, self.N_f] / self.cfg.rho
-                * self._to_corner(field))
+        r = np.zeros((M, K, K), dtype=complex)
+        r[-1] = (self.zeta[self.N_f, self.N_f] / self.cfg.rho
+                 * self._to_corner(field))
         return r.reshape(-1)
 
     def preconditioner(self):
         """Exact inverse of the flat-surface (f=0) operator, as a function
         of one right-hand side.
 
-        That operator is mode-diagonal: one banded (M+1)x(M+1) block per
-        lateral mode, sharing the FD rows and differing only by the
+        That operator is mode-diagonal: one banded M x M block per lateral
+        mode, sharing the FD rows and differing only by the
         a^2 * (omega^2 - |alpha|^2) diagonal on the interior rows and -Z/rho
-        at row M.  With real FD weights and real omega and alpha, -Z/rho is
-        its only complex entry.
+        on the last.  With real FD weights and real omega and alpha, -Z/rho
+        is its only complex entry.
         """
         M = self.M
         a2 = self.cfg.a ** 2
-        shared = np.zeros((M + 1, M + 1))
-        shared[0, 0] = 1.0
-        shared[1:M] = a2 * self.Dzz[1:M]
-        shared[M] = self.Dz[M]
+        shared = np.empty((M, M))
+        shared[:-1] = a2 * self.Dzz[1:M, 1:]
+        shared[-1] = self.Dz[M, 1:]
         interior = a2 * self.lat.reshape(-1)
         last = -self.Z.reshape(-1) / self.cfg.rho
         return _BandedLU(shared, interior, last).solve
@@ -388,9 +388,9 @@ class _Operator:
 
 class _BandedLU:
     """LU factors of B banded (n x n) blocks A_k = shared + diag(d_k) that
-    share every entry off the diagonal: d_k is 0 on row 0, entry k of the
-    real interior, (B,), on rows 1..n-2 and entry k of the complex last,
-    (B,), on row n-1.
+    share every entry off the diagonal: d_k is entry k of the real interior,
+    (B,), on rows 0..n-2 and entry k of the complex last, (B,), on row
+    n-1.
 
     All blocks are factored at once, without pivoting, in envelope storage:
     row i keeps its entries from column lo_i, its first nonzero in A, to
@@ -429,10 +429,7 @@ class _BandedLU:
         for i, row in enumerate(rows):
             row[...] = shared[i, lo[i]:hi[i] + 1, None]
             pivot = row[i - lo[i]]
-            if 0 < i < n - 1:
-                pivot += interior
-            elif i == n - 1:
-                pivot += last.real
+            pivot += interior if i < n - 1 else last.real
             row_max = np.max(np.abs(row), axis=0)
             if i == n - 1:
                 row_max = np.maximum(row_max, np.abs(pivot + 1j * last.imag))
@@ -485,7 +482,7 @@ class _BandedLU:
 
 # --- GMRES -------------------------------------------------------------------
 #
-# The Krylov vectors hold 40,625 unknowns at full resolution.  numpy sends
+# The Krylov vectors hold 40,000 unknowns at full resolution.  numpy sends
 # vdot, norm and matrix-vector products of that size to a multi-threaded
 # BLAS, whose worker threads then spin between the many short calls of the
 # Gram-Schmidt loop and double the CPU time of a solve.  The reductions
@@ -656,7 +653,7 @@ class ForwardSolution:
 def _back_substitute(op: _Operator, S: np.ndarray, cfg: PhysicalConfig,
                      disc: Discretization) -> SpectrumField:
     """Slab amplitudes from u_n(a), then u_n(b)."""
-    ua = S[op.M]
+    ua = S[-1]
     s_plus = op.Z * ua + op.zeta
     eta = op.eta_w
     Pc = 0.5 * (ua + s_plus / (1j * eta))
@@ -688,7 +685,7 @@ def solve_forward(profile: SurfaceProfile, cfg: PhysicalConfig,
                 f"relative residual {res:.3e} above tolerance "
                 f"{disc.iter_tol:.1e} after {iterations} iterations")
 
-        S = x.reshape(disc.M + 1, op.K, op.K)
+        S = x.reshape(disc.M, op.K, op.K)
         top = _back_substitute(op, S, cfg, disc)
         top_grid = synthesize(top, disc.N_f, (disc.I, disc.I))
     except MemoryError as exc:

@@ -26,14 +26,17 @@ def write_json(path: Path, obj) -> None:
 
 
 @contextmanager
-def staged(out: str | Path):
+def staged(out: str | Path, owns: tuple[str, ...] = ()):
     """Yield a private directory inside `out`, made if missing.  When the
     body returns, each entry in it is moved into `out`, a directory over
     its namesake in one rename, once no entry would put a file where a
-    directory is or a directory where a file is.  On any error the private
-    directory goes, and `out` too if this call made it.  An unusable `out`,
-    such a clash, and an OSError from the body or the moves (a full disk)
-    are a UsageError."""
+    directory is or a directory where a file is.  Then every entry of `out`
+    that matches one of the glob patterns `owns`, the file families the
+    caller writes, and that this run did not write goes with the private
+    directory, so `out` holds the last run's families alone.  On any error
+    the private directory goes, and `out` too if this call made it.  An
+    unusable `out`, such a clash, and an OSError from the body or the moves
+    (a full disk) are a UsageError."""
     out = Path(out)
     # the topmost directory of out that does not exist yet
     created = next((p for p in (*out.parents[::-1], out) if not p.exists()),
@@ -56,6 +59,9 @@ def staged(out: str | Path):
                 if entry.is_dir() and dest.exists():
                     shutil.rmtree(dest)
                 os.replace(entry, dest)
+            written = {dest for _, dest in entries}
+            for stale in {p for g in owns for p in out.glob(g)} - written:
+                os.replace(stale, holder / stale.name)
         except OSError as exc:
             raise UsageError(f"cannot write to {out}: {exc}") from None
         finally:

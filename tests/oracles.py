@@ -269,22 +269,25 @@ def _level_blocks(op):
 
 
 def dense_operator(op) -> np.ndarray:
-    """forward._Operator as a dense K^2(M+1)-square matrix, assembled from
-    the convolution matrices of the coefficient fields, the z-derivative
+    """The collocation system on all M+1 levels, the Dirichlet row on level
+    0 included, as a dense K^2(M+1)-square matrix, assembled from the
+    convolution matrices of the coefficient fields, the z-derivative
     matrices, lat, i alpha and Z, term by term; rows and columns in the
-    state's (j, i1, i2) order."""
+    (j, i1, i2) order.  forward._Operator is its level-1..M block."""
     K2, M = op.K ** 2, op.M
     A = np.zeros((M + 1, K2, M + 1, K2), dtype=complex)
     for j, (L, A1, A2) in enumerate(_level_blocks(op)):
         A[j] = (A1[:, None] * op.Dz[j, :, None]
                 + A2[:, None] * op.Dzz[j, :, None])
         A[j, :, j] += L
-    return A.reshape(op.dim, op.dim)
+    n = (M + 1) * K2
+    return A.reshape(n, n)
 
 
 def dense_matvec(op, x: np.ndarray) -> np.ndarray:
-    """dense_operator(op) @ x for each vector x[..., :], one level's row
-    block at a time, for grids whose full matrix would not fit in memory."""
+    """dense_operator(op) @ x for each vector x[..., :] on all M+1 levels,
+    one level's row block at a time, for grids whose full matrix would not
+    fit in memory."""
     K2, M = op.K ** 2, op.M
     X = x.reshape(-1, M + 1, K2)  # (vectors, M+1, K^2)
     out = np.empty_like(X)
@@ -380,7 +383,7 @@ def gmres_block(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     cycle computed it.  Stops after the cycle in which ||b - A x|| <= rtol
     ||b||, on breakdown, or when the cycles run out; the caller checks the
     residual.  Besides x and b it holds the restart + 1 Krylov vectors (31 of
-    650 KB, 20.2 MB, at full resolution, the largest array of a solve) and
+    640 KB, 19.8 MB, at full resolution, the largest array of a solve) and
     one scratch vector.
     """
     n = b.size
@@ -471,10 +474,10 @@ def gmres_block(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
 
 def solve_interior(profile: SurfaceProfile, cfg: PhysicalConfig,
                    disc: Discretization) -> np.ndarray:
-    """The mode coefficients (M+1, K, K) of the solved field, level by
-    level on the flattened levels, from the operator and GMRES exactly as
+    """The mode coefficients (M, K, K) of the solved field on the flattened
+    levels 1..M, level by level, from the operator and GMRES exactly as
     forward.solve_forward runs them before it keeps the top plane."""
     op = _Operator(cfg, disc, coefficient_fields(profile, cfg, disc))
     x, _, _ = _gmres(op.apply, op.preconditioner(), op.rhs(),
                      0.05 * disc.iter_tol, disc.iter_max)
-    return x.reshape(disc.M + 1, op.K, op.K)
+    return x.reshape(disc.M, op.K, op.K)

@@ -674,6 +674,40 @@ def test_clashing_entry_in_out_moves_nothing(tmp_path, capsys):
     assert not list(out.glob(".staging-*"))
 
 
+_INVERT = ["invert", *FAST, "--data", "DATA"]
+_RECON = [f"recon_N{N:02d}.ppm{ext}" for N in range(13) for ext in ("", ".json")]
+_TRUTH = ["error_curve.csv", "truth.ppm", "truth.ppm.json"]
+
+
+@pytest.mark.parametrize("argv, rerun, want", [
+    # a shorter window: recon_N05..N12 and their sidecars go
+    (_INVERT, ["--set", "N_window=4"],
+     ["residual_curve.csv", "summary.json", *_TRUTH, *_RECON[:10]]),
+    # no truth: truth.ppm, its sidecar and error_curve.csv go
+    (_INVERT, ["--no-truth"], ["residual_curve.csv", "summary.json", *_RECON]),
+    # one medium: sweep_sn_2.csv and sweep_sn_3.csv go
+    (["sweep-sn", "--n-max", "2"], ["--media=1:1"],
+     ["sweep_sn_1.csv", "sweep_sn_index.json"]),
+], ids=["invert-window", "invert-no-truth", "sweep-sn-media"])
+def test_rerun_leaves_only_its_own_files(forward_dir, tmp_path, argv, rerun,
+                                         want):
+    # an earlier run with the default settings writes more of the
+    # command's files than the rerun, which removes those it does not
+    # write; a file the command does not own, and one named like its
+    # families, stay as they were
+    argv = [str(forward_dir / "top_field.csv") if a == "DATA" else a
+            for a in argv]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("mine\n")
+    (out / "truth.csv").write_text("mine\n")
+    assert main([*argv, *rerun, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*want, "notes.txt", "truth.csv"])
+    assert (out / "notes.txt").read_text() == "mine\n"
+    assert (out / "truth.csv").read_text() == "mine\n"
+
+
 def test_experiment_bad_id(tmp_path):
     assert main(["experiment", "9", "--out", str(tmp_path)]) == 1
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import gmres, splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from oracles import (BandLU, dense_matvec, dense_operator, eval_field,
                      gmres_block, solve_interior, synthesize_linear_data)
@@ -111,6 +111,13 @@ def _operator(cfg, disc):
     return _Operator(cfg, disc, coefficient_fields(trig_profile(), cfg, disc))
 
 
+def _with_level_0(x, K2):
+    """The state vectors x[..., :] on all M+1 levels: level 0, the first
+    K2 entries, holds u_0 = 0."""
+    zeros = np.zeros((*x.shape[:-1], K2), dtype=complex)
+    return np.concatenate((zeros, x), axis=-1)
+
+
 def test_coefficient_fields_hold_no_level_array(phys_table1):
     # c2..c5 factor into the z-profile az and one P x P field each
     disc = Discretization()
@@ -157,14 +164,18 @@ _WORKSPACE_GRIDS = {
 def test_apply_matches_dense_assembly(phys_table1, grid):
     # x1, x2, x1: a pad entry left over from an earlier call would show in
     # the repeat; the first result must not change when the buffers are
-    # reused, so it cannot be a view of them
+    # reused, so it cannot be a view of them.  The oracle is the system on
+    # all M+1 levels, fed u_0 = 0: its Dirichlet rows give back 0, and its
+    # rows on levels 1..M are the operator's
     op = _operator(phys_table1, _WORKSPACE_GRIDS[grid])
+    K2 = op.K ** 2
     rng = np.random.default_rng(3)
     x1, x2 = [1, 1j] @ rng.normal(size=(2, 2, op.dim))
     first = op.apply(x1)
     kept = first.copy()
-    wants = dense_matvec(op, np.stack([x1, x2]))
-    for got, want in zip((first, op.apply(x2)), wants):
+    wants = dense_matvec(op, _with_level_0(np.stack([x1, x2]), K2))
+    assert not wants[:, :K2].any()
+    for got, want in zip((first, op.apply(x2)), wants[:, K2:]):
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
     assert np.array_equal(first, kept)
     assert not any(np.shares_memory(first, buf) for buf in (op._spec, op._ws))
@@ -174,29 +185,32 @@ def test_apply_matches_dense_assembly(phys_table1, grid):
 @pytest.mark.parametrize("disc", [replace(FAST, fd_order=2), FAST,
                                   Discretization()], ids=["2", "4", "full"])
 def test_z_derivatives_match_csr_product_bitwise(phys_table1, disc):
-    # oracle: the CSR product the operator used to apply, over all levels;
-    # apply reads the vector where it lies, the interior levels block by
-    # block and level M alone, each level over its own stencil, and every
-    # level alone must agree
+    # oracle: the CSR product of the full (M+1)-level derivative matrices
+    # with the state on levels 1..M and u_0 = 0 on level 0; apply reads the
+    # vector where it lies, the interior levels block by block and level M
+    # alone, each level over its own stencil, and every level alone must
+    # agree
     op = _operator(phys_table1, disc)
     rng = np.random.default_rng(disc.fd_order)
     S = (rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)).reshape(
-        op.M + 1, op.K, op.K)
+        op.M, op.K, op.K)
     x = S.reshape(-1)
-    flat = S.reshape(op.M + 1, -1)
-    want = np.stack([(sp.csr_matrix(D) @ flat).reshape(S.shape)
+    flat = _with_level_0(x, op.K ** 2).reshape(op.M + 1, -1)
+    want = np.stack([(sp.csr_matrix(D) @ flat)[1:].reshape(S.shape)
                      for D in (op.Dz, op.Dzz)])
-    # level j reads exactly the union of the nonzero columns of Dz[j] and
-    # Dzz[j], with their weights
-    D = np.stack((op.Dz, op.Dzz))
-    for j in range(1, op.M + 1):
-        lo, rows = op._stencils[j]
+    # state index i, level i + 1, reads exactly the union of the nonzero
+    # columns of Dz and Dzz on level i + 1 among the levels 1..M, with their
+    # weights
+    D = np.stack((op.Dz, op.Dzz))[:, 1:, 1:]
+    for i in range(op.M):
+        lo, rows = op._stencils[i]
         read = np.arange(lo, lo + rows.shape[1])
-        assert np.array_equal(read, np.flatnonzero(D[:, j].any(axis=0)))
-        assert np.array_equal(rows, D[:, j, read])
+        assert np.array_equal(read, np.flatnonzero(D[:, i].any(axis=0)))
+        assert np.array_equal(rows, D[:, i, read])
     block = len(op._spec[0])
-    spans = [(j0, min(j0 + block, op.M)) for j0 in range(1, op.M, block)]
-    spans += [(j, j + 1) for j in range(1, op.M + 1)]
+    spans = [(j0, min(j0 + block, op.M - 1))
+             for j0 in range(0, op.M - 1, block)]
+    spans += [(i, i + 1) for i in range(op.M)]
     for j0, j1 in spans:
         out = np.full((2, j1 - j0, op.K, op.K), np.nan, dtype=complex)
         op._z_derivatives(x, j0, j1, out)
@@ -225,7 +239,9 @@ _FLAT_MEDIA = {
 @pytest.mark.parametrize("medium", list(_FLAT_MEDIA))
 def test_banded_lu_matches_splu(phys_table1, medium):
     # oracle: scipy's sparse LU of the assembled block-diagonal flat
-    # operator, with the same shared rows and per-mode diagonal
+    # operator on all M+1 levels, its Dirichlet row on level 0 included,
+    # with the same shared rows and per-mode diagonal; a right-hand side
+    # with u_0 = 0 gets level 0 back as 0, to its pivoting's rounding
     adjust, disc = _FLAT_MEDIA[medium]
     op = _operator(adjust(replace(phys_table1, epsilon=0.0)), disc)
     K2, M = op.K * op.K, op.M
@@ -238,9 +254,10 @@ def test_banded_lu_matches_splu(phys_table1, medium):
     diag[M] = -op.Z.reshape(K2) / op.cfg.rho
     A0 = sp.kron(shared, sp.identity(K2)) + sp.diags(diag.reshape(-1))
     b = [1, 1j] @ np.random.default_rng(5).normal(size=(2, op.dim))
-    want = splu(A0.tocsc()).solve(b)
+    want = splu(A0.tocsc()).solve(_with_level_0(b, K2))
     got = op.preconditioner()(b)
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert np.linalg.norm(want[:K2]) <= 1e-10 * np.linalg.norm(want)
+    assert np.linalg.norm(got - want[K2:]) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_banded_lu_rejects_vanishing_pivot():
@@ -254,10 +271,10 @@ def test_banded_lu_rejects_vanishing_pivot():
     # diagonal into a float64 row
     with pytest.raises(TypeError, match="complex128"):
         _BandedLU(shared, interior + [0, 1j], last)
-    # block k's diagonal is (0, interior[k], last[k]); b and x go level by
-    # level, so their columns are the blocks
+    # block k's diagonal is (interior[k], interior[k], last[k]); b and x go
+    # level by level, so their columns are the blocks
     interior[1], last[1] = 2, 1j
-    diag = np.stack((np.zeros(2), interior, last))
+    diag = np.stack((interior, interior, last))
     b = np.array([[3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
     x = _BandedLU(shared, interior, last).solve(b.reshape(-1)).reshape(3, 2)
     for k in range(2):
@@ -289,7 +306,7 @@ def test_preconditioner_build_traces_no_level_array(phys_table1):
     # the factors go straight into their float64 envelope, and the blocks'
     # diagonals come in as one K^2-vector per kind of row: beyond what the
     # LU holds, building it never traces as much as one float64 array the
-    # size of the (M+1, K, K) state
+    # size of the (M, K, K) state
     op = _operator(phys_table1, FAST)
     tracemalloc.start()
     try:
@@ -303,16 +320,22 @@ def test_preconditioner_build_traces_no_level_array(phys_table1):
 
 
 def test_state_is_level_major(phys_table1):
-    # the state is (M+1, K, K): the forcing sits on level M alone, and
-    # level 0's Dirichlet identity hands a level-0 vector back unchanged
+    # the state is (M, K, K) over the levels 1..M: the forcing sits on its
+    # last index, level M, alone, and a vector on index 0, level 1, alone
+    # reaches row 0 and the rows whose z-stencils read level 1
     op = _operator(phys_table1, FAST)
-    levels = (op.M + 1, op.K, op.K)
+    levels = (op.M, op.K, op.K)
+    assert op.dim == op.M * op.K ** 2
     r = op.rhs().reshape(levels)
-    assert not r[:op.M].any() and r[op.M].any()
+    assert not r[:-1].any() and r[-1].any()
     x = np.zeros(levels, dtype=complex)
     rng = np.random.default_rng(8)
     x[0] = rng.normal(size=x[0].shape) + 1j * rng.normal(size=x[0].shape)
-    assert np.array_equal(op.apply(x.reshape(-1)).reshape(levels)[0], x[0])
+    reached = op.apply(x.reshape(-1)).reshape(levels).any(axis=(1, 2))
+    reads_level_1 = (op.Dz[1:, 1] != 0) | (op.Dzz[1:, 1] != 0)
+    reads_level_1[0] = True
+    assert np.array_equal(reached, reads_level_1)
+    assert np.flatnonzero(reached).tolist() == [0, 1, 2]
 
 
 def test_apply_writes_into_out(phys_table1):
@@ -329,9 +352,11 @@ def test_apply_writes_into_out(phys_table1):
 
 
 def _flat_blocks(op):
-    """The preconditioner's shared rows, real interior and complex last
-    diagonals, (B,) each, and the per-mode diagonals (n, B) of the
-    oracle."""
+    """The flat-surface system on all M+1 levels, its Dirichlet row on
+    level 0 included: its shared rows, (M+1, M+1), the real interior and
+    complex last diagonals, (B,) each, and the per-mode diagonals
+    (M+1, B) of the oracle.  The preconditioner factors its level-1..M
+    block."""
     M, a2 = op.M, op.cfg.a ** 2
     shared = np.zeros((M + 1, M + 1))
     shared[0, 0] = 1.0
@@ -344,28 +369,40 @@ def _flat_blocks(op):
 
 
 # (first, last) column of each row relative to the diagonal, at M = 64
-_FULL_ENVELOPE = [(0, 0), (-1, 4), (-2, 3), *[(-2, 2)] * 60, (-4, 1), (-4, 0)]
+_FULL_ENVELOPE = [(0, 4), (-1, 3), *[(-2, 2)] * 60, (-4, 1), (-4, 0)]
 
 
 @pytest.mark.parametrize("grid", ["full", "fast-fd2"])
 def test_banded_lu_holds_fill_envelope(phys_table1, grid):
     # oracle: the same LU in full band storage; the envelope keeps each row
     # from its first to its last entry that is nonzero in some block of the
-    # band factors, with those entries and every solve bit for bit equal
+    # band factors, with those entries and every solve bit for bit equal.
+    # The band LU of the system on all M+1 levels, whose level-0 row is the
+    # identity, holds the same factors on levels 1..M, but for the L
+    # entries of their level-0 column, and solves a right-hand side with
+    # u_0 = 0 to the same levels 1..M, bit for bit
     disc = {"full": Discretization(), "fast-fd2": replace(FAST, fd_order=2)}
     op = _operator(phys_table1, disc[grid])
     shared, interior, last, diag = _flat_blocks(op)
-    lu, ref = _BandedLU(shared, interior, last), BandLU(shared, diag)
+    lu, ref = (_BandedLU(shared[1:, 1:], interior, last),
+               BandLU(shared[1:, 1:], diag[1:]))
     assert np.array_equal(op.preconditioner().__self__._env, lu._env)
+    full = BandLU(shared, diag)
+    p = ref.p
+    assert full.p == p
+    band = full.ab[1:].copy()
+    for i in range(p):
+        band[i, p - 1 - i] = 0  # l_{i+1, 0}
+    assert np.array_equal(ref.ab, band)
 
     first = {i: j0 - i for i, _, j0 in lu._lower}
     envelope = [(first.get(i, 0), j1 - i) for i, _, j1, _ in lu._upper[::-1]]
-    p = ref.p
     nonzero = [np.flatnonzero(row) - p for row in (ref.ab != 0).any(axis=2)]
     assert envelope == [(nz[0], nz[-1]) for nz in nonzero]
+    assert len(lu._env) == {"full": 321, "fast-fd2": 95}[grid]
     if grid == "full":
         assert envelope == _FULL_ENVELOPE
-        assert lu._env.nbytes == 1_620_000
+        assert lu._env.nbytes == 1_605_000
         assert lu._last_inv_pivot.nbytes == 10_000
     # every entry is real but the last row's pivot, whose real part the
     # float64 envelope holds
@@ -377,7 +414,11 @@ def test_banded_lu_holds_fill_envelope(phys_table1, grid):
     assert np.array_equal(lu._last_inv_pivot, ref.ab[-1, p])
 
     b = [1, 1j] @ np.random.default_rng(6).normal(size=(2, op.dim))
-    assert np.array_equal(lu.solve(b), ref.solve(b))
+    x = lu.solve(b)
+    assert np.array_equal(x, ref.solve(b))
+    K2 = op.K ** 2
+    x_full = full.solve(_with_level_0(b, K2))
+    assert not x_full[:K2].any() and np.array_equal(x, x_full[K2:])
 
 
 def test_givens_matches_lapack_lartg():
@@ -491,14 +532,14 @@ def test_solve_traces_less_than_a_block_basis():
     cfg = replace(build_config(fast=True), **_FAST_POINTS["trig-eps1e-3"][0])
     profile, phys, disc = (effective_profile(cfg), cfg.to_physical(),
                            cfg.to_discretization())
-    n = disc.K ** 2 * (disc.M + 1)
+    n = disc.K ** 2 * disc.M
     tracemalloc.start()
     try:
         sol = solve_forward(profile, phys, disc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sol.iterations == 6 and n == 9537
+    assert sol.iterations == 6 and n == 9248
     assert peak < (_RESTART + 1) * n * 16
 
 
@@ -541,7 +582,7 @@ def test_solve_traces_within_its_working_set():
     # against a budget of 3.47 MB.
     sol, peak, vector, fixed = _traced_solve(_FAST_POINTS["trig-eps1e-3"][0])
     k = sol.iterations
-    assert k == 6 and vector == 152_592
+    assert k == 6 and vector == 147_968
     assert peak <= (k + 3) * vector + fixed
 
 
@@ -549,7 +590,7 @@ def test_two_cycle_solve_traces_one_restart_of_vectors():
     # FAST glyph eps=4e-2 solve, 59 iterations in two GMRES cycles
     # (30 + 29).  Its traced peak holds the _RESTART + 1 Krylov vectors
     # of the full first cycle, b, x, the second cycle's scratch vector and
-    # _traced_solve's fixed bytes: 6.39 MB of budget against a 6.25 MB
+    # _traced_solve's fixed bytes: 6.22 MB of budget against a 6.09 MB
     # peak.
     sol, peak, vector, fixed = _traced_solve(
         dict(_FAST_POINTS["glyph-eps1e-2"][0], epsilon=4e-2))
@@ -600,16 +641,39 @@ def test_solve_makes_one_matvec_per_iteration_and_cycle(
     assert counts["psolve"] == sol.iterations + cycles
 
 
-def test_dense_and_iterative_agree(phys_table1):
-    # oracle: the collocation matrix assembled densely from the coefficient
-    # fields, checked against the operator and then solved directly
+def test_level_0_is_the_dirichlet_identity(phys_table1):
+    # oracle: the collocation matrix on all M+1 levels.  Its level-0 rows
+    # are the identity on level 0 and its forcing is 0 there, so u_0 = 0;
+    # its level-0 columns then contribute nothing, and the system on levels
+    # 1..M is its level-1..M block, the operator's
     op = _operator(phys_table1, TINY)
+    K2 = op.K ** 2
     A = dense_operator(op)
+    assert np.array_equal(A[:K2, :K2], np.eye(K2))
+    assert not A[:K2, K2:].any()
+    x = [1, 1j] @ np.random.default_rng(10).normal(size=(2, op.dim))
+    want = _with_level_0(A[K2:, K2:] @ x, K2)
+    got = A @ _with_level_0(x, K2)
+    assert np.array_equal(got[:K2], want[:K2])
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+
+
+def test_dense_and_iterative_agree(phys_table1):
+    # oracle: the collocation matrix on all M+1 levels, assembled densely
+    # from the coefficient fields: its level-1..M block checked against the
+    # operator, and the whole system solved directly
+    op = _operator(phys_table1, TINY)
+    K2 = op.K ** 2
+    A = dense_operator(op)
+    block = A[K2:, K2:]
     x = [1, 1j] @ np.random.default_rng(9).normal(size=(2, op.dim))
-    assert np.linalg.norm(op.apply(x) - A @ x) <= 1e-14 * np.linalg.norm(A @ x)
-    want = np.linalg.solve(A, op.rhs())
+    assert (np.linalg.norm(op.apply(x) - block @ x)
+            <= 1e-14 * np.linalg.norm(block @ x))
+    want = np.linalg.solve(A, _with_level_0(op.rhs(), K2))
+    assert np.linalg.norm(want[:K2]) <= 1e-14 * np.linalg.norm(want)
     got = solve_interior(trig_profile(), phys_table1, TINY).reshape(-1)
-    assert np.linalg.norm(got - want) < 10 * TINY.iter_tol * np.linalg.norm(want)
+    assert (np.linalg.norm(got - want[K2:])
+            < 10 * TINY.iter_tol * np.linalg.norm(want))
 
 
 # the four forward-solve benchmark points on the --fast grid, and the GMRES
@@ -663,15 +727,33 @@ def interior_table1(phys_table1, disc_default):
 
 def test_solution_shapes(sol_table1, interior_table1, disc_default):
     I, K, M = disc_default.I, disc_default.K, disc_default.M
-    assert interior_table1.shape == (M + 1, K, K)
+    assert interior_table1.shape == (M, K, K)
     assert sol_table1.top_grid.shape == (I, I)
     assert sol_table1.top.W == disc_default.N_f
     assert sol_table1.residual < disc_default.iter_tol
 
 
-def test_dirichlet_bottom_row(interior_table1):
-    # row 0 is the Dirichlet identity, so every mode vanishes there exactly
-    assert np.max(np.abs(interior_table1[0])) < 1e-12
+def test_dirichlet_bottom_row(phys_table1):
+    # oracle: the FAST system on all M+1 levels, its Dirichlet row on level
+    # 0 included, solved by scipy's GMRES through the dense assembly's row
+    # blocks (the whole matrix would take 1.46 GB), preconditioned by the
+    # band LU of its flat-surface part: every mode vanishes on level 0, and
+    # levels 1..M agree with the solve on the operator's levels 1..M
+    op = _operator(phys_table1, FAST)
+    K2 = op.K ** 2
+    n = op.dim + K2
+    shared, _, _, diag = _flat_blocks(op)
+    A = LinearOperator((n, n), matvec=lambda v: dense_matvec(op, v),
+                       dtype=complex)
+    flat = LinearOperator((n, n), matvec=BandLU(shared, diag).solve,
+                          dtype=complex)
+    u, info = gmres(A, _with_level_0(op.rhs(), K2), M=flat,
+                    rtol=0.05 * FAST.iter_tol, atol=0.0)
+    assert info == 0
+    assert np.max(np.abs(u[:K2])) < 1e-12
+    got = solve_interior(trig_profile(), phys_table1, FAST).reshape(-1)
+    assert (np.linalg.norm(got - u[K2:])
+            < 10 * FAST.iter_tol * np.linalg.norm(u))
 
 
 def test_epsilon_consistency_fast(phys_table1):

@@ -71,3 +71,18 @@ def test_staged_clash_moves_nothing(tmp_path):
             "a.txt", "b.txt", "exp1"]
         assert (tmp_path / "a.txt").read_text() == "kept\n"
 
+
+
+def test_staged_removes_the_owned_files_it_did_not_write(tmp_path):
+    for name in ("a_1.csv", "a_2.csv", "a_index.json", "b.csv"):
+        (tmp_path / name).write_text("earlier\n")
+    # a failed run removes none of them
+    with pytest.raises(KeyError):
+        with staged(tmp_path, owns=("a_*.csv",)):
+            raise KeyError("later failure")
+    with staged(tmp_path, owns=("a_*.csv",)) as tmp:
+        (tmp / "a_1.csv").write_text("new\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "a_1.csv", "a_index.json", "b.csv"]
+    assert (tmp_path / "a_1.csv").read_text() == "new\n"
+    assert (tmp_path / "b.csv").read_text() == "earlier\n"
