@@ -207,9 +207,10 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
 _LEVEL_BLOCK = 4
 
 # GMRES restart length: it bounds a solve's largest array, its restart + 1
-# Krylov vectors, and is the shortest restart whose cycles still converge on
-# the glyph up to eps = 2.05e-2 within iter_max 200
-_RESTART = 30
+# Krylov vectors, and is the shortest restart R whose ceil(200 / R) * R
+# iterations (220) still converge the glyph up to eps = 2.05e-2 at the
+# default iter_max 200
+_RESTART = 22
 
 
 class _Operator:
@@ -514,8 +515,8 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     step for step as scipy.sparse.linalg.gmres (scipy 1.17) runs it with
     atol=0, restart=min(_RESTART, iter_max) and ceil(iter_max / restart)
     cycles: modified Gram-Schmidt, zlartg's Givens rotations, and the inner
-    tolerance control of scipy gh-8400, so an iter_max above 30 is rounded
-    up to whole 30-iteration cycles (200 allows 210).
+    tolerance control of scipy gh-8400, so an iter_max above 22 is rounded
+    up to whole 22-iteration cycles (200 allows 220).
 
     matvec(v, out=buf) puts A v in buf (buf must not overlap v), and
     psolve(v, out=vec) puts the preconditioned v in a Krylov vector, so an

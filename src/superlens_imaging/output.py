@@ -28,15 +28,18 @@ def write_json(path: Path, obj) -> None:
 @contextmanager
 def staged(out: str | Path, owns: tuple[str, ...] = ()):
     """Yield a private directory inside `out`, made if missing.  When the
-    body returns, each entry in it is moved into `out`, a directory over
-    its namesake in one rename, once no entry would put a file where a
-    directory is or a directory where a file is.  Then every entry of `out`
-    that matches one of the glob patterns `owns`, the file families the
-    caller writes, and that this run did not write goes with the private
-    directory, so `out` holds the last run's families alone.  On any error
-    the private directory goes, and `out` too if this call made it.  An
-    unusable `out`, such a clash, and an OSError from the body or the moves
-    (a full disk) are a UsageError."""
+    body returns, and once no entry in it would put a file where a
+    directory is or a directory where a file is, its entries are published
+    in two phases.  First every namesake they replace goes aside, and so
+    does every entry of `out` that matches one of the glob patterns `owns`,
+    the file families the caller writes, and that this run did not write;
+    then each entry is moved into `out`, a directory in one rename.  So
+    `out` holds the last run's families alone, and if any move fails, both
+    sets are moved back and `out` is as it was; if moving them back fails
+    too, the private directory stays, and the error names where they are.
+    On any other error the private directory goes, and `out` too if this
+    call made it.  An unusable `out`, such a clash, and an OSError from the
+    body or the moves (a full disk) are a UsageError."""
     out = Path(out)
     # the topmost directory of out that does not exist yet
     created = next((p for p in (*out.parents[::-1], out) if not p.exists()),
@@ -55,17 +58,35 @@ def staged(out: str | Path, owns: tuple[str, ...] = ()):
                     kind = "a directory" if dest.is_dir() else "a file"
                     raise UsageError(
                         f"cannot write to {out}: {dest} is {kind}")
-            for entry, dest in entries:
-                if entry.is_dir() and dest.exists():
-                    shutil.rmtree(dest)
-                os.replace(entry, dest)
             written = {dest for _, dest in entries}
-            for stale in {p for g in owns for p in out.glob(g)} - written:
-                os.replace(stale, holder / stale.name)
+            stale = {p for g in owns for p in out.glob(g)} - written
+            aside = Path(tempfile.mkdtemp(dir=holder))
+            moved, placed = [], []
+            try:
+                for dest in ([d for _, d in entries if os.path.lexists(d)]
+                             + sorted(stale)):
+                    os.replace(dest, aside / dest.name)
+                    moved.append(dest)
+                for entry, dest in entries:
+                    os.replace(entry, dest)
+                    placed.append((entry, dest))
+            except BaseException as exc:  # an interrupt is undone too
+                try:
+                    for entry, dest in reversed(placed):
+                        os.replace(dest, entry)
+                    for dest in reversed(moved):
+                        os.replace(aside / dest.name, dest)
+                except OSError:
+                    holder = None  # it holds the files not put back
+                    raise UsageError(
+                        f"cannot write to {out}: {exc}; the earlier files "
+                        f"not put back are in {aside}") from None
+                raise
         except OSError as exc:
             raise UsageError(f"cannot write to {out}: {exc}") from None
         finally:
-            shutil.rmtree(holder, ignore_errors=True)
+            if holder is not None:
+                shutil.rmtree(holder, ignore_errors=True)
     except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)

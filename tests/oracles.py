@@ -372,7 +372,7 @@ def gmres_block(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
 
     Left-preconditioned restarted GMRES (Saad & Schultz 1986) from x = 0,
     step for step as scipy.sparse.linalg.gmres (scipy 1.17) runs it with
-    atol=0, restart=min(_RESTART, iter_max) (forward._RESTART is 30) and
+    atol=0, restart=min(_RESTART, iter_max) (forward._RESTART is 22) and
     ceil(iter_max / restart) cycles: modified Gram-Schmidt, zlartg's Givens
     rotations, and the inner tolerance control of scipy gh-8400.
 
@@ -382,8 +382,8 @@ def gmres_block(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     scipy's `pr_norm` callback counts them and the residual norm as the last
     cycle computed it.  Stops after the cycle in which ||b - A x|| <= rtol
     ||b||, on breakdown, or when the cycles run out; the caller checks the
-    residual.  Besides x and b it holds the restart + 1 Krylov vectors (31 of
-    640 KB, 19.8 MB, at full resolution, the largest array of a solve) and
+    residual.  Besides x and b it holds the restart + 1 Krylov vectors (23 of
+    640 KB, 14.7 MB, at full resolution, the largest array of a solve) and
     one scratch vector.
     """
     n = b.size

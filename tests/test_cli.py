@@ -10,9 +10,11 @@ import csv
 import errno
 import io
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -652,6 +654,79 @@ def test_failed_write_leaves_output_tree_as_it_was(forward_dir, tmp_path,
         assert "No space left" in cap.err and "Traceback" not in cap.err
     assert not (tmp_path / "fresh").exists()
     assert _tree(kept) == before
+
+
+def _tree_and_inodes(root):
+    return _tree(root), {str(p.relative_to(root)): p.stat().st_ino
+                         for p in root.rglob("*")}
+
+
+def _fail_move(monkeypatch, fails):
+    """Make os.replace raise a full disk's error on the move for which
+    fails(move number from 1, src, dst) holds; return the moves made."""
+    real, moves = os.replace, []
+
+    def move(src, dst):
+        moves.append((src, dst))
+        if fails(len(moves), Path(src), Path(dst)):
+            raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", move)
+    return moves
+
+
+@pytest.mark.parametrize("which", ["first", "middle", "last"])
+def test_failed_move_leaves_output_tree_as_it_was(forward_dir, tmp_path,
+                                                  monkeypatch, capsys, which):
+    # an earlier run with another true surface and the full window: the
+    # rerun with a shorter window replaces every file it writes and
+    # removes recon_N05..N12, so a move that fails anywhere must put back
+    # both the replaced and the removed files, inodes and all
+    argv = ["invert", *FAST, "--data", str(forward_dir / "top_field.csv")]
+    rerun = [*argv, "--set", "N_window=4", "--out"]
+    for name in ("counted", "kept"):
+        assert main([*argv, "--set", "profile=2", "--out",
+                     str(tmp_path / name)]) == 0
+    moves = _fail_move(monkeypatch, lambda k, src, dst: False)
+    assert main([*rerun, str(tmp_path / "counted")]) == 0
+    fail = {"first": 1, "middle": len(moves) // 2, "last": len(moves)}[which]
+
+    kept = tmp_path / "kept"
+    before = _tree_and_inodes(kept)
+    _fail_move(monkeypatch, lambda k, src, dst: k == fail)
+    code, cap = run([*rerun, str(kept)], capsys)
+    assert code == 1
+    assert cap.err.startswith(f"error: cannot write to {kept}: ")
+    assert "No space left" in cap.err and "Traceback" not in cap.err
+    assert _tree_and_inodes(kept) == before
+
+
+def test_failed_experiment_move_keeps_the_earlier_directory(tmp_path,
+                                                            monkeypatch,
+                                                            capsys):
+    # the move that puts the new exp1 in place fails: the earlier exp1 and
+    # every inode under it stay
+    kept = tmp_path / "kept"
+    (kept / "exp1").mkdir(parents=True)
+    (kept / "exp1" / "marker.txt").write_text("an earlier run\n")
+    before = _tree_and_inodes(kept)
+    _fail_move(monkeypatch, lambda k, src, dst: dst == kept / "exp1"
+               and src.parent.name.startswith(".staging-"))
+    code, cap = run(["experiment", "1", "--fast", "--out", str(kept)], capsys)
+    assert code == 1
+    assert cap.err.startswith(f"error: cannot write to {kept}: ")
+    assert "No space left" in cap.err and "Traceback" not in cap.err
+    assert _tree_and_inodes(kept) == before
+
+    # moving the earlier exp1 back fails too: it stays where it went aside,
+    # and the error names that directory
+    _fail_move(monkeypatch, lambda k, src, dst: dst == kept / "exp1")
+    code, cap = run(["experiment", "1", "--fast", "--out", str(kept)], capsys)
+    assert code == 1 and "Traceback" not in cap.err
+    aside = Path(cap.err.rsplit(" are in ", 1)[1].strip())
+    assert aside.parent.parent == kept and not (kept / "exp1").exists()
+    assert (aside / "exp1" / "marker.txt").read_text() == "an earlier run\n"
 
 
 def test_clashing_entry_in_out_moves_nothing(tmp_path, capsys):
