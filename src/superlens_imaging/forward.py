@@ -243,6 +243,10 @@ class _Operator:
     writes into out when given, else into a fresh vector; out must not
     overlap x, and the buffers are shared, so one operator must not run two
     apply() calls at once.
+
+    The workspace heads one buffer of max(5 _LEVEL_BLOCK P^2, M K^2)
+    complex values, whose first M K^2, `work`, lend GMRES a vector-sized
+    temporary while no matvec runs: every apply() clobbers work.
     """
 
     def __init__(self, cfg: PhysicalConfig, disc: Discretization,
@@ -266,7 +270,10 @@ class _Operator:
 
         block = min(_LEVEL_BLOCK, M - 1)
         self._spec = np.empty((5, block, K, K), dtype=complex)
-        self._ws = np.empty((5, block, P, P), dtype=complex)
+        ws = 5 * block * P * P
+        self._buf = np.empty(max(ws, self.dim), dtype=complex)
+        self._ws = self._buf[:ws].reshape(5, block, P, P)
+        self.work = self._buf[:self.dim]
         # state index i's stencil (lo, rows): rows i of Dz and Dzz over the
         # union of their nonzero columns, the first of which is lo, on the
         # levels 1..M
@@ -357,15 +364,15 @@ class _Operator:
         return out
 
     def rhs(self) -> np.ndarray:
-        K, P, M = self.K, self.P, self.M
-        # the forcing (1 - f/a) zeta_0 / rho on row M-1, its field shifted
-        # by e^{iN_f(x+y)} so that its spectrum lands in the corner
+        """The right-hand side's last K^2 entries, row M-1's: its rows
+        0..M-2 are 0, so this is its only nonzero level."""
+        P = self.P
+        # the forcing (1 - f/a) zeta_0 / rho, its field shifted by
+        # e^{iN_f(x+y)} so that its spectrum lands in the corner
         shift = np.exp(2j * np.pi * (self.N_f * np.arange(P) % P) / P)
         field = self.cf.one_minus_f_over_a * np.multiply.outer(shift, shift)
-        r = np.zeros((M, K, K), dtype=complex)
-        r[-1] = (self.zeta[self.N_f, self.N_f] / self.cfg.rho
-                 * self._to_corner(field))
-        return r.reshape(-1)
+        return (self.zeta[self.N_f, self.N_f] / self.cfg.rho
+                * self._to_corner(field)).reshape(-1)
 
     def preconditioner(self):
         """Exact inverse of the flat-surface (f=0) operator, as a function
@@ -407,7 +414,8 @@ class _BandedLU:
     NearSingularSystem before any solve; the diagonal then holds 1/pivot,
     the last row's its real part.  solve(b, out=None) copies the level-major
     b, (n, B) C-order flattened, into out (a fresh vector when out is None)
-    and substitutes there in place, on its float64 parts.
+    and substitutes there in place, on its float64 parts; out may be b
+    itself.
     """
 
     def __init__(self, shared: np.ndarray, interior: np.ndarray,
@@ -510,7 +518,8 @@ def _givens(f: complex, g: complex):
     return af / d, u * g.conjugate() / d, u * d
 
 
-def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
+def _gmres(matvec, psolve, b: np.ndarray, n: int, work: np.ndarray,
+           rtol: float, iter_max: int):
     """Left-preconditioned restarted GMRES (Saad & Schultz 1986) from x = 0,
     step for step as scipy.sparse.linalg.gmres (scipy 1.17) runs it with
     atol=0, restart=min(_RESTART, iter_max) and ceil(iter_max / restart)
@@ -518,28 +527,36 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     tolerance control of scipy gh-8400, so an iter_max above 22 is rounded
     up to whole 22-iteration cycles (200 allows 220).
 
-    matvec(v, out=buf) puts A v in buf (buf must not overlap v), and
-    psolve(v, out=vec) puts the preconditioned v in a Krylov vector, so an
-    iteration allocates at most its own Krylov vector, in the first cycle
-    that reaches it.  psolve runs once per cycle start and once per
-    iteration: the first cycle's preconditioned b also sets gh-8400's
-    first inner tolerance.  Returns (x, inner iterations, ||b - A x||), the
-    iterations counted as scipy's `pr_norm` callback counts them and the
-    residual norm as the last cycle computed it.  Stops after the cycle in
-    which ||b - A x|| <= rtol ||b||, on breakdown, or when the cycles run
-    out; the caller checks the residual.  Besides b it holds one scratch
-    vector, which becomes x when the first cycle has summed its update in
-    it, and the Krylov vectors, each allocated when a cycle first reaches
-    it and reused by the later cycles: a k-iteration cycle holds k + 1 of
-    them, the last one spent on b - A x at the cycle's end.  One
-    (restart + 1, n) block would take its full size however short the
-    solve, and at full resolution it is under glibc's 32 MiB cap on its
-    dynamic mmap threshold, so freeing it would raise that threshold and
-    the trim threshold past every later array and the heap would never be
-    given back.
+    The right-hand side is the n-vector that is 0 but for its trailing
+    b.size entries, b.  matvec(v, out=buf) puts A v in buf (buf must not
+    overlap v) and psolve(v, out=vec) the preconditioned v in vec, which
+    may be v itself.  work, an n-vector, takes the Gram-Schmidt and update
+    temporaries; nothing stays in it across a matvec or psolve call, which
+    may clobber it.  psolve runs once per cycle start and once per
+    iteration: the first cycle's preconditioned b also sets gh-8400's first
+    inner tolerance.  Returns (x, inner iterations, ||b - A x|| / ||b||),
+    the iterations counted as scipy's `pr_norm` callback counts them, the
+    norms taken over n-vectors and the residual as the last cycle computed
+    it.  Stops after the cycle in which ||b - A x|| <= rtol ||b||, on
+    breakdown, or when the cycles run out; the caller checks the residual.
+    Besides x, allocated when the first cycle sums its update, it holds the
+    Krylov vectors, each allocated when a cycle first reaches it and reused
+    by the later cycles: a k-iteration cycle holds k + 1 of them.  The first
+    takes b, each matvec lands in the next, and each is preconditioned in
+    place; the last one a cycle reached holds its update's products, then
+    b - A x.  One (restart + 1, n) block would take its full size however
+    short the solve, and at full resolution it is under glibc's 32 MiB cap
+    on its dynamic mmap threshold, so freeing it would raise that threshold
+    and the trim threshold past every later array and the heap would never
+    be given back.
     """
-    n = b.size
-    bnrm2 = _norm(b)
+    # ||b|| over the whole vector: einsum's partial sums depend on where
+    # each entry falls
+    v = [np.empty(n, dtype=complex)]
+    lead = n - b.size
+    v[0][:lead] = 0
+    v[0][lead:] = b
+    bnrm2 = _norm(v[0])
     if bnrm2 == 0:
         return np.zeros(n, dtype=complex), 0, 0.0
     atol = rtol * bnrm2
@@ -553,21 +570,16 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
     presid = 0.0
     # v: Krylov basis, grown as the cycles reach it; h[col]: Hessenberg
     # column col, rotated in place
-    v = [np.empty(n, dtype=complex)]
     h = np.zeros((restart, restart + 1), dtype=complex)
     givens = np.zeros((restart, 2), dtype=complex)
-    # the matvec, Gram-Schmidt and update temporary, until it becomes x
-    scratch = np.empty(n, dtype=complex)
     x = None
     iterations = 0
-    r = b
+    r = v[0]
     for _ in range(cycles):
         psolve(r, out=v[0])
         tmp = _norm(v[0])
         if x is None:  # the first cycle, whose r is b
             ptol = tmp * min(ptol_max_factor, atol / bnrm2)
-        elif scratch is None:
-            scratch = np.empty(n, dtype=complex)
         v[0] *= 1 / tmp
         S = np.zeros(restart + 1, dtype=complex)
         S[0] = tmp
@@ -576,12 +588,12 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
         for col in range(restart):
             if len(v) == col + 1:
                 v.append(np.empty(n, dtype=complex))
-            w = psolve(matvec(v[col], out=scratch), out=v[col + 1])
+            w = psolve(matvec(v[col], out=v[col + 1]), out=v[col + 1])
             h0 = _norm(w)
             for k in range(col + 1):
-                tmp = np.einsum("i,i->", np.conjugate(v[k], out=scratch), w)
+                tmp = np.einsum("i,i->", np.conjugate(v[k], out=work), w)
                 h[col, k] = tmp
-                w -= np.multiply(tmp, v[k], out=scratch)
+                w -= np.multiply(tmp, v[k], out=work)
             h1 = _norm(w)
             h[col, col + 1] = h1
             if h1 <= eps * h0:  # the Krylov space is invariant
@@ -617,17 +629,22 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
         if y[0] != 0:
             y[0] /= h[0, 0]
         # x += einsum("k,kn->n", y, v) bit for bit: the same products,
-        # summed in the same order; the spent v[col + 1] holds each
-        # product, then the residual b - A x until the next cycle's psolve
-        scratch[...] = 0
-        for k in range(col + 1):
-            scratch += np.einsum(",n->n", y[k], v[k], out=v[col + 1])
+        # summed in the same order, each held in the spent v[col + 1]; the
+        # first cycle sums them into x itself, a later one into work
         if x is None:
-            x, scratch = scratch, None
+            x = update = np.zeros(n, dtype=complex)
         else:
-            x += scratch
+            update = work
+            update[...] = 0
+        for k in range(col + 1):
+            update += np.einsum(",n->n", y[k], v[k], out=v[col + 1])
+        if update is work:
+            x += work
 
-        r = np.subtract(b, matvec(x, out=v[col + 1]), out=v[col + 1])
+        # b - A x, as np.subtract(b, A x) gives it, signed zeros included
+        r = matvec(x, out=v[col + 1])
+        np.subtract(0, r[:lead], out=r[:lead])
+        np.subtract(b, r[lead:], out=r[lead:])
         rnorm = _norm(r)
         if rnorm <= atol or breakdown:
             break
@@ -636,7 +653,7 @@ def _gmres(matvec, psolve, b: np.ndarray, rtol: float, iter_max: int):
         else:
             ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
         ptol = presid * min(ptol_max_factor, atol / rnorm)
-    return x, iterations, rnorm
+    return x, iterations, rnorm / bnrm2
 
 
 # --- solution container ------------------------------------------------------
@@ -668,19 +685,19 @@ def solve_forward(profile: SurfaceProfile, cfg: PhysicalConfig,
                   disc: Discretization) -> ForwardSolution:
     """Solve the flattened scattering problem and evaluate the data plane.
 
-    GMRES preconditioned by the exact flat-surface inverse; the reported
-    residual is the true relative residual of the unpreconditioned system,
-    ||b - A x|| / ||b|| as GMRES computed it at the end of its last cycle.
-    A grid whose arrays do not fit in memory raises GridTooLarge.
+    GMRES preconditioned by the exact flat-surface inverse, given only the
+    right-hand side's nonzero level and borrowing the operator's idle
+    workspace; the reported residual is the true relative residual of the
+    unpreconditioned system, ||b - A x|| / ||b|| as GMRES computed it at the
+    end of its last cycle.  A grid whose arrays do not fit in memory raises
+    GridTooLarge.
     """
     try:
         cf = coefficient_fields(profile, cfg, disc)
         op = _Operator(cfg, disc, cf)
-        b = op.rhs()
-        x, iterations, rnorm = _gmres(op.apply, op.preconditioner(), b,
-                                      0.05 * disc.iter_tol, disc.iter_max)
-
-        res = rnorm / _norm(b)
+        x, iterations, res = _gmres(op.apply, op.preconditioner(), op.rhs(),
+                                    op.dim, op.work, 0.05 * disc.iter_tol,
+                                    disc.iter_max)
         if res > disc.iter_tol:
             raise NoConvergence(
                 f"relative residual {res:.3e} above tolerance "

@@ -284,6 +284,21 @@ def dense_operator(op) -> np.ndarray:
     return A.reshape(n, n)
 
 
+def dense_rhs(op) -> np.ndarray:
+    """The right-hand side on levels 1..M, zero on the interior rows, as a
+    dense vector: on level M the forcing (1 - f/a) zeta_0 / rho, its P x P
+    field shifted by e^{iN_f(x+y)} and transformed whole along both axes,
+    its corner [:K, :K] holding the modes of the solver window."""
+    K, P, N = op.K, op.P, op.N_f
+    shift = np.exp(2j * np.pi * (N * np.arange(P) % P) / P)
+    field = op.cf.one_minus_f_over_a * np.multiply.outer(shift, shift)
+    spectrum = np.fft.fft(np.fft.fft(field, axis=0, norm="forward"), axis=1,
+                          norm="forward")
+    r = np.zeros((op.M, K, K), dtype=complex)
+    r[-1] = op.zeta[N, N] / op.cfg.rho * spectrum[:K, :K]
+    return r.reshape(-1)
+
+
 def dense_matvec(op, x: np.ndarray) -> np.ndarray:
     """dense_operator(op) @ x for each vector x[..., :] on all M+1 levels,
     one level's row block at a time, for grids whose full matrix would not
@@ -478,6 +493,6 @@ def solve_interior(profile: SurfaceProfile, cfg: PhysicalConfig,
     levels 1..M, level by level, from the operator and GMRES exactly as
     forward.solve_forward runs them before it keeps the top plane."""
     op = _Operator(cfg, disc, coefficient_fields(profile, cfg, disc))
-    x, _, _ = _gmres(op.apply, op.preconditioner(), op.rhs(),
-                     0.05 * disc.iter_tol, disc.iter_max)
+    x, _, _ = _gmres(op.apply, op.preconditioner(), op.rhs(), op.dim,
+                     op.work, 0.05 * disc.iter_tol, disc.iter_max)
     return x.reshape(disc.M, op.K, op.K)
