@@ -207,9 +207,9 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
 _LEVEL_BLOCK = 4
 
 # GMRES restart length: it bounds a solve's largest array, its restart + 1
-# Krylov vectors, and is the shortest restart R whose ceil(200 / R) * R
-# iterations (220) still converge the glyph up to eps = 2.05e-2 at the
-# default iter_max 200
+# Krylov vectors; at the default iter_max 200 it runs up to
+# ceil(200 / 22) * 22 = 220 iterations, which converge the glyph up to
+# eps = 4e-2
 _RESTART = 22
 
 
@@ -375,22 +375,30 @@ class _Operator:
                 * self._to_corner(field)).reshape(-1)
 
     def preconditioner(self):
-        """Exact inverse of the flat-surface (f=0) operator, as a function
-        of one right-hand side.
+        """Exact inverse of the mean-coefficient operator (Concus & Golub
+        1973), as a function of one right-hand side.
 
-        That operator is mode-diagonal: one banded M x M block per lateral
-        mode, sharing the FD rows and differing only by the
-        a^2 * (omega^2 - |alpha|^2) diagonal on the interior rows and -Z/rho
-        on the last.  With real FD weights and real omega and alpha, -Z/rho
-        is its only complex entry.
+        That operator takes each coefficient field at its lateral mean over
+        the product grid, which is the mode-diagonal part of multiplying by
+        the field: one banded M x M block per lateral mode, sharing the FD
+        rows (a^2 + az_j^2 <g2>) Dzz - az_j <g5> Dz on interior level j and
+        Dz on the last, and differing only by the <c1> (omega^2 - |alpha|^2)
+        diagonal on the interior rows and -<1 - f/a> Z/rho on the last.  c3
+        and c4 drop out: (a - f) f_x = -d/dx (a - f)^2 / 2 with f periodic,
+        so their means vanish.  With real FD weights, real omega and alpha
+        and real fields, the last diagonal is its only complex entry.  At
+        f = 0 this is the flat-surface operator.
         """
-        M = self.M
-        a2 = self.cfg.a ** 2
+        M, cf = self.M, self.cf
+        az = cf.az[1:M, None]
         shared = np.empty((M, M))
-        shared[:-1] = a2 * self.Dzz[1:M, 1:]
+        shared[:-1] = ((self.cfg.a ** 2 + az * az * np.mean(cf.g2))
+                       * self.Dzz[1:M, 1:]
+                       - az * np.mean(cf.g5) * self.Dz[1:M, 1:])
         shared[-1] = self.Dz[M, 1:]
-        interior = a2 * self.lat.reshape(-1)
-        last = -self.Z.reshape(-1) / self.cfg.rho
+        interior = np.mean(cf.c1) * self.lat.reshape(-1)
+        last = (-np.mean(cf.one_minus_f_over_a) / self.cfg.rho
+                * self.Z.reshape(-1))
         return _BandedLU(shared, interior, last).solve
 
 
@@ -453,8 +461,8 @@ class _BandedLU:
             if small.any():
                 k = int(np.argmax(small))
                 raise NearSingularSystem(
-                    f"flat-surface preconditioner: pivot {i} of block {k} "
-                    f"vanishes")
+                    f"mean-coefficient preconditioner: pivot {i} of block "
+                    f"{k} vanishes")
             np.divide(1, pivot, out=pivot)
         # the last row's 1/pivot, complex, and its real part in the envelope
         self._last_inv_pivot = pivot
@@ -685,12 +693,12 @@ def solve_forward(profile: SurfaceProfile, cfg: PhysicalConfig,
                   disc: Discretization) -> ForwardSolution:
     """Solve the flattened scattering problem and evaluate the data plane.
 
-    GMRES preconditioned by the exact flat-surface inverse, given only the
-    right-hand side's nonzero level and borrowing the operator's idle
-    workspace; the reported residual is the true relative residual of the
-    unpreconditioned system, ||b - A x|| / ||b|| as GMRES computed it at the
-    end of its last cycle.  A grid whose arrays do not fit in memory raises
-    GridTooLarge.
+    GMRES preconditioned by the exact inverse of the mean-coefficient
+    operator, given only the right-hand side's nonzero level and borrowing
+    the operator's idle workspace; the reported residual is the true
+    relative residual of the unpreconditioned system, ||b - A x|| / ||b||
+    as GMRES computed it at the end of its last cycle.  A grid whose arrays
+    do not fit in memory raises GridTooLarge.
     """
     try:
         cf = coefficient_fields(profile, cfg, disc)

@@ -7,10 +7,11 @@ field and its z-derivative evaluated from its four coefficients and
 substituted back into its defining conditions, the analytic
 spectrum of profile 1, inverse-crime linear data, residual tails summed
 one cut-off at a time, the forward operator assembled as a dense matrix
-from the convolution matrices of its coefficient fields, the flat-surface
-LU in full band storage, and restarted GMRES with its Krylov basis in one
-block.  They live beside the tests, not in the package, so that the code
-under test does not ship its own checks.
+from the convolution matrices of its coefficient fields, the
+mean-coefficient preconditioner's LU in full band storage, and restarted
+GMRES with its Krylov basis in one block.  They live beside the tests,
+not in the package, so that the code under test does not ship its own
+checks.
 """
 
 from __future__ import annotations
@@ -321,8 +322,8 @@ def _band_rows(D: np.ndarray, p: int) -> np.ndarray:
 
 
 class BandLU:
-    """The flat-surface LU of forward._BandedLU in full band storage, the
-    reference its envelope storage must reproduce bit for bit.
+    """The mean-coefficient LU of forward._BandedLU in full band storage,
+    the reference its envelope storage must reproduce bit for bit.
 
     All B blocks A_k = shared + diag(d_k) are factored at once, without
     pivoting: ab[i, p + j - i, k] holds entry (i, j) of block k, for
@@ -356,8 +357,8 @@ class BandLU:
             if small.any():
                 k = int(np.argmax(small))
                 raise NearSingularSystem(
-                    f"flat-surface preconditioner: pivot {j} of block {k} "
-                    f"vanishes")
+                    f"mean-coefficient preconditioner: pivot {j} of block "
+                    f"{k} vanishes")
             lj = lower[j]
             lj /= pivot
             upper[j] -= lj[:, None, :] * ab[j, p + 1:]
