@@ -730,5 +730,8 @@ def reflected_flux(top: SpectrumField, cfg: PhysicalConfig) -> float:
     gam, _, _ = gamma_eta_grid(n1, n2, cfg)
     R = top.values.copy()
     R[top.W1, top.W2] -= np.exp(-1j * cfg.omega * cfg.b)
+    # |R|^2 of the propagating modes only: an evanescent mode carries no
+    # flux, and on a thick slab its |R|^2 overflows
     propagating = np.abs(gam.imag) < 1e-12 * cfg.omega
-    return float(np.sum((np.abs(R) ** 2 * gam.real / cfg.omega)[propagating]))
+    return float(np.sum(np.abs(R[propagating]) ** 2
+                        * gam.real[propagating] / cfg.omega))

@@ -44,6 +44,13 @@ class SurfaceProfile:
         return self.derivatives is not None
 
     def sample_grid(self, I1: int, I2: int) -> np.ndarray:
+        """g at the cell points (i1 / I1, i2 / I2), an (I1, I2) float64 array.
+
+        A band-limited profile sums its stored spectrum.  Any other calls
+        ``sample`` once on separable coordinates, x as (I1, 1) and y as
+        (1, I2), so a sampler must broadcast its arguments; a smaller
+        result, such as a constant's, is copied out to the full grid.
+        """
         if self.spectrum is not None:
             # one inverse FFT; mode n lands on index n mod I, and folding
             # aliased modes together keeps the samples exact on grids too
@@ -54,7 +61,11 @@ class SurfaceProfile:
             return (np.fft.ifft2(full) * (I1 * I2)).real
         x = np.arange(I1)[:, None] * (1.0 / I1)
         y = np.arange(I2)[None, :] * (1.0 / I2)
-        return self.sample(*np.broadcast_arrays(x, y))
+        g = np.asarray(self.sample(x, y), dtype=np.float64)
+        if g.shape != (I1, I2):
+            # a sampler that ignores a coordinate returns a smaller shape
+            g = np.array(np.broadcast_to(g, (I1, I2)))
+        return g
 
 
 def check_unit_cell(period1: float, period2: float) -> None:
@@ -124,7 +135,9 @@ def _peaks_terms(s, t):
 
 def _peaks_value(s, t):
     """The value part of _peaks_terms alone, by the same operations."""
-    val = np.zeros_like(s)
+    # s and t may be separable (I1, 1) and (1, I2) coordinates: the
+    # in-place sums need the accumulator at their broadcast shape
+    val = np.zeros(np.broadcast_shapes(np.shape(s), np.shape(t)))
     val += 0.3 * (1 - s) ** 2 * np.exp(-s * s - (t + 1) ** 2)
     val += -(0.2 * s - s**3 - t**5) * np.exp(-s * s - t * t)
     val += -0.03 * np.exp(-((s + 1) ** 2) - t * t)

@@ -15,6 +15,7 @@ norm  ||u|| = sqrt(mean |u_i|^2)  Parseval holds exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,6 +102,25 @@ def dft2(u: np.ndarray) -> SpectrumField:
                          window_halfwidth(I1), window_halfwidth(I2))
 
 
+@lru_cache(maxsize=8)
+def _real_synthesis_table(I: int) -> np.ndarray:
+    """(2 (W + 1), I) real table B with W = window_halfwidth(I): rows 2m
+    and 2m + 1 hold w_m cos(2 pi m i / I) and -w_m sin(2 pi m i / I),
+    w_0 = 1 and w_m = 2 above, so that for the interleaved (re, im)
+    float64 view c of the n2 >= 0 coefficients, c @ B[:2N + 2] is
+    sum_m w_m Re(c_m e^{2 pi i m i / I}).  Read-only: every caller shares it.
+    """
+    m = np.arange(window_halfwidth(I) + 1)
+    # reduced phases m i mod I keep the arguments in [0, 2 pi)
+    phase = (2.0 * np.pi / I) * (np.outer(m, np.arange(I)) % I)
+    w = np.where(m == 0, 1.0, 2.0)[:, None]
+    B = np.empty((2 * m.size, I))
+    B[0::2] = w * np.cos(phase)
+    B[1::2] = -w * np.sin(phase)
+    B.flags.writeable = False
+    return B
+
+
 def synthesize(coeffs: SpectrumField, N: int, grid_shape: tuple[int, int],
                take_real: bool = False) -> np.ndarray:
     """sum_{max(|n1|,|n2|) <= N} c_n exp(i alpha_n . x_i) on the grid.
@@ -110,8 +130,12 @@ def synthesize(coeffs: SpectrumField, N: int, grid_shape: tuple[int, int],
 
     Both paths transform axis 0 over the live columns only.  take_real
     synthesizes Re(sum c_n e_n), which is the synthesis of the Hermitian
-    part h_n = (c_n + conj(c_-n)) / 2: its columns n2 >= 0 determine it,
-    and the last axis is one real-output inverse FFT.
+    part h_n = (c_n + conj(c_-n)) / 2: its N + 1 columns n2 >= 0
+    determine it, and the last axis is one real matrix product of their
+    (re, im) pairs with a cached cosine/sine table (_real_synthesis_table):
+    one small dgemm, which OpenBLAS runs on a single thread at I2 = 99, in
+    place of I1 real inverse FFTs of length I2.  The complex path keeps its
+    inverse FFT on the last axis.
     """
     if N < 0 or N > coeffs.W:
         raise CutoffOutOfRange(f"N={N} outside coefficient window {coeffs.W}")
@@ -126,7 +150,9 @@ def synthesize(coeffs: SpectrumField, N: int, grid_shape: tuple[int, int],
     rows[np.arange(-N, N + 1) % I1] = block
     cols = np.fft.ifft(rows, axis=0, norm="forward", out=rows)
     if take_real:
-        return np.fft.irfft(cols, n=I2, axis=1, norm="forward")
+        # the (I1, N + 1) complex columns viewed as (I1, 2N + 2) floats
+        # already alternate re, im in the table's row order
+        return cols.view(np.float64) @ _real_synthesis_table(I2)[:2 * N + 2]
     full = np.zeros((I1, I2), dtype=complex)
     full[:, np.arange(-N, N + 1) % I2] = cols
     return np.fft.ifft(full, axis=1, norm="forward", out=full)

@@ -5,7 +5,8 @@ Each one reaches its answer by a different route from the closed forms in
 must equal, an ODE quadrature of the first-order problem, the flat-surface
 field and its z-derivative evaluated from its four coefficients and
 substituted back into its defining conditions, the analytic
-spectrum of profile 1, inverse-crime linear data, residual tails summed
+spectrum of profile 1, the real synthesis by real-output inverse FFTs,
+inverse-crime linear data, residual tails summed
 one cut-off at a time, the forward operator assembled as a dense matrix
 from the convolution matrices of its coefficient fields, the
 mean-coefficient preconditioner's LU in full band storage, and restarted
@@ -192,6 +193,21 @@ def trig_profile_spectrum() -> SpectrumField:
             c[3 + s * k, 3] += v if s == 1 else np.conj(v)
             c[3, 3 + s * k] += v if s == 1 else np.conj(v)
     return SpectrumField(c, 3, 3)
+
+
+def synthesize_real_irfft(coeffs: SpectrumField, N: int,
+                          grid_shape: tuple[int, int]) -> np.ndarray:
+    """Re(sum_{max(|n1|,|n2|) <= N} c_n e_n) on the grid with the last
+    axis as I1 real-output inverse FFTs of length I2 over the Hermitian
+    part's columns n2 >= 0, where ``synthesize`` takes one matrix product."""
+    I1, I2 = grid_shape
+    block = coeffs.values[coeffs.W1 - N:coeffs.W1 + N + 1,
+                          coeffs.W2 - N:coeffs.W2 + N + 1]
+    block = 0.5 * (block[:, N:] + block[::-1, N::-1].conj())
+    rows = np.zeros((I1, N + 1), dtype=complex)
+    rows[np.arange(-N, N + 1) % I1] = block
+    cols = np.fft.ifft(rows, axis=0, norm="forward")
+    return np.fft.irfft(cols, n=I2, axis=1, norm="forward")
 
 
 def synthesize_linear_data(profile: SurfaceProfile, cfg: PhysicalConfig,

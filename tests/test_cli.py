@@ -119,6 +119,16 @@ def test_forward_deterministic(forward_dir, tmp_path):
     assert a == b
 
 
+def test_thick_slab_forward_squares_propagating_modes_only(tmp_path, capsys):
+    # at b = 8 the evanescent modes' |R|^2 overflows; the flux masks them
+    # out before squaring, so no RuntimeWarning (an error here) is raised
+    code, cap = run(["forward", *FAST, "--set", "b=8",
+                     "--out", str(tmp_path)], capsys)
+    assert code == 0, cap.err
+    diag = json.loads((tmp_path / "forward.json").read_text())
+    assert 0.0 <= diag["reflected_flux"] < 1.0
+
+
 def test_invert_round_trip(forward_dir, tmp_path, capsys):
     code = main(["invert", *FAST, "--data",
                  str(forward_dir / "top_field.csv"), "--out", str(tmp_path)])

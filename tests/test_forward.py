@@ -613,10 +613,10 @@ def _owned_bytes(obj) -> int:
 def _traced_solve(params):
     """A FAST solve at params, traced: (solution, traced peak, bytes of one
     vector, bytes of the LU factors, the operator's arrays and the
-    coefficient fields plus 192 KiB for the Hessenberg matrix (8 KB) and
+    coefficient fields plus 160 KiB for the Hessenberg matrix (8 KB) and
     numpy's casting buffers (up to 8192 complex values per ufunc call)).
-    A solve traces about 115 KB of those, 0.78 FAST vectors, so one more
-    vector does not fit."""
+    A solve traces about 115-120 KB of those, 0.78-0.81 FAST vectors, so
+    neither one more vector nor half of one fits."""
     cfg = replace(build_config(fast=True), **params)
     profile, phys, disc = (effective_profile(cfg), cfg.to_physical(),
                            cfg.to_discretization())
@@ -634,7 +634,7 @@ def _traced_solve(params):
         tracemalloc.stop()
     fixed = (_owned_bytes(lu) + _owned_bytes(op)
              + sum(getattr(cf, f.name).nbytes for f in fields(cf))
-             + 3 * 2**16)
+             + 160 * 2**10)
     return sol, peak, 16 * op.dim, fixed
 
 
@@ -643,8 +643,8 @@ def test_solve_traces_within_its_working_set():
     # holds the k + 1 Krylov vectors, x and _traced_solve's fixed bytes,
     # the operator's buffer among them, which GMRES borrows for its
     # temporaries: no dense b and no scratch vector.  The fixed bytes'
-    # 192 KiB is 1.33 vectors at this size, and the solve takes 0.78 of
-    # them, so one more vector overruns the budget.
+    # 160 KiB is 1.11 vectors at this size, and the solve takes 0.78 of
+    # them, so half a vector more overruns the budget.
     sol, peak, vector, fixed = _traced_solve(_FAST_POINTS["trig-eps1e-3"][0])
     k = sol.iterations
     assert k == 6 and vector == 147_968

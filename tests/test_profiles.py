@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from oracles import trig_profile_spectrum
 from superlens_imaging.errors import (BadThreshold, EmptyImage,
                                       NyquistViolation)
-from superlens_imaging.profiles import (PROFILE_BUILDERS, _peaks_terms,
-                                        band_limited_profile, builtin_glyph,
-                                        image_profile, peaks_profile,
-                                        profile_spectrum, trig_profile)
+from superlens_imaging.profiles import (PROFILE_BUILDERS, SurfaceProfile,
+                                        _peaks_terms, band_limited_profile,
+                                        builtin_glyph, image_profile,
+                                        peaks_profile, profile_spectrum,
+                                        trig_profile)
 from superlens_imaging.spectral import dft2, synthesize
 
 unit_floats = st.floats(0.0, 1.0, allow_nan=False)
@@ -174,9 +175,26 @@ def test_band_limited_sample_grid_matches_pointwise(glyph_band_limited, shape):
 
 
 def test_profile_without_spectrum_samples_pointwise():
+    # sample_grid passes x as (I1, 1) and y as (1, I2); the reference
+    # evaluates on the broadcast (I1, I2) coordinates, bit for bit
     for p in (trig_profile(), peaks_profile(), image_profile(builtin_glyph())):
         assert p.spectrum is None
-        assert np.array_equal(p.sample_grid(9, 12), _pointwise_grid(p, 9, 12))
+        for shape in [(9, 12), (99, 99), (297, 297), (33, 48)]:
+            grid = p.sample_grid(*shape)
+            assert np.array_equal(grid, _pointwise_grid(p, *shape))
+            assert grid.shape == shape and grid.dtype == np.float64
+            assert grid.flags.c_contiguous and grid.flags.writeable
+
+
+@pytest.mark.parametrize("sample", [lambda x, y: 0.25,
+                                    lambda x, y: np.full_like(x, 0.25)],
+                         ids=["scalar", "per-row"])
+def test_constant_sampler_fills_the_grid(sample):
+    grid = SurfaceProfile(sample=sample).sample_grid(5, 7)
+    assert grid.shape == (5, 7) and grid.dtype == np.float64
+    assert grid.flags.c_contiguous and grid.flags.writeable
+    grid[0, 0] = 1.0
+    assert np.count_nonzero(grid == 0.25) == 34
 
 
 def test_peaks_sample_is_value_term():

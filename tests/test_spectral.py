@@ -4,6 +4,7 @@ import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import synthesize_real_irfft
 from superlens_imaging.errors import CutoffOutOfRange
 from superlens_imaging.spectral import (SpectrumField, dft2, grid_l2_norm,
                                         synthesize, window_halfwidth)
@@ -143,6 +144,21 @@ def test_synthesize_take_real_on_hermitian_coeffs():
     assert np.max(np.abs(u_c.imag)) < 1e-12
     assert np.allclose(u_r, u_c.real)
     assert u_r.dtype.kind == "f"
+
+
+@pytest.mark.parametrize("I", [33, 98, 99])
+def test_synthesize_take_real_matches_irfft(I):
+    # oracle: the same Hermitian columns through I real inverse FFTs;
+    # the matrix product sums the modes in another order
+    W = window_halfwidth(I)
+    rng = np.random.default_rng(I)
+    C = SpectrumField(rng.normal(size=(2 * W + 1, 2 * W + 1))
+                      + 1j * rng.normal(size=(2 * W + 1, 2 * W + 1)), W, W)
+    for N in range(W + 1):
+        got = synthesize(C, N, (I, I), take_real=True)
+        want = synthesize_real_irfft(C, N, (I, I))
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_dft2_even_sampling_convention():
