@@ -37,7 +37,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import harness  # noqa: E402
 
-WORKLOADS = ["forward-solve", "inversion", "experiments"]
+#: the benchmark's workloads, as BENCHMARK.json declares them
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 class RunFailed(Exception):

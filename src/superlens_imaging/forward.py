@@ -148,10 +148,8 @@ def _surface_fields(profile: SurfaceProfile, cfg: PhysicalConfig,
     check_unit_cell(cfg.period1, cfg.period2)
     if not profile.has_derivatives:
         profile = band_limited_profile(profile, disc.N_f, quad_I=disc.P)
-    xs = np.arange(disc.P) / disc.P
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    g = profile.sample(X, Y)
-    gx, gy, glap = profile.derivatives(X, Y)
+    g = profile.sample_grid(disc.P, disc.P)
+    gx, gy, glap = profile.derivative_grids(disc.P, disc.P)
     e = cfg.epsilon
     return e * g, e * gx, e * gy, e * glap
 

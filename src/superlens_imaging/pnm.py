@@ -99,7 +99,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
         pixels = np.array([int(t) for t in tokens[4:]], dtype=float)
     except (ValueError, IndexError):
         raise UsageError(f"{path}: malformed plain PGM") from None
-    if W <= 0 or H <= 0 or pixels.size != W * H or maxval <= 0:
+    if (W <= 0 or H <= 0 or pixels.size != W * H or maxval <= 0
+            or not np.all((pixels >= 0) & (pixels <= maxval))):
         raise UsageError(f"{path}: malformed plain PGM")
     return (pixels / maxval).reshape(H, W)
 

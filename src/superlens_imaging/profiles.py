@@ -16,7 +16,8 @@ Samplers wrap coordinates before evaluating, so periodicity is exact by
 construction.  Profiles 1 and 2 also expose ``derivatives``, one callable
 giving the analytic first derivatives and Laplacian together (the forward
 solver's variable coefficients need them); the image profile does not —
-consumers differentiate its truncated spectrum instead.
+consumers replace it by its truncated spectrum (``band_limited_profile``),
+whose derivatives are the spectrum times i 2 pi n1, i 2 pi n2, -4 pi^2 |n|^2.
 """
 
 from __future__ import annotations
@@ -32,16 +33,21 @@ from .spectral import SpectrumField, dft2
 
 @dataclass
 class SurfaceProfile:
-    """g on the unit cell [0, 1)^2, periodic in x and y."""
-    sample: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    """g on the unit cell [0, 1)^2, periodic in x and y, read on cell grids:
+    an analytic ``sample``, or a band-limited ``spectrum`` alone."""
+    sample: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     #: (g_x, g_y, Laplacian g) at the same points, for smooth profiles
     derivatives: Callable[[np.ndarray, np.ndarray], tuple] | None = None
     #: Fourier coefficients of a band-limited profile, when they are known
     spectrum: SpectrumField | None = None
 
+    def __post_init__(self):
+        if self.sample is None and self.spectrum is None:
+            raise ValueError("a surface profile needs a sampler or a spectrum")
+
     @property
     def has_derivatives(self) -> bool:
-        return self.derivatives is not None
+        return self.derivatives is not None or self.spectrum is not None
 
     def sample_grid(self, I1: int, I2: int) -> np.ndarray:
         """g at the cell points (i1 / I1, i2 / I2), an (I1, I2) float64 array.
@@ -52,20 +58,41 @@ class SurfaceProfile:
         result, such as a constant's, is copied out to the full grid.
         """
         if self.spectrum is not None:
-            # one inverse FFT; mode n lands on index n mod I, and folding
-            # aliased modes together keeps the samples exact on grids too
-            # coarse to resolve the band
-            n1, n2 = self.spectrum.mode_arrays()
-            full = np.zeros((I1, I2), dtype=complex)
-            np.add.at(full, (n1 % I1, n2 % I2), self.spectrum.values)
-            return (np.fft.ifft2(full) * (I1 * I2)).real
-        x = np.arange(I1)[:, None] * (1.0 / I1)
-        y = np.arange(I2)[None, :] * (1.0 / I2)
-        g = np.asarray(self.sample(x, y), dtype=np.float64)
-        if g.shape != (I1, I2):
-            # a sampler that ignores a coordinate returns a smaller shape
-            g = np.array(np.broadcast_to(g, (I1, I2)))
-        return g
+            return _spectrum_grid(self.spectrum, 1, I1, I2)
+        return _full_grid(self.sample(*_cell_coordinates(I1, I2)), I1, I2)
+
+    def derivative_grids(self, I1: int, I2: int) -> tuple:
+        """(g_x, g_y, Laplacian g) at the same points in the same way, as
+        fresh C-contiguous (I1, I2) float64 arrays."""
+        if self.spectrum is None:
+            return tuple(_full_grid(d, I1, I2) for d in
+                         self.derivatives(*_cell_coordinates(I1, I2)))
+        n1, n2 = self.spectrum.mode_arrays()
+        w1, w2 = 2.0 * np.pi * n1, 2.0 * np.pi * n2
+        return tuple(_spectrum_grid(self.spectrum, m, I1, I2)
+                     for m in (1j * w1, 1j * w2, -(w1 * w1 + w2 * w2)))
+
+
+def _cell_coordinates(I1: int, I2: int):
+    # i / I, the convention the pinned solves of profiles 1 and 2 were made in
+    return np.arange(I1)[:, None] / I1, np.arange(I2)[None, :] / I2
+
+
+def _full_grid(g, I1: int, I2: int) -> np.ndarray:
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != (I1, I2):
+        # a sampler that ignores a coordinate returns a smaller shape
+        g = np.array(np.broadcast_to(g, (I1, I2)))
+    return g
+
+
+def _spectrum_grid(spectrum, multiplier, I1: int, I2: int) -> np.ndarray:
+    # one inverse FFT; mode n lands on index n mod I, and folding aliased
+    # modes together keeps the samples exact on grids too coarse for the band
+    n1, n2 = spectrum.mode_arrays()
+    full = np.zeros((I1, I2), dtype=complex)
+    np.add.at(full, (n1 % I1, n2 % I2), multiplier * spectrum.values)
+    return np.fft.ifft2(full).real * (I1 * I2)
 
 
 def check_unit_cell(period1: float, period2: float) -> None:
@@ -253,34 +280,8 @@ def band_limited_profile(profile: SurfaceProfile, N_max: int,
                          quad_I: int = 99) -> SurfaceProfile:
     """Replace a profile by its truncated Fourier series.
 
-    The result is smooth and band-limited, evaluable anywhere, with
-    analytic derivatives — it is the surface the band-limited solver (and
-    the inverse problem) actually sees when handed a non-smooth profile.
-    Its ``sample_grid`` is one inverse FFT of the stored spectrum;
-    ``sample`` and ``derivatives`` sum the series pointwise.
+    The result is smooth and band-limited, its spectrum alone — it is the
+    surface the band-limited solver (and the inverse problem) actually
+    sees when handed a non-smooth profile.
     """
-    spec = profile_spectrum(profile, N_max, quad_I=quad_I)
-    C = spec.values
-    # the unit-cell wavenumbers 2 pi n along either axis
-    a = 2.0 * np.pi * np.arange(-N_max, N_max + 1)
-
-    def _basis(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        T1 = np.exp(1j * x[..., None] * a)
-        T2 = np.exp(1j * y[..., None] * a)
-        return T1, T2
-
-    def sample(x, y):
-        T1, T2 = _basis(x, y)
-        return np.real(np.einsum("...k,...l,kl->...", T1, T2, C))
-
-    def derivatives(x, y):
-        T1, T2 = _basis(x, y)
-        gx = np.real(np.einsum("...k,...l,kl->...", T1, T2, 1j * a[:, None] * C))
-        gy = np.real(np.einsum("...k,...l,kl->...", T1, T2, 1j * a[None, :] * C))
-        lap = -(a[:, None] ** 2 + a[None, :] ** 2) * C
-        return gx, gy, np.real(np.einsum("...k,...l,kl->...", T1, T2, lap))
-
-    return SurfaceProfile(sample=sample, derivatives=derivatives,
-                          spectrum=spec)
+    return SurfaceProfile(spectrum=profile_spectrum(profile, N_max, quad_I))

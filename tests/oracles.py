@@ -5,7 +5,8 @@ Each one reaches its answer by a different route from the closed forms in
 must equal, an ODE quadrature of the first-order problem, the flat-surface
 field and its z-derivative evaluated from its four coefficients and
 substituted back into its defining conditions, the analytic
-spectrum of profile 1, the real synthesis by real-output inverse FFTs,
+spectrum of profile 1, the pointwise Fourier series of a band-limited
+surface and its derivatives, the real synthesis by real-output inverse FFTs,
 inverse-crime linear data, residual tails summed
 one cut-off at a time, the forward operator assembled as a dense matrix
 from the convolution matrices of its coefficient fields, the
@@ -193,6 +194,31 @@ def trig_profile_spectrum() -> SpectrumField:
             c[3 + s * k, 3] += v if s == 1 else np.conj(v)
             c[3, 3 + s * k] += v if s == 1 else np.conj(v)
     return SpectrumField(c, 3, 3)
+
+
+def fourier_series(spectrum: SpectrumField, x, y):
+    """(g, g_x, g_y, Laplacian g) of the real series sum_n c_n
+    e^{2 pi i n.(x, y)}, summed pointwise at the broadcast points (x, y):
+    one table of exponentials per axis and one einsum per output, where
+    the package transforms the spectrum onto a cell grid."""
+    C = spectrum.values
+    a1 = 2.0 * np.pi * np.arange(-spectrum.W1, spectrum.W1 + 1)
+    a2 = 2.0 * np.pi * np.arange(-spectrum.W2, spectrum.W2 + 1)
+    T1 = np.exp(1j * np.asarray(x, dtype=float)[..., None] * a1)
+    T2 = np.exp(1j * np.asarray(y, dtype=float)[..., None] * a2)
+
+    def total(c):
+        return np.real(np.einsum("...k,...l,kl->...", T1, T2, c))
+
+    return (total(C), total(1j * a1[:, None] * C), total(1j * a2[None, :] * C),
+            total(-(a1[:, None] ** 2 + a2[None, :] ** 2) * C))
+
+
+def series_profile(spectrum: SpectrumField) -> SurfaceProfile:
+    """The analytic profile that sums a spectrum's series pointwise."""
+    return SurfaceProfile(
+        sample=lambda x, y: fourier_series(spectrum, x, y)[0],
+        derivatives=lambda x, y: fourier_series(spectrum, x, y)[1:])
 
 
 def synthesize_real_irfft(coeffs: SpectrumField, N: int,

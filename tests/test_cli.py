@@ -84,6 +84,17 @@ def test_bad_config_writes_nothing(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_pgm_pixel_beyond_maxval_writes_nothing(tmp_path, capsys):
+    image = tmp_path / "bad.pgm"
+    image.write_text("P2\n2 1\n255\n300 -7\n")
+    out = tmp_path / "out"
+    code, cap = run(["forward", "--fast", "--set", "profile=image", "--set",
+                     f"image_path={image}", "--out", str(out)], capsys)
+    assert code == 1
+    assert "malformed plain PGM" in cap.err and "Traceback" not in cap.err
+    assert not out.exists()
+
+
 def test_no_convergence_is_numerical_failure(tmp_path, capsys):
     code = main(["forward", *FAST, "--set", "epsilon=0.02",
                  "--set", "iter_max=1", "--out", str(tmp_path)])
@@ -322,6 +333,10 @@ def _rejects(argv, forward_dir, out):
       "DATA"], 2, "wavelength must be positive"),
     (["forward", *FAST, "--set", "wavelength=1e-200"], 2, "omega^2"),
     (["forward", *FAST, "--set", "wavelength=1e160"], 2, "omega^2"),
+    # a z-grid far too coarse for the wave: 19.6 radians per z-step
+    (["forward", *FAST, "--set", "wavelength=1e-3"], 2,
+     "M=32 takes 19.6 radians of the wave per z-step, above 0.5: the "
+     "z-grid needs M >= 1257"),
     # an omega*b beyond the float range is rejected before any sweep
     (["sweep-sn", "--set", "b=1e308"], 2, "b is too large"),
     (["sweep-sn", "--media=1:1",
@@ -374,7 +389,7 @@ def _rejects(argv, forward_dir, out):
        "forward-no-convergence", "experiment-resonant", "forward-grid-huge",
        "forward-wavelength-0", "sweep-sn-wavelength-0",
        "invert-wavelength-0", "forward-omega-sq-overflow",
-       "forward-omega-sq-subnormal", "sweep-sn-b-huge",
+       "forward-omega-sq-subnormal", "forward-z-grid-coarse", "sweep-sn-b-huge",
        "sweep-sn-second-medium-cancels", "sweep-sn-n-max-huge",
        "experiment-image-threshold-2", "sweep-sn-I-0", "sweep-sn-solver",
        "sweep-sn-profile-4", "sweep-sn-iter-tol-negative",

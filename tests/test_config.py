@@ -5,7 +5,8 @@ import pytest
 
 from superlens_imaging.config import (ExperimentConfig, build_config,
                                       read_config_file)
-from superlens_imaging.errors import CutoffOutOfRange, UsageError
+from superlens_imaging.errors import (CutoffOutOfRange, NyquistViolation,
+                                      UsageError)
 from superlens_imaging.profiles import SurfaceProfile
 
 
@@ -119,6 +120,19 @@ def test_replace_checks_every_key():
         replace(cfg, profile="image")
     with pytest.raises(ValueError):
         replace(cfg, epsilon=-1.0)
+
+
+@pytest.mark.parametrize("wavelength", [1e-3, 0.0203, 7e-5])
+def test_z_grid_must_resolve_the_wavelength(wavelength):
+    # the M the message names is the smallest that passes
+    with pytest.raises(NyquistViolation, match="the z-grid needs") as exc:
+        build_config(overrides=[f"wavelength={wavelength}"], fast=True)
+    M = int(str(exc.value).rsplit(">= ", 1)[1])
+    assert build_config(overrides=[f"wavelength={wavelength}", f"M={M}"],
+                        fast=True).M == M
+    with pytest.raises(NyquistViolation):
+        build_config(overrides=[f"wavelength={wavelength}", f"M={M - 1}"],
+                     fast=True)
 
 
 def test_resolved_dict_is_json_ready():

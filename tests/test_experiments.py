@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import series_profile
 from superlens_imaging.cli import main
 from superlens_imaging.config import build_config
 from superlens_imaging.errors import UsageError
@@ -50,10 +51,12 @@ def test_effective_profile_band_limits_glyph():
     assert not raw.has_derivatives       # glyph is piecewise constant
     assert eff.has_derivatives           # smoothing restores them
     assert eff.spectrum.W == cfg.N_f     # truncated at the solver band
+    # the grid is the truncated series, summed pointwise by the oracle
+    raw_s = raw.sample_grid(17, 17)
+    eff_s = eff.sample_grid(17, 17)
+    ref = series_profile(eff.spectrum).sample_grid(17, 17)
+    assert np.max(np.abs(eff_s - ref)) <= 1e-12 * np.max(np.abs(ref))
     # band-limiting keeps the bulk of the shape
-    xs = np.linspace(0, 1, 17, endpoint=False)
-    raw_s = np.array([[raw.sample(x, y) for y in xs] for x in xs])
-    eff_s = np.array([[eff.sample(x, y) for y in xs] for x in xs])
     assert np.linalg.norm(raw_s - eff_s) < 0.5 * np.linalg.norm(raw_s)
 
 

@@ -16,6 +16,7 @@ from superlens_imaging.core import PhysicalConfig, mode_scalars
 from superlens_imaging.errors import (NearSingularSystem, NoConvergence,
                                       NyquistViolation, ProfileTooTall,
                                       ResonantMode)
+from superlens_imaging import forward
 from superlens_imaging.experiments import effective_profile
 from superlens_imaging.forward import (_RESTART, Discretization, _BandedLU,
                                        _givens, _gmres, _impedance, _norm,
@@ -24,7 +25,8 @@ from superlens_imaging.forward import (_RESTART, Discretization, _BandedLU,
                                        fd_weights, reflected_flux,
                                        solve_forward)
 from superlens_imaging.profiles import (band_limited_profile, builtin_glyph,
-                                        image_profile, trig_profile)
+                                        image_profile, peaks_profile,
+                                        trig_profile)
 from superlens_imaging.tfe import solve_zeroth, u0_top
 
 OMEGA = 2 * math.pi / 1.1
@@ -136,6 +138,32 @@ def test_coefficient_fields_hold_no_level_array(phys_table1):
     for field in fields(cf):
         if field.name != "az":
             assert getattr(cf, field.name).shape == (disc.P, disc.P)
+
+
+def _meshgrid_surface_fields(profile, cfg, disc):
+    """f, f_x, f_y, Laplacian f from the profile's pointwise callables on
+    the broadcast P x P grid."""
+    xs = np.arange(disc.P) / disc.P
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    e = cfg.epsilon
+    return (e * profile.sample(X, Y),
+            *(e * d for d in profile.derivatives(X, Y)))
+
+
+@pytest.mark.parametrize("disc", [FAST, Discretization()],
+                         ids=["fast", "full"])
+@pytest.mark.parametrize("builder", [trig_profile, peaks_profile])
+def test_coefficient_fields_match_meshgrid_evaluation_bitwise(
+        builder, disc, phys_table1, monkeypatch):
+    # the cell-grid evaluation gives every field bit for bit as the
+    # pointwise calls on the full grid do
+    cfg = replace(phys_table1, epsilon=1e-2)
+    cf = coefficient_fields(builder(), cfg, disc)
+    monkeypatch.setattr(forward, "_surface_fields", _meshgrid_surface_fields)
+    ref = coefficient_fields(builder(), cfg, disc)
+    for field in fields(cf):
+        assert np.array_equal(getattr(cf, field.name),
+                              getattr(ref, field.name)), field.name
 
 
 def test_pruned_lateral_transforms_match_full_fft(phys_table1):

@@ -1,13 +1,13 @@
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import residual_curve_masked_sums, synthesize_linear_data
+from oracles import (residual_curve_masked_sums, series_profile,
+                     synthesize_linear_data)
 from superlens_imaging.core import PhysicalConfig
 from superlens_imaging.inverse import (choose_cutoff, error_decomposition,
                                        recon_coefficients, reconstruct,
@@ -204,7 +204,7 @@ def test_beyond_window_from_spectrum_and_fine_grid_agree(I):
     # misses them and a 7 x 7 grid holds them all
     cfg = _cfg(epsilon=1e-2)
     with_spectrum = band_limited_profile(trig_profile(), 3)
-    pointwise = replace(with_spectrum, spectrum=None)
+    pointwise = series_profile(with_spectrum.spectrum)
     clean = np.full((I, I), u0_top(cfg))
     m = add_noise(clean, NoiseSpec(sigma=0.01, seed=1))
     decs = [error_decomposition(p, dft2(clean), m, 1, cfg)

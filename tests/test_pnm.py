@@ -32,6 +32,8 @@ def test_pgm_comments_and_whitespace(tmp_path):
     "hello\n",
     "P2\n-2 -2\n255\n0 255 255 0\n",  # negative size, W*H still 4
     "P2\n2 1\n255\n0 255 7\n",        # a pixel beyond W*H
+    "P2\n2 1\n255\n0 300\n",          # a pixel above maxval
+    "P2\n2 1\n255\n-7 0\n",           # a negative pixel
 ])
 def test_read_pgm_rejects_malformed(tmp_path, text):
     p = tmp_path / "bad.pgm"

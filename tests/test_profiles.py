@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import trig_profile_spectrum
+from oracles import series_profile, trig_profile_spectrum
 from superlens_imaging.errors import (BadThreshold, EmptyImage,
                                       NyquistViolation)
 from superlens_imaging.profiles import (PROFILE_BUILDERS, SurfaceProfile,
@@ -136,12 +136,16 @@ def test_band_limited_profile_matches_synthesis():
 
 def test_band_limited_profile_derivatives():
     bl = band_limited_profile(image_profile(builtin_glyph()), 6, quad_I=25)
-    for x, y in [(0.3, 0.7), (0.55, 0.15)]:
-        gx, gy, lap = bl.derivatives(x, y)
-        fx, fy = _fd_grad(bl, x, y)
-        assert gx == pytest.approx(fx, rel=1e-4, abs=1e-7)
-        assert gy == pytest.approx(fy, rel=1e-4, abs=1e-7)
-        assert lap == pytest.approx(_fd_lap(bl, x, y), rel=1e-3, abs=1e-4)
+    series = series_profile(bl.spectrum)
+    gx, gy, lap = bl.derivative_grids(20, 20)
+    # (0.3, 0.7) and (0.55, 0.15) are the points (6, 14) and (11, 3) of
+    # the 20 x 20 cell grid; the differences step the pointwise series
+    for (x, y), i in [((0.3, 0.7), (6, 14)), ((0.55, 0.15), (11, 3))]:
+        fx, fy = _fd_grad(series, x, y)
+        assert gx[i] == pytest.approx(fx, rel=1e-4, abs=1e-7)
+        assert gy[i] == pytest.approx(fy, rel=1e-4, abs=1e-7)
+        assert lap[i] == pytest.approx(_fd_lap(series, x, y), rel=1e-3,
+                                       abs=1e-4)
 
 
 def test_band_limited_spectrum_is_idempotent():
@@ -152,10 +156,10 @@ def test_band_limited_spectrum_is_idempotent():
     assert np.max(np.abs(S_raw.values - S_bl.values)) < 1e-12
 
 
-def _pointwise_grid(p, I1, I2):
-    x = np.arange(I1)[:, None] * (1.0 / I1)
-    y = np.arange(I2)[None, :] * (1.0 / I2)
-    return p.sample(*np.broadcast_arrays(x, y))
+def _pointwise_grid(p, I1, I2, values=lambda p: p.sample):
+    x = np.arange(I1)[:, None] / I1
+    y = np.arange(I2)[None, :] / I2
+    return values(p)(*np.broadcast_arrays(x, y))
 
 
 @pytest.fixture(scope="module")
@@ -167,11 +171,17 @@ def glyph_band_limited():
 @pytest.mark.parametrize("shape", [(1, 7), (5, 31), (8, 8), (33, 33),
                                    (99, 99), (297, 297)])
 def test_band_limited_sample_grid_matches_pointwise(glyph_band_limited, shape):
-    # grids at or below the Nyquist size 2 * 12 + 1 fold aliased modes
-    ref = _pointwise_grid(glyph_band_limited, *shape)
-    grid = glyph_band_limited.sample_grid(*shape)
-    assert grid.shape == shape and grid.dtype == float
-    assert np.max(np.abs(grid - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # grids at or below the Nyquist size 2 * 12 + 1 fold aliased modes;
+    # the reference sums the series and its derivatives point by point
+    series = series_profile(glyph_band_limited.spectrum)
+    refs = [_pointwise_grid(series, *shape)]
+    refs += _pointwise_grid(series, *shape, values=lambda p: p.derivatives)
+    grids = [glyph_band_limited.sample_grid(*shape),
+             *glyph_band_limited.derivative_grids(*shape)]
+    for grid, ref in zip(grids, refs):
+        assert grid.shape == shape and grid.dtype == np.float64
+        assert grid.flags.c_contiguous
+        assert np.max(np.abs(grid - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_profile_without_spectrum_samples_pointwise():
@@ -184,6 +194,26 @@ def test_profile_without_spectrum_samples_pointwise():
             assert np.array_equal(grid, _pointwise_grid(p, *shape))
             assert grid.shape == shape and grid.dtype == np.float64
             assert grid.flags.c_contiguous and grid.flags.writeable
+
+
+@pytest.mark.parametrize("builder", [trig_profile, peaks_profile])
+def test_derivative_grids_are_pointwise_derivatives(builder):
+    # separable coordinates give trig's g_x as (I1, 1); the grids come out
+    # full, C-contiguous and bitwise the broadcast grid's values
+    p = builder()
+    for shape in [(9, 12), (49, 49)]:
+        refs = _pointwise_grid(p, *shape, values=lambda p: p.derivatives)
+        for grid, ref in zip(p.derivative_grids(*shape), refs):
+            assert np.array_equal(grid, ref)
+            assert grid.shape == shape and grid.dtype == np.float64
+            assert grid.flags.c_contiguous and grid.flags.writeable
+
+
+def test_profile_needs_sampler_or_spectrum():
+    with pytest.raises(ValueError, match="sampler or a spectrum"):
+        SurfaceProfile()
+    with pytest.raises(ValueError, match="sampler or a spectrum"):
+        SurfaceProfile(derivatives=lambda x, y: (x, y, x))
 
 
 @pytest.mark.parametrize("sample", [lambda x, y: 0.25,
