@@ -14,9 +14,10 @@ process, and flips which tree goes first from one pair to the next.
 The output holds ``perfbench.harness.environment()``, both commits with the
 hashes of the trees that ran, the last-line result of every run and, for
 each workload, seed and end-to-end metric, both trees' medians and
-quartiles, the number of pairs the change won, and whether the gap between
+quartiles, the number of pairs the change won, whether the gap between
 the medians (positive when the change is better) exceeds the parent's
-interquartile range.  ``--trace 1`` adds one
+interquartile range, the metric's bound from ``BENCHMARK.json`` and whether
+the parent's runs spread too widely to resolve it.  ``--trace 1`` adds one
 traced run per tree, workload and seed, so the per-layer metrics sit
 beside the end-to-end ones.  Exits 1 when a run fails to produce a result.
 """
@@ -37,9 +38,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench import harness  # noqa: E402
 
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 #: the benchmark's workloads, as BENCHMARK.json declares them
-WORKLOADS = [w["name"] for w in
-             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+#: the largest regression, relative to the parent's median, that each
+#: end-to-end metric may show
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 class RunFailed(Exception):
@@ -107,8 +111,11 @@ def _spread(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict]) -> dict:
     """Whether every run was correct, the failed operations per tree, and
-    per end-to-end metric both trees' spread, the change's wins and the
-    median gap against the parent's interquartile range."""
+    per end-to-end metric both trees' spread, the change's wins, the
+    median gap against the parent's interquartile range, and whether the
+    metric is unresolved: the parent's interquartile range exceeds the
+    bound times its median, and not every change run beats every parent
+    run."""
     trees = ("parent", "change")
     out = {"correct": {t: all(p[t]["correct"] for p in pairs) for t in trees},
            "failed": {t: sum(p[t]["failed"] for p in pairs) for t in trees},
@@ -120,6 +127,8 @@ def summarize(pairs: list[dict]) -> dict:
         parent, change = _spread(values["parent"]), _spread(values["change"])
         gap = sign * (parent["median"] - change["median"])
         iqr = parent["q3"] - parent["q1"]
+        separated = all(sign * (p - c) > 0 for p in values["parent"]
+                        for c in values["change"])
         out["metrics"][name] = {
             "unit": unit, "better": better, "parent": parent,
             "change": change,
@@ -131,6 +140,9 @@ def summarize(pairs: list[dict]) -> dict:
                              else None),
             "parent_iqr": iqr,
             "gap_exceeds_parent_iqr": gap > iqr,
+            "bound": BOUNDS[name],
+            "unresolved": (iqr > BOUNDS[name] * abs(parent["median"])
+                           and not separated),
         }
     return out
 

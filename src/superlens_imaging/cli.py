@@ -125,8 +125,6 @@ def cmd_forward(args) -> int:
 
 def cmd_invert(args) -> int:
     cfg = _config_from(args)
-    phys = cfg.to_physical()
-
     try:
         m = load_measurement_csv(args.data)
     except OSError as exc:
@@ -146,7 +144,7 @@ def cmd_invert(args) -> int:
     # the images and the sidecars of 0..N_window and of the truth
     with staged(out, owns=("recon_N*.ppm*", "truth.ppm*",
                            "error_curve.csv")) as tmp:
-        inverted = invert_measurement(m, phys, cfg, tmp, truth)
+        inverted = invert_measurement(m, cfg, tmp, truth)
         summary = {
             "config": cfg.resolved_dict(),
             "data_file": str(args.data),

@@ -9,23 +9,18 @@ config burn far more time than a hard error.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .core import PhysicalConfig
-from .errors import CutoffOutOfRange, NyquistViolation, UsageError
-from .forward import Discretization
+from .errors import CutoffOutOfRange, UsageError
+from .forward import Discretization, check_z_grid
 from .measurement import NoiseSpec
 from .profiles import (PROFILE_BUILDERS, SurfaceProfile, check_unit_cell,
                        image_profile)
 from .spectral import window_halfwidth
 
 TWO_PI = 6.283185307179586476925287
-#: radians of the wave per z-step, omega * a / M, above which the z-grid
-#: does not resolve it: the FAST glyph's top grid stays within 8% of
-#: M = 256's up to 0.5, is off by 24% at 0.54 and mostly by 100% from 0.8
-MAX_Z_PHASE_STEP = 0.5
 
 
 def _finite(v, s: str):
@@ -103,15 +98,8 @@ class ExperimentConfig:
                              "(choose 1, 2, 3, or image)")
         if self.profile == "image" and not self.image_path:
             raise UsageError("profile=image requires image_path")
-        self.to_physical()
         # the grid before the window, so I=24, N_f=12 is a NyquistViolation
-        self.to_discretization()
-        step = self.omega * self.a / self.M
-        if step > MAX_Z_PHASE_STEP:
-            raise NyquistViolation(
-                f"M={self.M} takes {step:.3g} radians of the wave per z-step, "
-                f"above {MAX_Z_PHASE_STEP}: the z-grid needs M >= "
-                f"{math.ceil(self.omega * self.a / MAX_Z_PHASE_STEP)}")
+        check_z_grid(self.to_physical(), self.to_discretization())
         W = window_halfwidth(self.I)
         if not 0 <= self.N_window <= W:
             raise CutoffOutOfRange(

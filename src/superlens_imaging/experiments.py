@@ -28,14 +28,13 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .errors import UsageError
-from .forward import solve_forward
+from .forward import solve_forward, solver_profile
 from .inverse import (choose_cutoff, error_decomposition, recon_coefficients,
                       reconstruct, residual_curve)
 from .measurement import (Measurement, NoiseSpec, add_noise, rescale_to_snr,
                           save_measurement_csv)
 from .output import staged, write_csv, write_json
 from .pnm import save_field_ppm
-from .profiles import band_limited_profile
 from .spectral import dft2, grid_l2_norm
 
 #: SNR operating points for the per-row sweep (log-spaced around the
@@ -81,23 +80,12 @@ EXPERIMENTS: dict[str, dict] = {
 
 
 def effective_profile(cfg: ExperimentConfig):
-    """The surface object both the solver and the error metrics see.
-
-    Non-smooth surfaces (binary images) are replaced by their truncated
-    Fourier series at the solver's bandwidth, so "truth" means the part of
-    the surface the imaging problem is posed on.
+    """The surface object both the solver and the error metrics see:
+    forward.solver_profile of the config's surface, so for a non-smooth
+    surface (a binary image) "truth" means the part of the surface the
+    imaging problem is posed on.
     """
-    raw = cfg.to_profile()
-    if raw.has_derivatives:
-        return raw
-    disc = cfg.to_discretization()
-    return band_limited_profile(raw, disc.N_f, quad_I=disc.P)
-
-
-def _row_inputs(cfg: ExperimentConfig):
-    """(physics, discretization, effective profile) of one row, built
-    before anything is solved or written."""
-    return cfg.to_physical(), cfg.to_discretization(), effective_profile(cfg)
+    return solver_profile(cfg.to_profile(), cfg.to_discretization())
 
 
 def _measure(top_grid: np.ndarray, sigma: float, seed: int,
@@ -116,7 +104,7 @@ def _invert(meas: Measurement, phys, N_window: int, c: float):
     return rc, curve, choice
 
 
-def invert_measurement(meas: Measurement, phys, cfg: ExperimentConfig,
+def invert_measurement(meas: Measurement, cfg: ExperimentConfig,
                        out_dir: Path, truth: np.ndarray | None = None) -> dict:
     """The inversion `experiment` rows and `invert` share.
 
@@ -126,7 +114,7 @@ def invert_measurement(meas: Measurement, phys, cfg: ExperimentConfig,
     against them (error_curve.csv) and draws all images on the truth's
     color scale.  Returns the summary entries the two commands share.
     """
-    rc, curve, choice = _invert(meas, phys, cfg.N_window, cfg.c)
+    rc, curve, choice = _invert(meas, cfg.to_physical(), cfg.N_window, cfg.c)
     write_csv(out_dir / "residual_curve.csv", ["N", "residual", "threshold"],
               [[n, v, choice.threshold] for n, v in enumerate(curve.values)])
 
@@ -162,12 +150,12 @@ def invert_measurement(meas: Measurement, phys, cfg: ExperimentConfig,
     return summary
 
 
-def run_row(cfg: ExperimentConfig, inputs, out_dir: Path,
-            solve_cache: dict) -> dict:
-    """Full pipeline for one operating point, given its _row_inputs;
-    returns the summary dict (also written to out_dir/summary.json).
-    Forward solves are looked up in and added to solve_cache."""
-    phys, disc, profile = inputs
+def run_row(cfg: ExperimentConfig, out_dir: Path, solve_cache: dict) -> dict:
+    """Full pipeline for one operating point, physics, grid and surface
+    derived from cfg alone; returns the summary dict (also written to
+    out_dir/summary.json).  Forward solves go through solve_cache."""
+    phys, disc = cfg.to_physical(), cfg.to_discretization()
+    profile = effective_profile(cfg)
     key = (cfg.profile, cfg.image_path, cfg.image_threshold, phys, disc)
     t0 = time.perf_counter()
     if key in solve_cache:
@@ -183,7 +171,7 @@ def run_row(cfg: ExperimentConfig, inputs, out_dir: Path,
     truth_norm = grid_l2_norm(truth)
     meas = _measure(sol.top_grid, cfg.sigma, cfg.seed, cfg.target_snr)
     save_measurement_csv(meas, out_dir / "measurement.csv")
-    inverted = invert_measurement(meas, phys, cfg, out_dir, truth)
+    inverted = invert_measurement(meas, cfg, out_dir, truth)
 
     clean_top = dft2(sol.top_grid)
     dec = error_decomposition(profile, clean_top, meas, inverted["chosen_N"],
@@ -238,22 +226,18 @@ def run_experiment(exp_id: str, base: ExperimentConfig) -> dict:
     exp_dir = Path(base.out, f"exp{exp_id}")
     row_cfgs = []
     for i, row in enumerate(preset["rows"]):
-        params = {k: v for k, v in row.items() if k != "label"}
-        merged = {**preset["base"], **params}
-        cfg = replace(base, **merged, seed=base.seed + 10 * i,
-                      defaulted=tuple(k for k in base.defaulted
-                                      if k not in merged))
-        row_cfgs.append((row, merged, cfg, _row_inputs(cfg)))
+        merged = {k: v for k, v in {**preset["base"], **row}.items()
+                  if k != "label"}
+        row_cfgs.append((row["label"], replace(
+            base, **merged, seed=base.seed + 10 * i,
+            defaulted=tuple(k for k in base.defaulted if k not in merged))))
     with staged(base.out) as tmp:
         cache: dict = {}
         rows_out = []
-        for i, (row, merged, cfg, inputs) in enumerate(row_cfgs):
-            row_dir = tmp / exp_dir.name / f"row{i + 1}_{row['label']}"
-            summary = run_row(cfg, inputs, row_dir, solve_cache=cache)
-            summary["label"] = row["label"]
-            summary["preset_overrides"] = {
-                k: (str(v) if isinstance(v, complex) else v)
-                for k, v in merged.items()}
+        for i, (label, cfg) in enumerate(row_cfgs):
+            row_dir = tmp / exp_dir.name / f"row{i + 1}_{label}"
+            summary = run_row(cfg, row_dir, solve_cache=cache)
+            summary["label"] = label
             rows_out.append(summary)
         index = {"experiment": exp_id, "title": preset["title"],
                  "rows": [{"label": r["label"], "chosen_N": r["chosen_N"],

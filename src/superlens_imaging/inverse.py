@@ -31,13 +31,13 @@ BEYOND_FACTOR = 3
 
 def recon_coefficients(U_delta: SpectrumField, cfg: PhysicalConfig) -> SpectrumField:
     """Per-mode surface coefficients s_n * (U_n - u0(b) * [n == 0]) over the
-    data's Nyquist window.  Modes whose scaling factor is resonant or
-    degenerate are zeroed, so every synthesis excludes them."""
+    data's Nyquist window.  The s_n grid holds 0 on resonant or degenerate
+    modes, so it zeroes them and every synthesis excludes them."""
     W = U_delta.W
-    s_grid, bad = scaling_factor_grid(cfg, W)
+    s_grid, _ = scaling_factor_grid(cfg, W)
     d = U_delta.truncated(W).values
     d[W, W] -= u0_top(cfg)
-    return SpectrumField(np.where(bad, 0j, s_grid * d), W, W)
+    return SpectrumField(s_grid * d, W, W)
 
 
 def reconstruct(rc: SpectrumField, N: int, grid_shape: tuple[int, int]) -> np.ndarray:
@@ -139,8 +139,8 @@ def error_decomposition(truth: SurfaceProfile, clean_top: SpectrumField,
                  - np.where(bad, 0j, f_vals))
     E1 = synthesize(SpectrumField(e1_coeffs, W, W), N, (I1, I2), take_real=True)
 
-    # E2: s_n * noise coefficients
-    e2_coeffs = np.where(bad, 0j, s_grid * dft2(meas.delta).truncated(W).values)
+    # E2: s_n * noise coefficients, 0 on unusable modes as s_n is
+    e2_coeffs = s_grid * dft2(meas.delta).truncated(W).values
     E2 = synthesize(SpectrumField(e2_coeffs, W, W), N, (I1, I2), take_real=True)
 
     # E3: the in-window truth content the cutoff discards (negative sign:

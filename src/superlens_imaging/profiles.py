@@ -64,6 +64,9 @@ class SurfaceProfile:
     def derivative_grids(self, I1: int, I2: int) -> tuple:
         """(g_x, g_y, Laplacian g) at the same points in the same way, as
         fresh C-contiguous (I1, I2) float64 arrays."""
+        if not self.has_derivatives:
+            raise ValueError("this surface profile has no derivatives; "
+                             "band-limit it with band_limited_profile first")
         if self.spectrum is None:
             return tuple(_full_grid(d, I1, I2) for d in
                          self.derivatives(*_cell_coordinates(I1, I2)))

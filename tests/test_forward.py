@@ -20,7 +20,7 @@ from superlens_imaging import forward
 from superlens_imaging.experiments import effective_profile
 from superlens_imaging.forward import (_RESTART, Discretization, _BandedLU,
                                        _givens, _gmres, _impedance, _norm,
-                                       _Operator,
+                                       _Operator, check_z_grid,
                                        coefficient_fields, deriv_matrix,
                                        fd_weights, reflected_flux,
                                        solve_forward)
@@ -814,6 +814,22 @@ def test_no_convergence_raises(phys_table1):
 def test_profile_too_tall(phys_table1):
     with pytest.raises(ProfileTooTall):
         solve_forward(trig_profile(), replace(phys_table1, epsilon=0.2), FAST)
+
+
+def test_solve_rejects_a_z_grid_that_cannot_resolve_the_wave(monkeypatch):
+    # a 1e-3 wavelength over a = 0.1: the library solve checks the z-grid
+    # as the config does, names the smallest M that passes, and raises
+    # before it builds any array
+    monkeypatch.setattr(forward, "coefficient_fields",
+                        lambda *args: pytest.fail("built the fields"))
+    phys = PhysicalConfig(omega=2 * math.pi / 1e-3, epsilon=1e-3)
+    with pytest.raises(NyquistViolation, match="the z-grid needs") as exc:
+        solve_forward(trig_profile(), phys, FAST)
+    M = int(str(exc.value).rsplit(">= ", 1)[1])
+    assert M == 1257
+    check_z_grid(phys, replace(FAST, M=M))
+    with pytest.raises(NyquistViolation, match="the z-grid needs"):
+        solve_forward(trig_profile(), phys, replace(FAST, M=M - 1))
 
 
 @pytest.mark.parametrize("periods", [(0.5, 0.5), (1.0, 2.0)])

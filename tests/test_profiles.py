@@ -216,6 +216,13 @@ def test_profile_needs_sampler_or_spectrum():
         SurfaceProfile(derivatives=lambda x, y: (x, y, x))
 
 
+def test_derivative_grids_need_derivatives():
+    # an image indicator has a sampler only: its derivatives come from its
+    # band-limited series, and the error says so
+    with pytest.raises(ValueError, match="band_limited_profile"):
+        image_profile(builtin_glyph()).derivative_grids(8, 8)
+
+
 @pytest.mark.parametrize("sample", [lambda x, y: 0.25,
                                     lambda x, y: np.full_like(x, 0.25)],
                          ids=["scalar", "per-row"])
