@@ -146,12 +146,14 @@ def gamma_eta_grid(n1, n2, cfg: PhysicalConfig):
 
 
 def slab_terms(gam, eta, cfg: PhysicalConfig):
-    """(phi_n, psi_n, e^{i eta_n h}, e^{-i eta_n h}) with
+    """(phi_n, psi_n, e^{i eta_n h}, e^{2i eta_n h}) with
     phi_n = eta_n/rho + gamma_n and psi_n = eta_n/rho - gamma_n: the terms
-    every closed form of the slab's 4x4 system is built from."""
+    every closed form of the slab's 4x4 system is built from, each bounded
+    for Im eta_n >= 0 however thick the slab."""
     phi = eta / cfg.rho + gam
     psi = eta / cfg.rho - gam
-    return phi, psi, np.exp(1j * eta * cfg.h), np.exp(-1j * eta * cfg.h)
+    e1 = np.exp(1j * eta * cfg.h)
+    return phi, psi, e1, e1 * e1
 
 
 def cancelling_sum(t1, t2):

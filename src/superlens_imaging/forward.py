@@ -4,10 +4,11 @@ The change of variables that maps the region between the rough surface and
 the slab bottom onto the strip 0 < z < a turns the Helmholtz equation into
 a variable-coefficient equation with five coefficient fields c1..c5 built
 from the surface f and its first two derivatives.  The slab and the
-radiation condition above it are eliminated analytically into a per-mode
-impedance relation at z = a, so the discrete unknowns live only below the
-slab: Fourier collocation laterally (modes ||n||_inf <= N_f), finite
-differences of order fd_order in z on M intervals.
+radiation condition above it are eliminated analytically, in bounded
+terms, into a per-mode impedance relation at z = a and a transfer to the
+data plane, so the discrete unknowns live only below the slab: Fourier
+collocation laterally (modes ||n||_inf <= N_f), finite differences of order
+fd_order in z on M intervals.
 
 Coefficient products are applied pointwise on an internal lateral grid of
 P = 4*N_f + 1 points per period, which is wide enough that no aliased
@@ -195,12 +196,14 @@ def coefficient_fields(profile: SurfaceProfile, cfg: PhysicalConfig,
 # --- slab elimination --------------------------------------------------------
 
 def _impedance(n1, n2, cfg: PhysicalConfig):
-    """Affine relation d/dz u_n(a+) = Z_n u_n(a) + zeta_n over index arrays,
-    obtained by eliminating the slab amplitudes against the top radiation
-    row; returns (Z_n, zeta_n, eta_n).
+    """The slab eliminated over index arrays: (Z_n, zeta_n, G_n, g_n) with
+    d/dz u_n(a+) = Z_n u_n(a) + zeta_n and u_n(b) = G_n u_n(a) + g_n.
 
-    zeta_n carries the incident forcing, hence vanishes off n = 0.  Raises
-    on the first resonant or degenerate mode.
+    With q = e^{2i eta h} and D = phi + psi q (core.slab_terms),
+    Z = i eta (phi - psi q)/D, G = (2 eta/rho) e^{i eta h}/D, zeta_0 =
+    2 eta tau e^{i eta h}/D and g_0 = i tau (1 - q)/D, bounded however thick
+    the slab; the forcing terms zeta_n and g_n vanish off n = 0.  Raises on
+    the first resonant or degenerate mode.
     """
     gam, eta, resonant = gamma_eta_grid(n1, n2, cfg)
 
@@ -210,14 +213,14 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
 
     if resonant.any():
         raise ResonantMode(f"resonant mode {first(resonant)} in solver window")
-    phi, psi, ep, em = slab_terms(gam, eta, cfg)
-    den, degenerate = cancelling_sum(psi * ep, phi * em)
+    phi, psi, e1, q = slab_terms(gam, eta, cfg)
+    den, degenerate = cancelling_sum(phi, psi * q)
     if degenerate.any():
         raise DegenerateSlab(
             f"slab elimination denominator cancels at mode {first(degenerate)}")
-    Z = 1j * eta * (phi * em - psi * ep) / den
-    zeta = np.where((n1 == 0) & (n2 == 0), 2 * eta * tau_of(cfg) / den, 0j)
-    return Z, zeta, eta
+    tau = np.where((n1 == 0) & (n2 == 0), tau_of(cfg), 0j)
+    return (1j * eta * (phi - psi * q) / den, 2 * eta * tau * e1 / den,
+            (2 / cfg.rho) * eta * e1 / den, 1j * tau * (1 - q) / den)
 
 
 # --- the discrete operator ---------------------------------------------------
@@ -287,7 +290,7 @@ class _Operator:
         self.Dz, self.Dzz = (deriv_matrix(M, cfg.a / M, d, disc.fd_order)
                              for d in (1, 2))
 
-        self.Z, self.zeta, self.eta_w = _impedance(n1g, n2g, cfg)
+        self.Z, self.zeta, self.G, self.g = _impedance(n1g, n2g, cfg)
 
         block = min(_LEVEL_BLOCK, M - 1)
         self._spec = np.empty((5, block, K, K), dtype=complex)
@@ -697,19 +700,6 @@ class ForwardSolution:
     residual: float
 
 
-def _back_substitute(op: _Operator, S: np.ndarray, cfg: PhysicalConfig,
-                     disc: Discretization) -> SpectrumField:
-    """Slab amplitudes from u_n(a), then u_n(b)."""
-    ua = S[-1]
-    s_plus = op.Z * ua + op.zeta
-    eta = op.eta_w
-    Pc = 0.5 * (ua + s_plus / (1j * eta))
-    Qc = 0.5 * (ua - s_plus / (1j * eta))
-    h = cfg.h
-    top = Pc * np.exp(1j * eta * h) + Qc * np.exp(-1j * eta * h)
-    return SpectrumField(top, disc.N_f, disc.N_f)
-
-
 def solve_forward(profile: SurfaceProfile, cfg: PhysicalConfig,
                   disc: Discretization) -> ForwardSolution:
     """Solve the flattened scattering problem and evaluate the data plane.
@@ -734,8 +724,8 @@ def solve_forward(profile: SurfaceProfile, cfg: PhysicalConfig,
                 f"relative residual {res:.3e} above tolerance "
                 f"{disc.iter_tol:.1e} after {iterations} iterations")
 
-        S = x.reshape(disc.M, op.K, op.K)
-        top = _back_substitute(op, S, cfg, disc)
+        top = SpectrumField(op.G * x[-op.K**2:].reshape(op.K, op.K) + op.g,
+                            disc.N_f, disc.N_f)
         top_grid = synthesize(top, disc.N_f, (disc.I, disc.I))
     except MemoryError as exc:
         raise GridTooLarge(
@@ -754,7 +744,7 @@ def reflected_flux(top: SpectrumField, cfg: PhysicalConfig) -> float:
     R = top.values.copy()
     R[top.W1, top.W2] -= np.exp(-1j * cfg.omega * cfg.b)
     # |R|^2 of the propagating modes only: an evanescent mode carries no
-    # flux, and on a thick slab its |R|^2 overflows
+    # flux
     propagating = np.abs(gam.imag) < 1e-12 * cfg.omega
     return float(np.sum(np.abs(R[propagating]) ** 2
                         * gam.real[propagating] / cfg.omega))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,20 +29,41 @@ from .errors import NearSingularSystem
 ZERO: Mode = (0, 0)
 
 
+#: natural log of the modulus at which a scaling factor, or a factor it is
+#: formed from, counts as out of float range: a little below the largest
+#: float, so that the rounding of a sum of logs lets no overflow through
+LOG_S_MAX = math.log(1e308)
+
+
+def _log_abs(x):
+    """log |x|, floored at log 1e-300 so that an exact zero stays finite."""
+    return np.log(np.maximum(np.abs(x), 1e-300))
+
+
 def _sigma(gam, eta, cfg: PhysicalConfig):
-    """The layer determinant over arrays of (gamma_n, eta_n), in the
-    cancellation-aware two-term closed form, plus the mask of entries
-    whose two terms cancel (core.cancelling_sum)."""
-    phi, psi, ep, em = slab_terms(gam, eta, cfg)
-    t1 = np.exp(-1j * gam * cfg.a) * (em * phi**2 - ep * psi**2)
-    t2 = np.exp(1j * gam * cfg.a) * (ep - em) * phi * psi
-    return cancelling_sum(t1, t2)
+    """The layer determinant over arrays of (gamma_n, eta_n), the mask of
+    entries whose two terms cancel (core.cancelling_sum), and log |sigma_n|.
+
+    The terms are summed from bounded factors and multiplied once, at the
+    end, by e^{-i(gamma_n a + eta_n h)}, the growth of an evanescent mode:
+    only where that factor and sigma_n stay below e^{LOG_S_MAX}, which the
+    logarithms decide first.  Elsewhere sigma_n is NaN.
+    """
+    phi, psi, _, q = slab_terms(gam, eta, cfg)
+    total, singular = cancelling_sum(
+        phi**2 - q * psi**2, np.exp(2j * gam * cfg.a) * (q - 1) * phi * psi)
+    grow = np.imag(gam) * cfg.a + np.imag(eta) * cfg.h
+    log_abs = grow + _log_abs(total)
+    exponent = np.where(np.maximum(grow, log_abs) < LOG_S_MAX,
+                        -1j * (gam * cfg.a + eta * cfg.h), np.nan)
+    return total * np.exp(exponent), singular, log_abs
 
 
 def sigma_n(n: Mode, cfg: PhysicalConfig) -> complex:
-    """Determinant of the 4x4 layer system at one mode."""
+    """Determinant of the 4x4 layer system at one mode (NaN where its
+    modulus leaves float range, see _sigma)."""
     s = mode_scalars(n, cfg)
-    sig, singular = _sigma(s.gamma, s.eta, cfg)
+    sig, singular, _ = _sigma(s.gamma, s.eta, cfg)
     if singular:
         raise NearSingularSystem(f"layer determinant cancels at mode {n}")
     return complex(sig)
@@ -97,17 +119,30 @@ def first_order_top(n: Mode, g_n: complex, cfg: PhysicalConfig) -> complex:
 
 
 def _scaling(n1, n2, cfg: PhysicalConfig):
-    """s_n over index arrays, plus the mask of unusable (resonant or
-    near-singular) modes, whose entries are not meaningful.  The zero mode
-    normalizes every entry, so a resonant or singular zero mode raises."""
+    """s_n over index arrays, plus the mask of unusable modes, whose entries
+    are NaN: resonant or near-singular modes, and modes where |s_n| or a
+    factor it is formed from would reach e^{LOG_S_MAX}, a thick slab's or
+    a wide window's evanescent modes (every mode, when the zero mode's
+    normalization does).  That range is decided from logarithms before any
+    value is formed.  The zero mode normalizes every entry, so a resonant
+    or singular zero mode raises."""
     gam, eta, resonant = gamma_eta_grid(n1, n2, cfg)
-    sig, singular = _sigma(gam, eta, cfg)
+    sig, singular, log_sig = _sigma(gam, eta, cfg)
     s0 = mode_scalars(ZERO, cfg)
     sig0 = sigma_n(ZERO, cfg)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = -(cfg.rho**2) * sig0 * sig / (
-            16 * tau_of(cfg) * s0.gamma * s0.eta * gam * eta)
-    return s, resonant | singular
+    tau = tau_of(cfg)
+    # s_n = c0 sigma_n / (gamma_n eta_n) with the zero mode's normalization
+    # c0 = -rho^2 sigma_0 / (16 tau gamma_0 eta_0)
+    log_c0 = (2 * math.log(abs(cfg.rho)) + math.log(abs(sig0))
+              - math.log(abs(16 * tau * s0.gamma * s0.eta)))
+    log_ratio = log_sig - _log_abs(gam * eta)
+    ok = (~(resonant | singular) & ~np.isnan(sig) & (log_c0 < LOG_S_MAX)
+          & (log_ratio < LOG_S_MAX) & (log_c0 + log_ratio < LOG_S_MAX))
+    c0 = (-(cfg.rho / s0.eta) * (cfg.rho * sig0) / (16 * tau * s0.gamma)
+          if log_c0 < LOG_S_MAX else 0j)
+    ratio = np.divide(sig, gam * eta, where=ok,
+                      out=np.full(np.shape(sig), complex(np.nan, np.nan)))
+    return c0 * ratio, ~ok
 
 
 def scaling_factor(n: Mode, cfg: PhysicalConfig) -> complex:
@@ -126,16 +161,15 @@ SWEEP_COLUMNS = ["n1", "n2", "abs_alpha", "re_s", "im_s", "abs_s",
 def scaling_sweep(cfg: PhysicalConfig, N_max: int) -> list[tuple]:
     """|s_n| over the mode window: one SWEEP_COLUMNS row per mode, n1 major.
 
-    Resonant modes are kept, with NaN values and flag 1, so sweeps never
-    silently drop part of the window.
+    Unusable modes (resonant, near-singular, or with s_n out of float
+    range, see _scaling) keep their indices and abs_alpha, with NaN values
+    and flag 1, so sweeps never silently drop part of the window.
     """
     n1g, n2g = mode_grid(N_max)
     s, bad = _scaling(n1g, n2g, cfg)
-    s = np.where(bad, complex(np.nan, np.nan), s)
     ax, ay, _ = alpha_grid(n1g, n2g, cfg)
     abs_s = np.abs(s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_s = np.where(np.isfinite(s) & (s != 0), np.log10(abs_s), np.nan)
+    log_s = np.log10(abs_s, where=abs_s > 0, out=np.full(abs_s.shape, np.nan))
     cols = [n1g, n2g, np.hypot(ax, ay), s.real, s.imag, abs_s, log_s,
             bad.astype(int)]
     return list(zip(*(c.ravel().tolist() for c in cols)))

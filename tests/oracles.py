@@ -2,7 +2,8 @@
 
 Each one reaches its answer by a different route from the closed forms in
 ``superlens_imaging``: the 4x4 transfer matrix whose determinant sigma_n
-must equal, an ODE quadrature of the first-order problem, the flat-surface
+must equal, the slab's top transfer by a 2x2 linear solve per mode, an
+ODE quadrature of the first-order problem, the flat-surface
 field and its z-derivative evaluated from its four coefficients and
 substituted back into its defining conditions, the analytic
 spectrum of profile 1, the pointwise Fourier series of a band-limited
@@ -23,7 +24,8 @@ import cmath
 import numpy as np
 
 from superlens_imaging.core import (Mode, PhysicalConfig, alpha_grid,
-                                   mode_grid, mode_scalars, tau_of)
+                                   gamma_eta_grid, mode_grid, mode_scalars,
+                                   tau_of)
 from superlens_imaging.errors import NearSingularSystem
 from superlens_imaging.forward import (_RESTART, Discretization, _givens,
                                        _gmres, _norm, _Operator,
@@ -50,6 +52,30 @@ def transfer_matrix(n: Mode, cfg: PhysicalConfig) -> np.ndarray:
          -1j * g * cmath.exp(1j * g * a), 1j * g * cmath.exp(-1j * g * a)],
         [0, 0, 1, 1],
     ], dtype=complex)
+
+
+def slab_top_transfer(u_a: np.ndarray, n1: np.ndarray, n2: np.ndarray,
+                      cfg: PhysicalConfig) -> np.ndarray:
+    """u_n(b) from u_n(a) by one linear solve per mode, not a closed form.
+
+    Inside the slab u_n = P e^{i eta (z - b)} + Q e^{-i eta (z - b)}, with
+    its amplitudes P, Q taken at the top face z = b, so that no entry of
+    the system grows with the thickness: the trace at z = a, multiplied
+    by e^{i eta h}, gives P + e^{2i eta h} Q = e^{i eta h} u_n(a), and the
+    top radiation row psi P - phi Q = -i tau [n = 0].  Then
+    u_n(b) = P + Q.
+    """
+    gam, eta, _ = gamma_eta_grid(n1, n2, cfg)
+    top = np.empty(np.shape(u_a), dtype=complex)
+    for k in np.ndindex(top.shape):
+        g, e = complex(gam[k]), complex(eta[k])
+        phi, psi = e / cfg.rho + g, e / cfg.rho - g
+        e1 = cmath.exp(1j * e * cfg.h)
+        forcing = -1j * tau_of(cfg) if n1[k] == 0 and n2[k] == 0 else 0
+        P, Q = np.linalg.solve(np.array([[1, e1 * e1], [psi, -phi]]),
+                               np.array([e1 * u_a[k], forcing]))
+        top[k] = P + Q
+    return top
 
 
 def eval_field(z0: ZerothOrder, cfg: PhysicalConfig, z):

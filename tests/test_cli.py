@@ -10,6 +10,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -130,14 +131,34 @@ def test_forward_deterministic(forward_dir, tmp_path):
     assert a == b
 
 
+def max_abs_top_field(out: Path) -> float:
+    with open(out / "top_field.csv", newline="") as fh:
+        return max(abs(complex(float(r["re_u"]), float(r["im_u"])))
+                   for r in csv.DictReader(fh))
+
+
 def test_thick_slab_forward_squares_propagating_modes_only(tmp_path, capsys):
-    # at b = 8 the evanescent modes' |R|^2 overflows; the flux masks them
-    # out before squaring, so no RuntimeWarning (an error here) is raised
+    # the flux squares the propagating modes only, because an evanescent
+    # mode carries none; at b = 8 the slab elimination keeps every mode's
+    # top coefficient bounded, so the field stays of order 1, and no
+    # RuntimeWarning (an error here) is raised
     code, cap = run(["forward", *FAST, "--set", "b=8",
                      "--out", str(tmp_path)], capsys)
     assert code == 0, cap.err
     diag = json.loads((tmp_path / "forward.json").read_text())
     assert 0.0 <= diag["reflected_flux"] < 1.0
+    assert max_abs_top_field(tmp_path) <= 10
+
+
+@pytest.mark.parametrize("b", ["2", "11"])
+def test_thick_slab_forward_top_field_stays_bounded(tmp_path, capsys, b):
+    # the lens amplifies evanescent modes by e^{|Im eta_n| h}; eliminated
+    # in bounded terms, a thick slab solves, and its top field stays of
+    # the incident field's order
+    code, cap = run(["forward", *FAST, "--set", f"b={b}",
+                     "--out", str(tmp_path)], capsys)
+    assert code == 0, cap.err
+    assert max_abs_top_field(tmp_path) <= 10
 
 
 def test_invert_round_trip(forward_dir, tmp_path, capsys):
@@ -493,6 +514,39 @@ def test_sweep_sn_keeps_any_period(tmp_path):
     # sweep-sn builds no surface, so the profiles' unit cell does not apply
     assert main(["sweep-sn", "--set", "period1=2", "--n-max", "3",
                  "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv, flagged", [
+    # a thick slab: the evanescent modes' s_n grows as e^{|Im eta_n| h}
+    (["--fast", "--set", "b=20"], [1580, 1580, 1584]),
+    (["--n-max", "4", "--set", "b=200"], [76, 76, 76]),
+    # a thick gap below the slab: e^{|Im gamma_n| a} grows the same way
+    (["--n-max", "4", "--set", "a=40", "--set", "b=40.1", "--set", "M=512"],
+     [56, 56, 56]),
+    # s_n scales as rho^2: every mode beyond float range
+    (["--n-max", "3", "--media=1e300:1"], [49]),
+    # huge but finite values: no row flagged
+    (["--n-max", "3", "--media=1:1e-300"], [0]),
+], ids=["fast-b-20", "b-200", "a-40", "rho-1e300", "kappa-1e-300"])
+def test_sweep_sn_flags_out_of_range_rows(tmp_path, capsys, argv, flagged):
+    # a row is flagged exactly when its values are NaN; it keeps its
+    # indices and abs_alpha, and no overflow warning (an error here) is
+    # raised
+    code, cap = run(["sweep-sn", *argv, "--out", str(tmp_path)], capsys)
+    assert code == 0, cap.err
+    for k, want in enumerate(flagged, 1):
+        with open(tmp_path / f"sweep_sn_{k}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert sum(row["resonant"] == "1" for row in rows) == want
+        for row in rows:
+            values = [float(row[key]) for key in
+                      ("re_s", "im_s", "abs_s", "log10_abs_s")]
+            assert float(row["abs_alpha"]) == pytest.approx(
+                2 * math.pi * math.hypot(int(row["n1"]), int(row["n2"])))
+            if row["resonant"] == "1":
+                assert all(math.isnan(v) for v in values), row
+            else:
+                assert all(math.isfinite(v) for v in values), row
 
 
 def test_sweep_sn_resonant_rows(tmp_path):

@@ -9,10 +9,10 @@ from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from oracles import (BandLU, dense_matvec, dense_operator, dense_rhs,
-                     eval_field, gmres_block, solve_interior,
-                     synthesize_linear_data)
+                     eval_field, gmres_block, slab_top_transfer,
+                     solve_interior, synthesize_linear_data)
 from superlens_imaging.config import ExperimentConfig, build_config
-from superlens_imaging.core import PhysicalConfig, mode_scalars
+from superlens_imaging.core import PhysicalConfig, mode_grid, mode_scalars
 from superlens_imaging.errors import (NearSingularSystem, NoConvergence,
                                       NyquistViolation, ProfileTooTall,
                                       ResonantMode)
@@ -910,7 +910,7 @@ def test_solver_matches_linear_model_at_small_eps(phys_table1):
 
 def test_slab_impedance_no_slab_reduction(phys_vacuum):
     for n in [(0, 0), (1, 0), (3, -2)]:
-        Z, zeta, _ = _impedance(*n, phys_vacuum)
+        Z, zeta, _, _ = _impedance(*n, phys_vacuum)
         g = mode_scalars(n, phys_vacuum).gamma
         assert Z == pytest.approx(1j * g, rel=1e-12)
         if n == (0, 0):
@@ -928,10 +928,27 @@ def test_slab_impedance_resonant_mode_raises():
         _impedance(1, 0, cfg)
 
 
+@pytest.mark.parametrize("b", [0.2, 0.5, 1.0, 2.0, 11.0])
+def test_slab_top_transfer_matches_linear_solve(b):
+    # u_n(b) = G_n u_n(a) + g_n on the FAST window against a 2x2 solve per
+    # mode; the lens amplifies evanescent modes by e^{|Im eta_n| h}, which
+    # a closed form in the growing e^{-i eta_n h} loses to cancellation
+    # long before it overflows
+    cfg = build_config(fast=True, overrides=[f"b={b}"]).to_physical()
+    n1, n2 = mode_grid(FAST.N_f)
+    rng = np.random.default_rng(7)
+    u_a = rng.standard_normal(n1.shape) + 1j * rng.standard_normal(n1.shape)
+    _, _, G, g = _impedance(n1, n2, cfg)
+    want = slab_top_transfer(u_a, n1, n2, cfg)
+    # mode by mode; the absolute floor only admits the few bits a
+    # subnormal keeps, where a mode decays below 1e-300 at b = 11
+    np.testing.assert_allclose(G * u_a + g, want, rtol=1e-12, atol=1e-300)
+
+
 def test_slab_impedance_consistent_with_zeroth_order(phys_table1):
     # eliminate the slab, solve the reduced 1D problem below it, compare
     # against the four-coefficient solution
-    Z, zeta, _ = _impedance(0, 0, phys_table1)
+    Z, zeta, _, _ = _impedance(0, 0, phys_table1)
     om, a, rho = phys_table1.omega, phys_table1.a, phys_table1.rho
     E = (zeta / rho) / (om * np.cos(om * a) - (Z / rho) * np.sin(om * a))
     z0 = solve_zeroth(phys_table1)

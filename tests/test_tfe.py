@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (eval_dz, eval_field, first_order_ode_oracle,
                      transfer_matrix, trig_profile_spectrum,
                      zeroth_residuals)
+from superlens_imaging.config import build_config
 from superlens_imaging.core import PhysicalConfig, mode_scalars
 from superlens_imaging.errors import NearSingularSystem, ResonantMode
 from superlens_imaging.tfe import (SWEEP_COLUMNS, first_order_top,
@@ -252,3 +253,14 @@ def test_first_order_top_against_band_limited_surface(phys_table1):
         u1 = first_order_top(n, g, phys_table1)
         assert scaling_factor(n, phys_table1) * u1 == pytest.approx(
             g, rel=1e-12)
+
+
+def test_scaling_factor_grid_zeroes_out_of_range_modes():
+    # the full-resolution W = 49 window on a slab of h = 1.9: s_n of 832
+    # evanescent modes would overflow; they are flagged and hold 0, and no
+    # overflow warning (an error here) is raised on the way
+    cfg = build_config(overrides=["b=2"]).to_physical()
+    s_grid, bad = scaling_factor_grid(cfg, 49)
+    assert bad.sum() == 832
+    assert np.all(s_grid[bad] == 0)
+    assert np.all(np.isfinite(s_grid)) and np.all(s_grid[~bad] != 0)
