@@ -9,7 +9,7 @@ expansion, per-mode scaling factors, and a discrepancy-principle cutoff.
 """
 
 from .config import ExperimentConfig, build_config
-from .core import PhysicalConfig, mode_scalars
+from .core import PhysicalConfig
 from .errors import (BadThreshold, CutoffOutOfRange, DegenerateSlab,
                      EmptyImage, GridTooLarge, NearSingularSystem,
                      NoConvergence, NyquistViolation, ProfileTooTall,
@@ -23,8 +23,7 @@ from .measurement import (Measurement, NoiseSpec, add_noise,
 from .profiles import (SurfaceProfile, band_limited_profile, image_profile,
                        peaks_profile, profile_spectrum, trig_profile)
 from .spectral import SpectrumField, dft2, grid_l2_norm, synthesize
-from .tfe import (first_order_top, scaling_factor, scaling_sweep,
-                  solve_zeroth, u0_top)
+from .tfe import scaling_factor, scaling_sweep, u0_top
 
 __version__ = "0.1.0"
 
@@ -36,11 +35,10 @@ __all__ = [
     "PhysicalConfig", "ProfileTooTall", "ResonantMode", "SpectrumField",
     "SuperlensError", "SurfaceProfile", "UsageError", "ZeroNoise",
     "add_noise", "band_limited_profile", "build_config", "choose_cutoff",
-    "dft2", "error_decomposition", "first_order_top", "grid_l2_norm",
-    "image_profile", "load_measurement_csv", "mode_scalars",
-    "noise_dft_stats", "peaks_profile", "profile_spectrum",
-    "recon_coefficients", "reconstruct", "rescale_to_snr", "residual_curve",
-    "save_measurement_csv", "scaling_factor", "scaling_sweep",
-    "solve_forward", "solve_zeroth", "synthesize", "trig_profile",
-    "u0_top",
+    "dft2", "error_decomposition", "grid_l2_norm", "image_profile",
+    "load_measurement_csv", "noise_dft_stats", "peaks_profile",
+    "profile_spectrum", "recon_coefficients", "reconstruct",
+    "rescale_to_snr", "residual_curve", "save_measurement_csv",
+    "scaling_factor", "scaling_sweep", "solve_forward", "synthesize",
+    "trig_profile", "u0_top",
 ]

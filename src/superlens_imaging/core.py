@@ -1,4 +1,4 @@
-"""Physical configuration and the per-mode spectral scalars.
+"""Physical configuration, the per-mode spectral scalars and the slab terms.
 
 Geometry (all lengths in units of the sound speed / angular frequency
 normalization): the unknown surface sits at z = f(x, y) = eps * g(x, y),
@@ -13,7 +13,9 @@ Every other module consumes the scalars computed here:
     eta_n   = sqrt((rho/kappa) omega^2 - |alpha_n|^2)   in-slab vertical
 
 both square roots on the Im >= 0 branch, and the incident-field constant
-tau = -2i omega e^{-i omega b}.
+tau = -2i omega e^{-i omega b}.  slab_terms eliminates the slab once, in
+terms that Im eta_n >= 0 keeps bounded: forward builds the impedance and
+the top transfer from them, tfe the scaling factors and the flat top value.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from dataclasses import dataclass
 from sys import float_info
 
 import numpy as np
-
-from .errors import ResonantMode
 
 Mode = tuple[int, int]
 
@@ -64,41 +64,16 @@ class PhysicalConfig:
             raise ValueError("epsilon must be nonnegative")
         if self.rho == 0 or self.kappa == 0:
             raise ValueError("rho and kappa must be nonzero")
+        if not cmath.isfinite((self.rho / self.kappa) * self.omega**2):
+            raise ValueError("(rho/kappa) omega^2 must be finite")
 
     @property
     def h(self) -> float:
         return self.b - self.a
 
 
-def _nonresonant(name: str, root: complex, n: Mode, cfg: PhysicalConfig) -> complex:
-    if _vanishes(root, cfg):
-        raise ResonantMode(f"{name} vanishes at mode {n}")
-    return root
-
-
 def tau_of(cfg: PhysicalConfig) -> complex:
     return -2j * cfg.omega * cmath.exp(-1j * cfg.omega * cfg.b)
-
-
-@dataclass(frozen=True)
-class Scalars:
-    """Bundle of the per-mode quantities the layer algebra needs."""
-    gamma: complex
-    eta: complex
-    phi: complex
-    psi: complex
-
-
-def mode_scalars(n: Mode, cfg: PhysicalConfig) -> Scalars:
-    g, e, _ = gamma_eta_grid(n[0], n[1], cfg)
-    g = _nonresonant("gamma", complex(g), n, cfg)
-    e = _nonresonant("eta", complex(e), n, cfg)
-    return Scalars(
-        gamma=g,
-        eta=e,
-        phi=e / cfg.rho + g,
-        psi=e / cfg.rho - g,
-    )
 
 
 def mode_grid(N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +111,8 @@ def gamma_eta_grid(n1, n2, cfg: PhysicalConfig):
     """Vectorized (gamma_n, eta_n, resonant-mask) over index arrays.
 
     Resonant entries are flagged, not raised; callers decide how to report
-    them (sweeps keep the row, the reconstruction drops the mode,
-    mode_scalars raises ResonantMode).
+    them (sweeps keep the row, the reconstruction drops the mode, the
+    forward solve and the one-mode values of tfe raise ResonantMode).
     """
     _, _, asq = alpha_grid(n1, n2, cfg)
     gam = branch_sqrt_arr(cfg.omega**2 - asq)
@@ -146,14 +121,18 @@ def gamma_eta_grid(n1, n2, cfg: PhysicalConfig):
 
 
 def slab_terms(gam, eta, cfg: PhysicalConfig):
-    """(phi_n, psi_n, e^{i eta_n h}, e^{2i eta_n h}) with
-    phi_n = eta_n/rho + gamma_n and psi_n = eta_n/rho - gamma_n: the terms
-    every closed form of the slab's 4x4 system is built from, each bounded
-    for Im eta_n >= 0 however thick the slab."""
+    """The slab eliminated in bounded terms: (D_n, N_n, e^{i eta_n h}, q_n)
+    and the mask of entries where D_n's two terms cancel
+    (cancelling_sum).  With phi_n = eta_n/rho + gamma_n, psi_n = eta_n/rho
+    - gamma_n and q_n = e^{2i eta_n h}, D_n = phi_n + psi_n q_n and N_n =
+    phi_n - psi_n q_n; each is bounded for Im eta_n >= 0 however thick the
+    slab, and every closed form of the slab is built from them."""
     phi = eta / cfg.rho + gam
-    psi = eta / cfg.rho - gam
     e1 = np.exp(1j * eta * cfg.h)
-    return phi, psi, e1, e1 * e1
+    q = e1 * e1
+    psi_q = (eta / cfg.rho - gam) * q
+    D, degenerate = cancelling_sum(phi, psi_q)
+    return D, phi - psi_q, e1, q, degenerate
 
 
 def cancelling_sum(t1, t2):

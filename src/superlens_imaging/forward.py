@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PhysicalConfig, alpha_grid, cancelling_sum, gamma_eta_grid,
-                   mode_grid, slab_terms, tau_of)
+from .core import (PhysicalConfig, alpha_grid, gamma_eta_grid, mode_grid,
+                   slab_terms, tau_of)
 from .errors import (DegenerateSlab, GridTooLarge, NearSingularSystem,
                      NoConvergence, NyquistViolation, ProfileTooTall,
                      ResonantMode)
@@ -199,11 +199,11 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
     """The slab eliminated over index arrays: (Z_n, zeta_n, G_n, g_n) with
     d/dz u_n(a+) = Z_n u_n(a) + zeta_n and u_n(b) = G_n u_n(a) + g_n.
 
-    With q = e^{2i eta h} and D = phi + psi q (core.slab_terms),
-    Z = i eta (phi - psi q)/D, G = (2 eta/rho) e^{i eta h}/D, zeta_0 =
-    2 eta tau e^{i eta h}/D and g_0 = i tau (1 - q)/D, bounded however thick
-    the slab; the forcing terms zeta_n and g_n vanish off n = 0.  Raises on
-    the first resonant or degenerate mode.
+    From the terms D, N, e^{i eta h} and q of core.slab_terms, Z = i eta
+    N/D, G = (2 eta/rho) e^{i eta h}/D, zeta_0 = 2 eta tau e^{i eta h}/D and
+    g_0 = i tau (1 - q)/D, bounded however thick the slab; the forcing
+    terms zeta_n and g_n vanish off n = 0.  Raises on the first resonant or
+    degenerate mode.
     """
     gam, eta, resonant = gamma_eta_grid(n1, n2, cfg)
 
@@ -213,14 +213,13 @@ def _impedance(n1, n2, cfg: PhysicalConfig):
 
     if resonant.any():
         raise ResonantMode(f"resonant mode {first(resonant)} in solver window")
-    phi, psi, e1, q = slab_terms(gam, eta, cfg)
-    den, degenerate = cancelling_sum(phi, psi * q)
+    D, N, e1, q, degenerate = slab_terms(gam, eta, cfg)
     if degenerate.any():
         raise DegenerateSlab(
             f"slab elimination denominator cancels at mode {first(degenerate)}")
     tau = np.where((n1 == 0) & (n2 == 0), tau_of(cfg), 0j)
-    return (1j * eta * (phi - psi * q) / den, 2 * eta * tau * e1 / den,
-            (2 / cfg.rho) * eta * e1 / den, 1j * tau * (1 - q) / den)
+    return (1j * eta * N / D, 2 * eta * tau * e1 / D,
+            (2 / cfg.rho) * eta * e1 / D, 1j * tau * (1 - q) / D)
 
 
 # --- the discrete operator ---------------------------------------------------

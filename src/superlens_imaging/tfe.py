@@ -2,29 +2,31 @@
 
 Writing the total field as a power series in the surface amplitude eps,
 the zeroth-order term solves a flat three-layer transmission problem and
-the first-order term a forced variant of it.  Both reduce, mode by mode,
-to 4x4 linear systems with the same matrix, and everything here is
-closed form.  The independent routes that cross-check the algebra (the
-4x4 determinant, an ODE quadrature, residual substitution) live with the
-tests, in tests/oracles.py.
+the first-order term a forced variant of it.  Mode by mode, both come out
+of the one elimination of the slab, core.slab_terms, which also builds
+forward's impedance: the layer determinant sigma_n, the scaling factors
+and the flat top value are closed forms in its bounded terms.  The
+independent routes that cross-check them (the Cramer solution of the 4x4
+layer system and its determinant, an ODE quadrature, residual
+substitution) live with the tests, in tests/oracles.py.
 
 The payoff is the per-mode scaling factor s_n: the top-of-slab first-order
-coefficient satisfies  s_n * u1_top(n, g_n) = g_n  exactly, which is what
-makes the linearized inversion a single diagonal solve.
+coefficient u1_n(b) that the surface coefficient g_n drives satisfies
+s_n * u1_n(b) = g_n exactly, which is what makes the linearized inversion
+a single diagonal solve.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Mode, PhysicalConfig, alpha_grid, cancelling_sum,
-                   gamma_eta_grid, mode_grid, mode_scalars, slab_terms, tau_of)
-from .errors import NearSingularSystem
+from .core import (Mode, PhysicalConfig, _vanishes, alpha_grid,
+                   cancelling_sum, gamma_eta_grid, mode_grid, slab_terms,
+                   tau_of)
+from .errors import NearSingularSystem, ResonantMode
 
 ZERO: Mode = (0, 0)
 
@@ -44,78 +46,70 @@ def _sigma(gam, eta, cfg: PhysicalConfig):
     """The layer determinant over arrays of (gamma_n, eta_n), the mask of
     entries whose two terms cancel (core.cancelling_sum), and log |sigma_n|.
 
-    The terms are summed from bounded factors and multiplied once, at the
-    end, by e^{-i(gamma_n a + eta_n h)}, the growth of an evanescent mode:
-    only where that factor and sigma_n stay below e^{LOG_S_MAX}, which the
-    logarithms decide first.  Elsewhere sigma_n is NaN.
+    sigma_n = T_n e^{-i(gamma_n a + eta_n h)}, where T_n = gamma_n (1 + E)
+    D_n + (eta_n/rho)(1 - E) N_n with E = e^{2i gamma_n a} and the slab
+    terms D_n, N_n of core.slab_terms.  |T_n| grows like w^2, w = |gamma_n|
+    + |eta_n/rho|, past the float range for extreme media, so the terms
+    are summed over w^2, from bounded factors, and log |sigma_n| comes from
+    that sum.  Only where e^{-i(gamma_n a + eta_n h)}, the growth of an
+    evanescent mode, and sigma_n stay below e^{LOG_S_MAX}, which the
+    logarithms decide first, is the sum scaled back by w^2 and multiplied
+    by that factor, once, at the end; |T_n| <= |sigma_n|, as Im gamma_n and
+    Im eta_n >= 0, keeps T_n in range there too.  Elsewhere sigma_n is NaN.
     """
-    phi, psi, _, q = slab_terms(gam, eta, cfg)
-    total, singular = cancelling_sum(
-        phi**2 - q * psi**2, np.exp(2j * gam * cfg.a) * (q - 1) * phi * psi)
+    D, N, *_ = slab_terms(gam, eta, cfg)
+    E = np.exp(2j * gam * cfg.a)
+    u = eta / cfg.rho
+    w = np.maximum(np.abs(gam) + np.abs(u), 1e-300)
+    total, singular = cancelling_sum(gam / w * (1 + E) * (D / w),
+                                     u / w * (1 - E) * (N / w))
     grow = np.imag(gam) * cfg.a + np.imag(eta) * cfg.h
-    log_abs = grow + _log_abs(total)
-    exponent = np.where(np.maximum(grow, log_abs) < LOG_S_MAX,
-                        -1j * (gam * cfg.a + eta * cfg.h), np.nan)
-    return total * np.exp(exponent), singular, log_abs
+    log_abs = grow + 2 * np.log(w) + _log_abs(total)
+    fits = np.maximum(grow, log_abs) < LOG_S_MAX
+    w = np.where(fits, w, np.nan)
+    exponent = np.where(fits, -1j * (gam * cfg.a + eta * cfg.h), np.nan)
+    return total * w * w * np.exp(exponent), singular, log_abs
 
 
-def sigma_n(n: Mode, cfg: PhysicalConfig) -> complex:
-    """Determinant of the 4x4 layer system at one mode (NaN where its
-    modulus leaves float range, see _sigma)."""
-    s = mode_scalars(n, cfg)
-    sig, singular, _ = _sigma(s.gamma, s.eta, cfg)
+def _mode(n: Mode, cfg: PhysicalConfig):
+    """(gamma_n, eta_n, sigma_n) at one mode; raises ResonantMode where
+    gamma_n or eta_n vanishes and NearSingularSystem where the terms of
+    sigma_n cancel."""
+    gam, eta, _ = gamma_eta_grid(n[0], n[1], cfg)
+    for name, root in (("gamma", gam), ("eta", eta)):
+        if _vanishes(root, cfg):
+            raise ResonantMode(f"{name} vanishes at mode {n}")
+    sig, singular, _ = _sigma(gam, eta, cfg)
     if singular:
         raise NearSingularSystem(f"layer determinant cancels at mode {n}")
-    return complex(sig)
-
-
-@dataclass(frozen=True)
-class ZerothOrder:
-    """Flat-surface field: A e^{i eta z} + B e^{-i eta z} inside the slab,
-    C (e^{i gamma z} - e^{-i gamma z}) below it, which vanishes at z = 0."""
-    A: complex
-    B: complex
-    C: complex
-
-
-def solve_zeroth(cfg: PhysicalConfig) -> ZerothOrder:
-    """Cramer solution of the zero-mode 4x4 system (forcing tau in the top
-    Robin row; all other modes are unforced and vanish)."""
-    s = mode_scalars(ZERO, cfg)
-    sig = sigma_n(ZERO, cfg)
-    tau = tau_of(cfg)
-    a = cfg.a
-    e, g = s.eta, s.gamma
-    A = (1j * cmath.exp(-1j * e * a) * tau / sig) * (
-        s.psi * cmath.exp(-1j * g * a) - s.phi * cmath.exp(1j * g * a))
-    B = (1j * cmath.exp(1j * e * a) * tau / sig) * (
-        s.phi * cmath.exp(-1j * g * a) - s.psi * cmath.exp(1j * g * a))
-    C = -2j * e * tau / (cfg.rho * sig)
-    return ZerothOrder(A=A, B=B, C=C)
+    return complex(gam), complex(eta), complex(sig)
 
 
 @functools.lru_cache(maxsize=16)
 def u0_top(cfg: PhysicalConfig) -> complex:
     """Zero-mode field value on the measurement plane z = b.
 
-    All other modes carry no flat-surface contribution there.  For the
-    lossless matched slab with a = h this value vanishes identically: the
-    slab images the bottom Dirichlet plane onto the top boundary.  The
-    value depends on the operating point alone, so, like
+    All other modes carry no flat-surface contribution there.  Below the
+    slab the flat field is a multiple of sin(omega z); matching it at z = a
+    to the slab's impedance and top transfer (forward._impedance) gives,
+    with s = sin(omega a), c = cos(omega a) and the zero mode's slab terms,
+
+        u_0(b) = i tau [i eta s (1 + q) - rho omega c (1 - q)]
+                 / (i eta s N - rho omega c D),
+
+    bounded however thick the slab.  The denominator is -rho T_0
+    e^{-i omega a} / 2 (see _sigma), so a resonant or singular zero mode
+    raises.  For the lossless matched slab with a = h this value vanishes
+    identically: the slab images the bottom Dirichlet plane onto the top
+    boundary.  The value depends on the operating point alone, so, like
     scaling_factor_grid, it is computed once per config.
     """
-    z0 = solve_zeroth(cfg)
-    s0 = mode_scalars(ZERO, cfg)
-    return z0.A * cmath.exp(1j * s0.eta * cfg.b) + z0.B * cmath.exp(-1j * s0.eta * cfg.b)
-
-
-def first_order_top(n: Mode, g_n: complex, cfg: PhysicalConfig) -> complex:
-    """First-order top coefficient driven by the surface coefficient g_n."""
-    s = mode_scalars(n, cfg)
-    s0 = mode_scalars(ZERO, cfg)
-    sig = sigma_n(n, cfg)
-    C0 = solve_zeroth(cfg).C
-    return -(8j / (cfg.rho * sig)) * C0 * s0.gamma * s.gamma * s.eta * g_n
+    gam, eta, _ = _mode(ZERO, cfg)
+    D, N, _, q, _ = slab_terms(gam, eta, cfg)
+    ies = 1j * eta * math.sin(cfg.omega * cfg.a)
+    roc = cfg.rho * cfg.omega * math.cos(cfg.omega * cfg.a)
+    return complex(1j * tau_of(cfg) * (ies * (1 + q) - roc * (1 - q))
+                   / (ies * N - roc * D))
 
 
 def _scaling(n1, n2, cfg: PhysicalConfig):
@@ -128,17 +122,17 @@ def _scaling(n1, n2, cfg: PhysicalConfig):
     or singular zero mode raises."""
     gam, eta, resonant = gamma_eta_grid(n1, n2, cfg)
     sig, singular, log_sig = _sigma(gam, eta, cfg)
-    s0 = mode_scalars(ZERO, cfg)
-    sig0 = sigma_n(ZERO, cfg)
+    gam0, eta0, sig0 = _mode(ZERO, cfg)
     tau = tau_of(cfg)
     # s_n = c0 sigma_n / (gamma_n eta_n) with the zero mode's normalization
-    # c0 = -rho^2 sigma_0 / (16 tau gamma_0 eta_0)
+    # c0 = -rho^2 sigma_0 / (16 tau gamma_0 eta_0); a sigma_0 out of float
+    # range is NaN, and so is log_c0, which then fails every test below
     log_c0 = (2 * math.log(abs(cfg.rho)) + math.log(abs(sig0))
-              - math.log(abs(16 * tau * s0.gamma * s0.eta)))
+              - math.log(abs(16 * tau * gam0 * eta0)))
     log_ratio = log_sig - _log_abs(gam * eta)
     ok = (~(resonant | singular) & ~np.isnan(sig) & (log_c0 < LOG_S_MAX)
           & (log_ratio < LOG_S_MAX) & (log_c0 + log_ratio < LOG_S_MAX))
-    c0 = (-(cfg.rho / s0.eta) * (cfg.rho * sig0) / (16 * tau * s0.gamma)
+    c0 = (-(cfg.rho / eta0) * (cfg.rho * sig0) / (16 * tau * gam0)
           if log_c0 < LOG_S_MAX else 0j)
     ratio = np.divide(sig, gam * eta, where=ok,
                       out=np.full(np.shape(sig), complex(np.nan, np.nan)))
@@ -146,8 +140,10 @@ def _scaling(n1, n2, cfg: PhysicalConfig):
 
 
 def scaling_factor(n: Mode, cfg: PhysicalConfig) -> complex:
-    """s_n with s_n * first_order_top(n, g_n) = g_n exactly."""
-    sigma_n(n, cfg)  # raises on a resonant or near-singular mode
+    """s_n at one mode: s_n * u1_n(b) = g_n for the first-order top
+    coefficient u1_n(b) that the surface coefficient g_n drives.  Raises
+    on a resonant or near-singular mode."""
+    _mode(n, cfg)
     s, _ = _scaling(n[0], n[1], cfg)
     return complex(s)
 

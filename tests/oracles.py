@@ -1,14 +1,17 @@
 """Independent reference implementations the tests check the package against.
 
 Each one reaches its answer by a different route from the closed forms in
-``superlens_imaging``: the 4x4 transfer matrix whose determinant sigma_n
-must equal, the slab's top transfer by a 2x2 linear solve per mode, an
-ODE quadrature of the first-order problem, the flat-surface
-field and its z-derivative evaluated from its four coefficients and
-substituted back into its defining conditions, the analytic
-spectrum of profile 1, the pointwise Fourier series of a band-limited
-surface and its derivatives, the real synthesis by real-output inverse FFTs,
-inverse-crime linear data, residual tails summed
+``superlens_imaging``: the Cramer solution of the 4x4 layer system (its
+determinant sigma_n, the flat-surface field's four coefficients, the
+first-order top coefficient, the flat top value and the scaling factor),
+where the package eliminates the slab in bounded terms; the 4x4 transfer
+matrix whose determinant sigma_n must equal, the slab's top transfer by a
+2x2 linear solve per mode, an ODE quadrature of the first-order problem,
+the flat-surface field and its z-derivative evaluated from its four
+coefficients and substituted back into its defining conditions, the
+analytic spectrum of profile 1, the pointwise Fourier series of a
+band-limited surface and its derivatives, the real synthesis by
+real-output inverse FFTs, inverse-crime linear data, residual tails summed
 one cut-off at a time, the forward operator assembled as a dense matrix
 from the convolution matrices of its coefficient fields, the
 mean-coefficient preconditioner's LU in full band storage, and restarted
@@ -20,21 +23,108 @@ checks.
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 
 import numpy as np
 
-from superlens_imaging.core import (Mode, PhysicalConfig, alpha_grid,
-                                   gamma_eta_grid, mode_grid, mode_scalars,
-                                   tau_of)
-from superlens_imaging.errors import NearSingularSystem
+from superlens_imaging.core import (CANCEL_RTOL, Mode, PhysicalConfig,
+                                   _vanishes, alpha_grid, gamma_eta_grid,
+                                   mode_grid, tau_of)
+from superlens_imaging.errors import NearSingularSystem, ResonantMode
 from superlens_imaging.forward import (_RESTART, Discretization, _givens,
                                        _gmres, _norm, _Operator,
                                        coefficient_fields)
 from superlens_imaging.profiles import SurfaceProfile, profile_spectrum
 from superlens_imaging.spectral import SpectrumField
-from superlens_imaging.tfe import (ZERO, ZerothOrder, first_order_top,
-                                   solve_zeroth, u0_top)
+from superlens_imaging.tfe import ZERO
 
+
+# --- the Cramer solution of the 4x4 layer system ----------------------------
+
+@dataclass(frozen=True)
+class Scalars:
+    """Bundle of the per-mode quantities the layer algebra needs."""
+    gamma: complex
+    eta: complex
+    phi: complex
+    psi: complex
+
+
+def mode_scalars(n: Mode, cfg: PhysicalConfig) -> Scalars:
+    """gamma_n, eta_n, phi_n = eta_n/rho + gamma_n and psi_n = eta_n/rho -
+    gamma_n at one mode; raises ResonantMode where gamma_n or eta_n
+    vanishes."""
+    g, e, _ = gamma_eta_grid(n[0], n[1], cfg)
+    for name, root in (("gamma", g), ("eta", e)):
+        if _vanishes(root, cfg):
+            raise ResonantMode(f"{name} vanishes at mode {n}")
+    g, e = complex(g), complex(e)
+    return Scalars(gamma=g, eta=e, phi=e / cfg.rho + g, psi=e / cfg.rho - g)
+
+
+def sigma_n(n: Mode, cfg: PhysicalConfig) -> complex:
+    """Determinant of the 4x4 layer system at one mode, in its Cramer
+    closed form (phi^2 - q psi^2 + E (q - 1) phi psi) e^{-i(gamma a + eta
+    h)} with q = e^{2i eta h} and E = e^{2i gamma a}; raises
+    NearSingularSystem where its two terms cancel below CANCEL_RTOL, and
+    OverflowError where a factor leaves float range."""
+    s = mode_scalars(n, cfg)
+    q = cmath.exp(2j * s.eta * cfg.h)
+    t1 = s.phi**2 - q * s.psi**2
+    t2 = cmath.exp(2j * s.gamma * cfg.a) * (q - 1) * s.phi * s.psi
+    if abs(t1 + t2) < CANCEL_RTOL * (abs(t1) + abs(t2)):
+        raise NearSingularSystem(f"layer determinant cancels at mode {n}")
+    return (t1 + t2) * cmath.exp(-1j * (s.gamma * cfg.a + s.eta * cfg.h))
+
+
+@dataclass(frozen=True)
+class ZerothOrder:
+    """Flat-surface field: A e^{i eta z} + B e^{-i eta z} inside the slab,
+    C (e^{i gamma z} - e^{-i gamma z}) below it, which vanishes at z = 0."""
+    A: complex
+    B: complex
+    C: complex
+
+
+def solve_zeroth(cfg: PhysicalConfig) -> ZerothOrder:
+    """Cramer solution of the zero-mode 4x4 system (forcing tau in the top
+    Robin row; all other modes are unforced and vanish)."""
+    s = mode_scalars(ZERO, cfg)
+    sig = sigma_n(ZERO, cfg)
+    tau = tau_of(cfg)
+    a = cfg.a
+    e, g = s.eta, s.gamma
+    A = (1j * cmath.exp(-1j * e * a) * tau / sig) * (
+        s.psi * cmath.exp(-1j * g * a) - s.phi * cmath.exp(1j * g * a))
+    B = (1j * cmath.exp(1j * e * a) * tau / sig) * (
+        s.phi * cmath.exp(-1j * g * a) - s.psi * cmath.exp(1j * g * a))
+    C = -2j * e * tau / (cfg.rho * sig)
+    return ZerothOrder(A=A, B=B, C=C)
+
+
+def u0_top(cfg: PhysicalConfig) -> complex:
+    """The flat-surface field at z = b from its Cramer coefficients."""
+    z0 = solve_zeroth(cfg)
+    e = mode_scalars(ZERO, cfg).eta
+    return z0.A * cmath.exp(1j * e * cfg.b) + z0.B * cmath.exp(-1j * e * cfg.b)
+
+
+def first_order_top(n: Mode, g_n: complex, cfg: PhysicalConfig) -> complex:
+    """First-order top coefficient driven by the surface coefficient g_n."""
+    s = mode_scalars(n, cfg)
+    s0 = mode_scalars(ZERO, cfg)
+    sig = sigma_n(n, cfg)
+    C0 = solve_zeroth(cfg).C
+    return -(8j / (cfg.rho * sig)) * C0 * s0.gamma * s.gamma * s.eta * g_n
+
+
+def scaling_factor(n: Mode, cfg: PhysicalConfig) -> complex:
+    """s_n as the reciprocal of the first-order top coefficient that a
+    unit surface coefficient drives."""
+    return 1 / first_order_top(n, 1, cfg)
+
+
+# --- the other references ---------------------------------------------------
 
 def transfer_matrix(n: Mode, cfg: PhysicalConfig) -> np.ndarray:
     """4x4 system matrix coupling (A, B, C, D) through the top Robin

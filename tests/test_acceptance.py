@@ -13,10 +13,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import (eval_field, first_order_ode_oracle,
-                     synthesize_linear_data, transfer_matrix,
-                     zeroth_residuals)
-from superlens_imaging.core import PhysicalConfig, mode_scalars
+from oracles import (eval_field, first_order_ode_oracle, first_order_top,
+                     mode_scalars, solve_zeroth, synthesize_linear_data,
+                     transfer_matrix, zeroth_residuals)
+from superlens_imaging.core import PhysicalConfig, gamma_eta_grid
 from superlens_imaging.errors import NearSingularSystem, ResonantMode
 from superlens_imaging.experiments import EXPERIMENTS
 from superlens_imaging.inverse import (choose_cutoff, recon_coefficients,
@@ -26,8 +26,7 @@ from superlens_imaging.measurement import (NoiseSpec, add_noise,
 from superlens_imaging.profiles import (peaks_profile, profile_spectrum,
                                         trig_profile)
 from superlens_imaging.spectral import dft2, grid_l2_norm
-from superlens_imaging.tfe import (first_order_top, scaling_factor, sigma_n,
-                                   solve_zeroth)
+from superlens_imaging.tfe import _sigma, scaling_factor, u0_top
 
 OMEGA = 2.0 * math.pi / 1.1
 
@@ -59,11 +58,11 @@ def test_criterion_1_determinant_identity():
     while draws < 1000:
         cfg = _random_config(rng)
         n = (int(rng.integers(-8, 9)), int(rng.integers(-8, 9)))
-        try:
-            det = np.linalg.det(transfer_matrix(n, cfg))
-            sig = sigma_n(n, cfg)
-        except (ResonantMode, NearSingularSystem):
+        gam, eta, resonant = gamma_eta_grid(*n, cfg)
+        sig, singular, _ = _sigma(gam, eta, cfg)
+        if resonant or singular:
             continue
+        det = np.linalg.det(transfer_matrix(n, cfg))
         worst = max(worst, abs(det - sig) / abs(sig))
         draws += 1
     dt = time.perf_counter() - t0
@@ -75,16 +74,20 @@ def test_criterion_1_determinant_identity():
 
 def test_criterion_2_zeroth_order_residuals():
     rng = np.random.default_rng(202)
-    worst = 0.0
+    worst = worst_top = 0.0
     t0 = time.perf_counter()
     checked = 0
     while checked < 200:
         cfg = _random_config(rng)
         try:
             res = zeroth_residuals(cfg)
+            # the package's flat top value against the oracle field at z = b
+            top = abs(u0_top(cfg) - complex(eval_field(solve_zeroth(cfg), cfg,
+                                                       cfg.b)))
         except (ResonantMode, NearSingularSystem):
             continue
         worst = max(worst, max(res.values()))
+        worst_top = max(worst_top, top)
         checked += 1
     # slab-absent mirror oracle: total field -2i sin(omega z)
     cfg0 = PhysicalConfig(omega=OMEGA, a=0.1, b=0.2, rho=1 + 0j, kappa=1 + 0j)
@@ -92,9 +95,10 @@ def test_criterion_2_zeroth_order_residuals():
     mirror = np.max(np.abs(eval_field(solve_zeroth(cfg0), cfg0, z)
                            + 2j * np.sin(OMEGA * z)))
     dt = time.perf_counter() - t0
-    _verdict(2, worst < 1e-10 and mirror < 1e-12 and dt < 1.0,
-             f"max residual {worst:.2e} over 200 configs, "
-             f"mirror dev {mirror:.2e}, {dt:.2f}s")
+    _verdict(2, worst < 1e-10 and worst_top < 1e-10 and mirror < 1e-12
+             and dt < 1.0,
+             f"max residual {worst:.2e} and top-value dev {worst_top:.2e} "
+             f"over 200 configs, mirror dev {mirror:.2e}, {dt:.2f}s")
 
 
 # --- 3: first-order closed form vs ODE quadrature ------------------------------

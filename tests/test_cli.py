@@ -5,6 +5,7 @@ covers the installed console script, and one checks in a fresh interpreter
 that importing the CLI imports no scipy module.
 """
 
+import cmath
 import contextlib
 import csv
 import errno
@@ -159,6 +160,22 @@ def test_thick_slab_forward_top_field_stays_bounded(tmp_path, capsys, b):
                      "--out", str(tmp_path)], capsys)
     assert code == 0, cap.err
     assert max_abs_top_field(tmp_path) <= 10
+
+
+def test_opaque_slab_forward_flat_top_value(tmp_path, capsys):
+    # rho = 1, kappa = -1 makes the zero mode evanescent in the slab as
+    # well; at b = 200 its e^{2i eta_0 h} underflows to 0, no wave crosses
+    # the slab, and the flat top value is the half-space one,
+    # i tau / (eta_0/rho + gamma_0) = (1 - i) e^{-i omega b}
+    overrides = ["rho=1", "kappa=-1", "b=200"]
+    code, cap = run(["forward", *FAST,
+                     *(arg for o in overrides for arg in ("--set", o)),
+                     "--out", str(tmp_path)], capsys)
+    assert code == 0, cap.err
+    diag = json.loads((tmp_path / "forward.json").read_text())
+    phys = build_config(fast=True, overrides=overrides).to_physical()
+    assert complex(diag["flat_top_value"]) == pytest.approx(
+        (1 - 1j) * cmath.exp(-1j * phys.omega * phys.b), rel=1e-12)
 
 
 def test_invert_round_trip(forward_dir, tmp_path, capsys):
@@ -400,6 +417,15 @@ def _rejects(argv, forward_dir, out):
      2, "the noise statistics underflow"),
     (["noise-stats", "--grid", "9", "--trials", "100", "--sigma", "1e-160"],
      2, "the noise statistics underflow"),
+    # finite rho and kappa whose (rho/kappa) omega^2 overflows
+    (["forward", *FAST, "--set", "rho=1e200", "--set", "kappa=1e-200"], 2,
+     "(rho/kappa) omega^2 must be finite"),
+    (["sweep-sn", "--n-max", "2", "--media=1e200:1e-200"], 2,
+     "(rho/kappa) omega^2 must be finite"),
+    # eta_0 = omega sqrt(rho/kappa) = 5.7e-80 vanishes, and the zero mode
+    # normalizes every s_n
+    (["sweep-sn", "--n-max", "2", "--media=1e-160:1"], 2,
+     "eta vanishes at mode (0, 0)"),
 ], ids=["forward-epsilon-nan", "invert-epsilon-nan", "forward-rho-nan",
        "invert-c-nan", "invert-c-inf", "forward-sigma-nan", "invert-c-negative",
        "experiment-seed-negative", "invert-zero-truth", "noise-stats-sigma-nan",
@@ -418,7 +444,9 @@ def _rejects(argv, forward_dir, out):
        "forward-window-negative", "forward-window-1000",
        "experiment-profile-4", "experiment-epsilon-negative",
        "noise-stats-grid-huge", "noise-stats-sigma-overflows-stats",
-       "noise-stats-sigma-1e-320", "noise-stats-sigma-1e-160"])
+       "noise-stats-sigma-1e-320", "noise-stats-sigma-1e-160",
+       "forward-contrast-overflow", "sweep-sn-contrast-overflow",
+       "sweep-sn-rho-1e-160-zero-mode-resonant"])
 def test_bad_value_writes_nothing(forward_dir, tmp_path, argv, expect,
                                   message):
     code, err = _rejects(argv, forward_dir, tmp_path / "out")
@@ -527,7 +555,12 @@ def test_sweep_sn_keeps_any_period(tmp_path):
     (["--n-max", "3", "--media=1e300:1"], [49]),
     # huge but finite values: no row flagged
     (["--n-max", "3", "--media=1:1e-300"], [0]),
-], ids=["fast-b-20", "b-200", "a-40", "rho-1e300", "kappa-1e-300"])
+    # |eta_n/rho| of 5.7e200 and more: s_n scales as 1/rho^2, every mode
+    # beyond float range, and sigma_n's terms, about (eta_n/rho)^2, are
+    # summed without overflow
+    (["--n-max", "2", "--media=1e-200:1e-200"], [25]),
+], ids=["fast-b-20", "b-200", "a-40", "rho-1e300", "kappa-1e-300",
+       "rho-kappa-1e-200"])
 def test_sweep_sn_flags_out_of_range_rows(tmp_path, capsys, argv, flagged):
     # a row is flagged exactly when its values are NaN; it keeps its
     # indices and abs_alpha, and no overflow warning (an error here) is

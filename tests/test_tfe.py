@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (eval_dz, eval_field, first_order_ode_oracle,
+                     first_order_top, mode_scalars, sigma_n, solve_zeroth,
                      transfer_matrix, trig_profile_spectrum,
                      zeroth_residuals)
-from superlens_imaging.config import build_config
-from superlens_imaging.core import PhysicalConfig, mode_scalars
+from superlens_imaging.config import FAST_OVERRIDES, build_config
+from superlens_imaging.core import PhysicalConfig, mode_grid
 from superlens_imaging.errors import NearSingularSystem, ResonantMode
-from superlens_imaging.tfe import (SWEEP_COLUMNS, first_order_top,
-                                   scaling_factor, scaling_factor_grid,
-                                   scaling_sweep, sigma_n, solve_zeroth,
-                                   u0_top)
+from superlens_imaging.spectral import window_halfwidth
+from superlens_imaging.tfe import (SWEEP_COLUMNS, scaling_factor,
+                                   scaling_factor_grid, scaling_sweep, u0_top)
 
 OMEGA = 2 * math.pi / 1.1
 
@@ -264,3 +265,28 @@ def test_scaling_factor_grid_zeroes_out_of_range_modes():
     assert bad.sum() == 832
     assert np.all(s_grid[bad] == 0)
     assert np.all(np.isfinite(s_grid)) and np.all(s_grid[~bad] != 0)
+
+
+@pytest.mark.parametrize("b", [0.2, 0.5, 2.0, 11.0])
+def test_bounded_elimination_matches_cramer_oracle(b):
+    # s_n and u_0(b) from the slab terms against the Cramer closed forms on
+    # the FAST measurement window, wherever the oracle is finite: its
+    # growing e^{-i eta_n h} overflows on the evanescent modes of a thick
+    # slab, which the package flags instead
+    cfg = build_config(fast=True, overrides=[f"b={b}"]).to_physical()
+    W = window_halfwidth(FAST_OVERRIDES["I"])
+    s_grid, bad = scaling_factor_grid(cfg, W)
+    compared = 0
+    for n1, n2 in zip(*(g.ravel().tolist() for g in mode_grid(W))):
+        try:
+            want = oracles.scaling_factor((n1, n2), cfg)
+        except OverflowError:
+            continue
+        if not cmath.isfinite(want):
+            continue
+        k = (n1 + W, n2 + W)
+        assert not bad[k], k
+        assert s_grid[k] == pytest.approx(want, rel=1e-12), k
+        compared += 1
+    assert compared >= 25
+    assert u0_top(cfg) == pytest.approx(oracles.u0_top(cfg), rel=1e-12)
